@@ -218,10 +218,9 @@ class CurveDataset:
     n_qubits: int | None
 
 
-def load_dataset(directory: Path, bond_lengths) -> CurveDataset:
-    """Match each requested bond length to exactly one .ham file in the
-    directory (tolerance 1e-9 on the file's bond_length field)."""
-    directory = Path(directory)
+def _scan_dataset(directory: Path) -> list[tuple[float, PauliHamiltonian, Path]]:
+    """(bond_length, Hamiltonian, path) of every .ham file in the directory
+    that has a bond_length, in file-name order."""
     if not directory.is_dir():
         raise DataError(f"dataset directory {directory} does not exist")
     available: list[tuple[float, PauliHamiltonian, Path]] = []
@@ -234,6 +233,14 @@ def load_dataset(directory: Path, bond_lengths) -> CurveDataset:
             raise DataError(f"{path}: {exc}") from exc
         if h.bond_length is not None:
             available.append((h.bond_length, h, path))
+    return available
+
+
+def load_dataset(directory: Path, bond_lengths) -> CurveDataset:
+    """Match each requested bond length to exactly one .ham file in the
+    directory (tolerance 1e-9 on the file's bond_length field)."""
+    directory = Path(directory)
+    available = _scan_dataset(directory)
     requested = [float(a) for a in bond_lengths]
     for i, a in enumerate(requested):
         for b in requested[:i]:
@@ -587,7 +594,10 @@ def _cmd_gen_synthetic(args) -> None:
 
 
 def _cmd_diag(args) -> None:
-    dataset = load_dataset(args.dataset_dir, args.bond_lengths)
+    bond_lengths = args.bond_lengths
+    if not bond_lengths:  # no values: every file in the directory
+        bond_lengths = sorted({a for a, _, _ in _scan_dataset(args.dataset_dir)})
+    dataset = load_dataset(args.dataset_dir, bond_lengths)
     text = run_diag(dataset)
     if args.output is None:
         sys.stdout.write(text)

@@ -18,8 +18,12 @@ variants consume exactly 2 n^2 rotation angles.
 Parameter vectors are plain 1-D float arrays (radians). Block j of a
 trainable block reads angles ``params[offset + i + n*j]`` for qubit i.
 
-All public functions are pure; batched private kernels (rows = one circuit
-instance per parameter assignment) carry the training workload.
+All public functions are pure. The training workload runs through
+``_forward_rows``: one row per (input, parameter vector) pair, float64
+amplitudes (H, Ry and CNOT are real gates), the encoding built in closed
+form as a product state, each CNOT ladder one cached gather permutation,
+and all qubits read out at once. The public single-state functions run
+the same kernels on complex rows.
 """
 
 from __future__ import annotations
@@ -27,14 +31,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .statevector import (
+# _h_rows is not called here: the encoding is built in closed form. It is
+# imported so that all gate kernels stay reachable through this module,
+# where perfbench/layers.py hooks them by name.
+from .statevector import (  # noqa: F401
+    MAX_QUBITS,
+    _INV_SQRT2,
     StateVector,
+    _angle_factors,
+    _cnot_permutation,
     _cnot_rows,
     _expect_z_rows,
     _h_rows,
+    _product_rows,
     _ry_rows,
 )
 
@@ -140,62 +153,72 @@ def entangler_pattern(n_qubits: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels: rows is a (batch, 2**n) amplitude array, modified in place
+# batched kernels: rows is a (batch, 2**n) amplitude array
 # ---------------------------------------------------------------------------
 
 
-def _zero_rows(n_qubits: int, batch: int) -> np.ndarray:
-    rows = np.zeros((batch, 1 << n_qubits), dtype=np.complex128)
-    rows[:, 0] = 1.0
+def _encoded_rows(angles: np.ndarray) -> np.ndarray:
+    """H then Ry(angles[b, q]) on each qubit q of |0...0>, one row per b.
+
+    Built in closed form as a product state: H|0> = (|0> + |1>)/sqrt(2), so
+    qubit q ends in ((c - s)|0> + (c + s)|1>)/sqrt(2), with c and s the
+    cosine and sine of half its angle.
+    """
+    c, s = _angle_factors(angles)
+    return _product_rows(np.stack([c - s, c + s], axis=-1) * _INV_SQRT2)
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _ladder_permutation(n_qubits: int) -> np.ndarray:
+    """Gather indices of one CNOT ladder (read-only, cached)."""
+    perm = _cnot_permutation(n_qubits, entangler_pattern(n_qubits))
+    perm.setflags(write=False)
+    return perm
+
+
+def _pqc_block(rows: np.ndarray, spec: PqcSpec, c, s) -> np.ndarray:
+    """Run one trainable block and return the new rows; ``rows`` itself is
+    left unchanged, because every layer starts with the ladder's gather.
+
+    c and s are cos/sin of half the block's own angles, angle index first,
+    so ``c[i + n*j]`` is the factor of qubit i in layer j (a scalar, or
+    shape (batch, 1, 1) for one angle per row).
+    """
+    n = spec.n_qubits
+    perm = _ladder_permutation(n)
+    for j in range(spec.n_layers):
+        rows = _cnot_rows(rows, perm)
+        for i in range(n):
+            _ry_rows(rows, n, i, c[i + n * j], s[i + n * j])
     return rows
 
 
-def _encode_rows(rows: np.ndarray, n_qubits: int, angles: np.ndarray) -> None:
-    """H then Ry(angles[..., q]) on each qubit q; angles (batch, n) or (n,)."""
-    for q in range(n_qubits):
-        _h_rows(rows, n_qubits, q)
-        _ry_rows(rows, n_qubits, q, angles[..., q])
-
-
-def _pqc_rows(rows: np.ndarray, spec: PqcSpec, thetas: np.ndarray) -> None:
-    """thetas is the block's own window, shape (batch, n*layers) or (n*layers,)."""
-    n = spec.n_qubits
-    pattern = entangler_pattern(n)
-    for j in range(spec.n_layers):
-        for control, target in pattern:
-            _cnot_rows(rows, n, control, target)
-        for i in range(n):
-            _ry_rows(rows, n, i, thetas[..., i + n * j])
-
-
-def _measure_rows(rows: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(batch, n) array of per-qubit <sigma_z> values."""
-    return np.stack(
-        [_expect_z_rows(rows, n_qubits, q) for q in range(n_qubits)], axis=1
-    )
-
-
 def _forward_rows(
-    net: NetworkSpec, bond_length: float, params_rows: np.ndarray
+    net: NetworkSpec, inputs: np.ndarray, params_rows: np.ndarray
 ) -> np.ndarray:
-    """One forward pass per row of params_rows; returns final amplitude rows.
+    """One forward pass per row: row b encodes the bond length inputs[b]
+    and runs on the angles params_rows[b]. Returns the final float64
+    amplitude rows, shape (batch, 2**n).
 
-    Every encoding block starts from a fresh zero register, so the readout
-    block only has to capture its values; the collapsed state is dropped.
+    Every gate is real, so the rows stay real. The angles are validated
+    and turned into cos/sin once, here. Every encoding block starts from a
+    fresh register, so the readout block only has to capture its values;
+    the collapsed state is dropped.
     """
-    batch = params_rows.shape[0]
     n = net.n_qubits
-    inputs = np.full((batch, n), float(bond_length))
-    rows = _zero_rows(n, batch)
+    c, s = _angle_factors(params_rows)
+    c = np.ascontiguousarray(c.T)[:, :, None, None]
+    s = np.ascontiguousarray(s.T)[:, :, None, None]
+    values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], n, axis=1)
+    rows = None
     for block in net.blocks():
         if isinstance(block, EncodingSpec):
-            rows = _zero_rows(n, batch)
-            _encode_rows(rows, n, block.scale * inputs)
+            rows = _encoded_rows(block.scale * values)
         elif isinstance(block, PqcSpec):
-            window = params_rows[:, block.param_offset : block.param_offset + block.n_params]
-            _pqc_rows(rows, block, window)
+            window = slice(block.param_offset, block.param_offset + block.n_params)
+            rows = _pqc_block(rows, block, c[window], s[window])
         else:
-            inputs = _measure_rows(rows, n)
+            values = _expect_z_rows(rows, n)
     return rows
 
 
@@ -214,10 +237,8 @@ def apply_encoding(spec: EncodingSpec, inputs) -> StateVector:
         raise ValueError("inputs must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(vals)):
         raise ValueError("inputs must be finite")
-    n = int(vals.size)
-    rows = _zero_rows(n, 1)
-    _encode_rows(rows, n, spec.scale * vals)
-    return StateVector(n, rows[0])
+    rows = _encoded_rows(spec.scale * vals[None, :])
+    return StateVector(int(vals.size), rows[0])
 
 
 def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
@@ -235,14 +256,14 @@ def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
             f"parameter vector of length {vec.size} too short: "
             f"block reads indices [{spec.param_offset}, {end})"
         )
-    rows = psi.amplitudes.copy().reshape(1, -1)
-    _pqc_rows(rows, spec, vec[spec.param_offset : end])
+    c, s = _angle_factors(vec[spec.param_offset : end])
+    rows = _pqc_block(psi.amplitudes.reshape(1, -1), spec, c, s)
     return StateVector(psi.n_qubits, rows[0])
 
 
 def measure_layer(psi: StateVector) -> np.ndarray:
     """Per-qubit <sigma_z>, exact from the amplitudes (no sampling)."""
-    return _measure_rows(psi.amplitudes.reshape(1, -1), psi.n_qubits)[0]
+    return _expect_z_rows(psi.amplitudes.reshape(1, -1), psi.n_qubits)[0]
 
 
 def forward(net: NetworkSpec, bond_length: float, params) -> StateVector:
@@ -255,5 +276,5 @@ def forward(net: NetworkSpec, bond_length: float, params) -> StateVector:
             f"expected {net.n_params} parameters for n_qubits={net.n_qubits}, "
             f"got {vec.ndim}-D input of size {vec.size}"
         )
-    rows = _forward_rows(net, float(bond_length), vec.reshape(1, -1))
+    rows = _forward_rows(net, np.array([float(bond_length)]), vec.reshape(1, -1))
     return StateVector(net.n_qubits, rows[0])

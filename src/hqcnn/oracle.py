@@ -2,14 +2,17 @@
 
 Two independent routes to the smallest eigenvalue:
 
-* ``ground_energy`` / ``ground_state`` build the dense matrix and call the
-  symmetric eigensolver. Exact up to LAPACK rounding, limited to small
-  registers.
+* ``ground_state`` and ``spectrum_bounds`` build the dense matrix and
+  call the symmetric eigensolver. Exact up to LAPACK rounding, limited to
+  ``DENSE_MAX_QUBITS``.
 * ``ground_energy_iterative`` never materializes the matrix: it wraps the
-  matrix-free term application in a LinearOperator and runs Lanczos
-  (shift-free, smallest-algebraic). Agreement between the two routes is a
-  strong check that the bit-slicing kernels and the Kronecker construction
-  implement the same operator.
+  compiled Hamiltonian's matrix-free product in a LinearOperator and runs
+  Lanczos (shift-free, smallest-algebraic). Agreement between the two
+  routes is a strong check that the compiled flip-mask form and the
+  Kronecker construction implement the same operator.
+
+``ground_energy`` takes the dense route up to ``DENSE_MAX_QUBITS`` and the
+Lanczos route above it.
 
 ``spectrum_bounds`` returns (min, max) eigenvalues, used to express model
 errors as a fraction of the spectral range.
@@ -20,8 +23,14 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg
 
-from .pauli import PauliHamiltonian, _apply_hamiltonian_rows, to_dense
-from .statevector import StateVector
+from .pauli import (
+    DENSE_MAX_QUBITS,
+    PauliHamiltonian,
+    _apply_hamiltonian_rows,
+    compile_hamiltonians,
+    to_dense,
+)
+from .statevector import MAX_QUBITS, StateVector
 
 
 class EigensolverError(RuntimeError):
@@ -29,7 +38,10 @@ class EigensolverError(RuntimeError):
 
 
 def ground_energy(h: PauliHamiltonian) -> float:
-    """Smallest eigenvalue of H via dense symmetric diagonalization."""
+    """Smallest eigenvalue of H: dense symmetric diagonalization up to
+    ``DENSE_MAX_QUBITS`` qubits, Lanczos above."""
+    if h.n_qubits > DENSE_MAX_QUBITS:
+        return ground_energy_iterative(h)
     return float(np.linalg.eigvalsh(to_dense(h))[0])
 
 
@@ -50,13 +62,18 @@ def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
 
     ``tol = 0`` requests machine precision. Raises
     :class:`EigensolverError` if the iteration does not converge rather
-    than returning a silently inaccurate value.
+    than returning a silently inaccurate value. Registers above
+    ``MAX_QUBITS`` are refused: their state vectors alone would need
+    gigabytes.
     """
+    if h.n_qubits > MAX_QUBITS:
+        raise ValueError(f"Lanczos limited to {MAX_QUBITS} qubits, got {h.n_qubits}")
     dim = 1 << h.n_qubits
+    compiled = compile_hamiltonians((h,))
 
     def matvec(v: np.ndarray) -> np.ndarray:
         rows = np.ascontiguousarray(v, dtype=np.complex128).reshape(1, dim)
-        return _apply_hamiltonian_rows(h, rows)[0]
+        return _apply_hamiltonian_rows(compiled, rows)[0]
 
     op = scipy.sparse.linalg.LinearOperator(
         shape=(dim, dim), matvec=matvec, dtype=np.complex128

@@ -5,11 +5,15 @@ single-qubit Pauli operators {I, X, Y, Z} and each c_i is a finite real
 (energy units, Hartree for molecular data). Qubit 0 is the leftmost tensor
 factor, matching :mod:`hqcnn.statevector`.
 
-Expectation values are evaluated matrix-free: each term is applied to the
-state by amplitude permutation and phase flips, the results are accumulated
-into a single H|psi> buffer, and one inner product <psi|H|psi> finishes the
-job. ``to_dense`` materializes the full matrix only for small registers, as
-ground truth for tests and the diagonalization oracle.
+Hamiltonians are evaluated matrix-free from a compiled form
+(:func:`compile_hamiltonians`): the terms are grouped by the basis-state
+flip they cause, so H v is one gather and one multiply per group, with
+a weight vector that folds every term's coefficient and sign. The same
+form gives H|psi> for the Lanczos oracle and <psi|H|psi> for training; on
+the network's real states, strings with an odd number of Y factors
+contribute exactly zero and are left out. ``to_dense`` materializes the
+full matrix only for small registers, as ground truth for tests and the
+dense diagonalization oracle.
 
 The ``.ham`` text format (UTF-8, line oriented)::
 
@@ -33,7 +37,7 @@ from functools import reduce
 
 import numpy as np
 
-from .statevector import StateVector, _bit_slices
+from .statevector import StateVector
 
 DENSE_MAX_QUBITS = 12
 
@@ -81,10 +85,6 @@ class PauliTerm:
     @property
     def axis_string(self) -> str:
         return "".join(a.value for a in self.axes)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(a is PauliAxis.I for a in self.axes)
 
 
 @dataclass(frozen=True)
@@ -220,59 +220,111 @@ def format_hamiltonian(h: PauliHamiltonian) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _apply_term_rows(term: PauliTerm, rows: np.ndarray, n_qubits: int) -> np.ndarray:
-    """c * P applied to each row by bit slicing: X swaps the bit-q halves,
-    Y swaps with +-i phases, Z negates the bit-1 half."""
-    out = rows * term.coefficient
-    for q, axis in enumerate(term.axes):
-        if axis is PauliAxis.I:
-            continue
-        lo, hi = _bit_slices(out, n_qubits, q)
-        if axis is PauliAxis.X:
-            tmp = lo.copy()
-            lo[...] = hi
-            hi[...] = tmp
-        elif axis is PauliAxis.Y:
-            tmp = lo.copy()
-            lo[...] = -1j * hi
-            hi[...] = 1j * tmp
-        else:
-            hi *= -1.0
-    return out
+@dataclass(frozen=True, eq=False)
+class CompiledHamiltonian:
+    """``count`` Hamiltonians on n qubits in X-flip-mask form.
+
+    A Pauli string maps basis state k to a phase times basis state k ^ m,
+    where the mask m holds the bits of its X and Y factors. Summing the
+    strings that share a mask gives (H v)[i] = sum_m w_m[i] v[i ^ m], one
+    weight vector per mask and Hamiltonian. Each group is a pair (index
+    i ^ m, weights of shape (count, 2**n)); the diagonal group (m = 0) has
+    index None. ``groups`` is the full operator; its weights are complex
+    only where a string has an odd number of Y factors. ``real_groups``
+    holds their real parts for real rows, leaving out groups whose real
+    part vanishes: an odd-Y string is imaginary and antisymmetric, so its
+    quadratic form on a real vector is exactly zero.
+    """
+
+    n_qubits: int
+    count: int
+    groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+    real_groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+
+    def subset(self, start: int, stop: int) -> "CompiledHamiltonian":
+        """Hamiltonians ``start`` to ``stop - 1`` (weight views, no copies)."""
+        return CompiledHamiltonian(
+            self.n_qubits,
+            stop - start,
+            tuple((i, w[start:stop]) for i, w in self.groups),
+            tuple((i, w[start:stop]) for i, w in self.real_groups),
+        )
 
 
-def _apply_hamiltonian_rows(h: PauliHamiltonian, rows: np.ndarray) -> np.ndarray:
-    """H applied to each row of a (batch, 2**n) array."""
-    out = np.zeros_like(rows)
-    identity_total = 0.0
-    for term in h.terms:
-        if term.is_identity:
-            identity_total += term.coefficient
-        else:
-            out += _apply_term_rows(term, rows, h.n_qubits)
-    if identity_total != 0.0:
-        out += identity_total * rows
-    return out
+def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
+    """Group the terms of each Hamiltonian (all on the same register) by
+    X-flip mask; see :class:`CompiledHamiltonian`."""
+    hs = tuple(hamiltonians)
+    if not hs:
+        raise ValueError("need at least one Hamiltonian")
+    n = hs[0].n_qubits
+    if any(h.n_qubits != n for h in hs):
+        raise ValueError("Hamiltonians act on different qubit counts")
+    index = np.arange(1 << n)
+    # Weights by mask, split into real and imaginary parts: a string with
+    # n_y Y factors carries the phase i**n_y, real for even n_y.
+    parts: tuple[dict[int, np.ndarray], dict[int, np.ndarray]] = ({}, {})
+    for j, h in enumerate(hs):
+        for term in h.terms:
+            mask = 0
+            z_qubits = []
+            n_y = 0
+            for q, axis in enumerate(term.axes):
+                if axis is PauliAxis.X or axis is PauliAxis.Y:
+                    mask |= 1 << (n - 1 - q)
+                if axis is PauliAxis.Z or axis is PauliAxis.Y:
+                    z_qubits.append(q)
+                n_y += axis is PauliAxis.Y
+            # P|k> = i^n_y (-1)^(Z/Y bits of k) |k ^ mask>, so
+            # (P v)[i] = i^n_y (-1)^(Z/Y bits of i ^ mask) v[i ^ mask].
+            source = index ^ mask
+            parity = np.zeros_like(index)
+            for q in z_qubits:
+                parity ^= source >> (n - 1 - q)
+            sign = 1.0 - 2.0 * (parity & 1)
+            phase = -1.0 if n_y % 4 >= 2 else 1.0
+            weights = parts[n_y % 2].setdefault(mask, np.zeros((len(hs), index.size)))
+            weights[j] += term.coefficient * phase * sign
+    real_parts, imag_parts = parts
+    zeros = np.zeros((len(hs), index.size))
+    groups = []
+    real_groups = []
+    for mask in sorted(real_parts.keys() | imag_parts.keys()):
+        flip = None if mask == 0 else index ^ mask
+        real = real_parts.get(mask, zeros)
+        imag = imag_parts.get(mask, zeros)
+        groups.append((flip, real + imag * 1j if np.any(imag) else real))
+        if np.any(real):
+            real_groups.append((flip, real))
+    return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups))
 
 
-def _expectation_rows(h: PauliHamiltonian, rows: np.ndarray) -> np.ndarray:
-    """Per-row real expectation <row|H|row>; identity terms reduce to
-    coefficient times the squared norm."""
-    identity_total = 0.0
-    acc = None
-    for term in h.terms:
-        if term.is_identity:
-            identity_total += term.coefficient
-        elif acc is None:
-            acc = _apply_term_rows(term, rows, h.n_qubits)
-        else:
-            acc += _apply_term_rows(term, rows, h.n_qubits)
-    values = np.zeros(rows.shape[0], dtype=np.float64)
-    if acc is not None:
-        values += np.einsum("bi,bi->b", rows.conj(), acc).real
-    if identity_total != 0.0:
-        values += identity_total * np.einsum("bi,bi->b", rows.conj(), rows).real
-    return values
+def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
+    """H applied to each row of a (batch, 2**n) array; the rows form
+    ``hamiltonians.count`` equal consecutive blocks, block j for
+    Hamiltonian j."""
+    blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
+    dtype = np.result_type(rows, *(w for _, w in hamiltonians.groups))
+    out = np.zeros(blocks.shape, dtype=dtype)
+    for flip, weights in hamiltonians.groups:
+        partner = blocks if flip is None else blocks[..., flip]
+        out += partner * weights[:, None, :]
+    return out.reshape(rows.shape)
+
+
+def _expectation_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
+    """Per-row real <row|H|row>, rows in blocks as for
+    :func:`_apply_hamiltonian_rows`. Real rows use the real groups only."""
+    blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
+    if np.iscomplexobj(rows):
+        groups, left = hamiltonians.groups, blocks.conj()
+    else:
+        groups, left = hamiltonians.real_groups, blocks
+    values = np.zeros(blocks.shape[:2])
+    for flip, weights in groups:
+        partner = blocks if flip is None else blocks[..., flip]
+        values += np.matmul(left * partner, weights[:, :, None])[..., 0].real
+    return values.reshape(-1)
 
 
 def apply_term(term: PauliTerm, psi: StateVector) -> StateVector:
@@ -281,12 +333,13 @@ def apply_term(term: PauliTerm, psi: StateVector) -> StateVector:
         raise ValueError(
             f"term acts on {len(term.axes)} qubits, state has {psi.n_qubits}"
         )
-    rows = _apply_term_rows(term, psi.amplitudes.reshape(1, -1), psi.n_qubits)
+    compiled = compile_hamiltonians((PauliHamiltonian(psi.n_qubits, (term,)),))
+    rows = _apply_hamiltonian_rows(compiled, psi.amplitudes.reshape(1, -1))
     return StateVector(psi.n_qubits, rows[0])
 
 
 def expectation(h: PauliHamiltonian, psi: StateVector) -> float:
-    """<psi|H|psi> = sum_i c_i <psi|P_i|psi>, accumulated matrix-free.
+    """<psi|H|psi>, evaluated matrix-free from the compiled form.
 
     The tiny imaginary residue of the quadratic form (Hermitian H, so it is
     pure rounding noise) is discarded.
@@ -295,7 +348,8 @@ def expectation(h: PauliHamiltonian, psi: StateVector) -> float:
         raise ValueError(
             f"Hamiltonian acts on {h.n_qubits} qubits, state has {psi.n_qubits}"
         )
-    return float(_expectation_rows(h, psi.amplitudes.reshape(1, -1))[0])
+    compiled = compile_hamiltonians((h,))
+    return float(_expectation_rows(compiled, psi.amplitudes.reshape(1, -1))[0])
 
 
 def to_dense(h: PauliHamiltonian) -> np.ndarray:

@@ -297,6 +297,32 @@ class TestMain:
         out = capsys.readouterr().out
         assert "bond_length,ground_energy" in out
 
+    def test_diag_without_values_loads_whole_directory(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        gen_synthetic(data, 2, [1.0, 0.5])
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "bond_length,ground_energy"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1.0"]
+        for line in lines[1:]:
+            a, energy = (float(x) for x in line.split(","))
+            assert energy == ground_energy(transverse_field_ising(2, a))
+
+    def test_diag_above_dense_limit_uses_lanczos(self, tmp_path, capsys):
+        # 13 qubits is past to_dense's 12-qubit cap. The open-chain TFIM
+        # ground energy is minus the sum of the singular values of the
+        # bidiagonal matrix with the field on the diagonal and the unit
+        # coupling above it (free fermions), an independent reference.
+        data = tmp_path / "d"
+        gen_synthetic(data, 13, [1.3])
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths", "1.3"]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        a, energy = (float(x) for x in row.split(","))
+        coupling = np.diag(np.full(13, 1.3)) + np.diag(np.ones(12), 1)
+        exact = -float(np.linalg.svd(coupling, compute_uv=False).sum())
+        assert a == 1.3
+        assert energy == pytest.approx(exact, abs=1e-9)
+
     def test_diag_output_file(self, tmp_path):
         data = tmp_path / "d"
         gen_synthetic(data, 2, [0.5])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_ref as ref
+from hqcnn.network import _forward_rows
 from hqcnn.network import (
     EncodingSpec,
     MeasureSpec,
@@ -195,6 +198,30 @@ class TestForward:
                 got = forward(net, a, params)
                 want = ref.forward(n, flag, a, params)
                 assert np.allclose(got.amplitudes, want, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        with_measurements=st.booleans(),
+        batch=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_rows_match_dense_reference(self, n, with_measurements, batch, seed):
+        # One bond length and one parameter vector per row, as cost and
+        # gradient stack them.
+        variant = (
+            Variant.WITH_MEASUREMENTS if with_measurements else Variant.WITHOUT_MEASUREMENTS
+        )
+        net = NetworkSpec(n, variant)
+        rng = np.random.default_rng(seed)
+        params = rng.normal(0, 1.5, (batch, net.n_params))
+        inputs = rng.uniform(-3, 3, batch)
+        rows = _forward_rows(net, inputs, params)
+        assert rows.dtype == np.float64
+        assert rows.shape == (batch, 1 << n)
+        for b in range(batch):
+            want = ref.forward(n, with_measurements, inputs[b], params[b])
+            assert np.max(np.abs(rows[b] - want)) < 1e-12
 
     def test_final_norm(self, rng):
         for variant in Variant:

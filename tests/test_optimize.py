@@ -3,7 +3,8 @@ import pytest
 import sympy as sp
 
 import dense_ref as ref
-from hqcnn.cli import transverse_field_ising
+import hqcnn.optimize as optimize
+from hqcnn.cli import DEFAULT_TRAIN_GRID, transverse_field_ising
 from hqcnn.network import NetworkSpec, Variant, forward
 from hqcnn.optimize import (
     MinimizeResult,
@@ -131,6 +132,59 @@ class TestGradient:
         problem = _tfim_problem(2, (1.0,))
         with pytest.raises(ValueError):
             gradient(np.zeros(8), problem, step=0.0)
+
+
+class TestStackedBatches:
+    """At n = 7 one point's FD batch is 2k = 196 rows of 128 amplitudes, so
+    the 2**16-amplitude rule splits the 5 training points 2, 2, 1."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return _tfim_problem(7, DEFAULT_TRAIN_GRID)
+
+    def test_gradient_batches_split_two_two_one(self, problem, monkeypatch):
+        batch_rows = []
+        forward_rows = optimize._forward_rows
+
+        def spy(net, inputs, params_rows):
+            batch_rows.append(params_rows.shape[0])
+            return forward_rows(net, inputs, params_rows)
+
+        monkeypatch.setattr(optimize, "_forward_rows", spy)
+        gradient(init_params(problem.network.n_params, 0), problem)
+        assert batch_rows == [392, 392, 196]
+
+    def test_gradient_matches_central_differences_of_cost(self, problem):
+        params = init_params(problem.network.n_params, 3)
+        step = 1e-6
+        got = gradient(params, problem, step)
+        want = np.empty_like(params)
+        for i in range(params.size):
+            e = np.zeros_like(params)
+            e[i] = step
+            want[i] = (cost(params + e, problem) - cost(params - e, problem)) / (2 * step)
+        assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_nan_parameter_raises(self, problem):
+        params = init_params(problem.network.n_params, 0)
+        params[50] = np.nan
+        with pytest.raises(ValueError):
+            cost(params, problem)
+        with pytest.raises(ValueError):
+            gradient(params, problem)
+
+    def test_nan_bond_length_raises(self):
+        # TrainingProblem rejects NaN bond lengths, so put one past it, in
+        # the point that forms the last FD batch on its own.
+        problem = _tfim_problem(7, DEFAULT_TRAIN_GRID)
+        pairs = list(problem.training_set)
+        pairs[4] = (float("nan"), pairs[4][1])
+        object.__setattr__(problem, "training_set", tuple(pairs))
+        params = init_params(problem.network.n_params, 0)
+        with pytest.raises(ValueError):
+            cost(params, problem)
+        with pytest.raises(ValueError):
+            gradient(params, problem)
 
 
 class TestInitParams:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_ref as ref
+from hqcnn.pauli import (
+    _apply_hamiltonian_rows,
+    _expectation_rows,
+    compile_hamiltonians,
+)
 from hqcnn.pauli import (
     HamParseError,
     PauliAxis,
@@ -192,6 +199,65 @@ class TestEvaluation:
             expectation(_ham([(1.0, "Z")], 1), zero_state(2))
         with pytest.raises(ValueError):
             apply_term(PauliTerm.from_string(1.0, "ZZ"), zero_state(1))
+
+
+@st.composite
+def pauli_sums(draw, n):
+    """(coefficient, axis string) terms on n qubits; the last term has
+    exactly one Y, so every sum holds an odd-Y string."""
+    axes = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(st.lists(st.tuples(coeffs, axes), max_size=8))
+    y_at = draw(st.integers(0, n - 1))
+    odd_y = "".join(draw(st.sampled_from("IXZ")) if q != y_at else "Y" for q in range(n))
+    return terms + [(draw(coeffs), odd_y)]
+
+
+@st.composite
+def stacked_hamiltonians(draw):
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 3))
+    return n, [draw(pauli_sums(n)) for _ in range(count)]
+
+
+class TestCompiled:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_hamiltonians(), rows_per=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_real_rows_match_dense_quadratic_form(self, case, rows_per, seed):
+        n, sums = case
+        compiled = compile_hamiltonians(_ham(terms, n) for terms in sums)
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((len(sums) * rows_per, 1 << n))
+        got = _expectation_rows(compiled, rows)
+        for b, v in enumerate(rows):
+            dense = ref.hamiltonian_matrix(sums[b // rows_per], n)
+            assert got[b] == pytest.approx(float((v @ dense @ v).real), abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_hamiltonians(), seed=st.integers(0, 2**32 - 1))
+    def test_complex_matvec_matches_dense(self, case, seed):
+        n, sums = case
+        hams = [_ham(terms, n) for terms in sums]
+        compiled = compile_hamiltonians(hams)
+        rng = np.random.default_rng(seed)
+        rows = np.stack([ref.random_state(rng, n) for _ in hams])
+        got = _apply_hamiltonian_rows(compiled, rows)
+        for h, v, out in zip(hams, rows, got):
+            assert np.max(np.abs(out - to_dense(h) @ v)) < 1e-12
+
+    def test_odd_y_strings_drop_out_on_real_rows(self):
+        compiled = compile_hamiltonians([_ham([(0.7, "YZ"), (-1.1, "YI")], 2)])
+        assert compiled.real_groups == ()
+        assert len(compiled.groups) == 1  # both strings flip qubit 0 only
+        rows = np.random.default_rng(3).standard_normal((4, 4))
+        assert np.array_equal(_expectation_rows(compiled, rows), np.zeros(4))
+
+    def test_subset_selects_hamiltonians(self, rng):
+        hams = [_ham(ref.random_terms(rng, 2, 4), 2) for _ in range(3)]
+        rows = rng.standard_normal((2, 4))
+        tail = compile_hamiltonians(hams).subset(1, 3)
+        want = compile_hamiltonians(hams[1:])
+        assert np.array_equal(_expectation_rows(tail, rows), _expectation_rows(want, rows))
 
 
 class TestDense:
