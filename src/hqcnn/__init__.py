@@ -24,6 +24,7 @@ from .optimize import (
     bfgs_minimize,
     cost,
     evaluate,
+    finite_difference_gradient,
     gradient,
     init_params,
     train,
@@ -81,6 +82,7 @@ __all__ = [
     "evaluate",
     "expect_z",
     "expectation",
+    "finite_difference_gradient",
     "format_hamiltonian",
     "forward",
     "gradient",

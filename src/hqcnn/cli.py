@@ -7,7 +7,8 @@ diag            exact ground energies for a set of bond lengths (CSV)
 train           fit one seed and print the outcome
 curve           train per seed, evaluate train+test points, write CSV+manifest
 compare         run both network variants on identical seeds and splits
-gradcheck       step-halving finite-difference gradient check
+gradcheck       adjoint gradient against central differences, and the
+                step-halving check of the central differences
 
 Config file grammar (flat key: value lines, '#' comments, unknown keys
 rejected)::
@@ -23,7 +24,8 @@ rejected)::
     finite_difference_step: 1e-6
 
 Only dataset_dir and output_dir are required; the grids, seeds, and
-optimizer settings above are the defaults.
+optimizer settings above are the defaults. Training uses the exact
+adjoint gradient, so finite_difference_step governs only gradcheck.
 
 Outputs use '.' decimal points, '\\n' line endings, and shortest
 round-trip float formatting, so a rerun with the same config is
@@ -49,7 +51,7 @@ import numpy as np
 from . import __version__
 from .network import NetworkSpec, Variant, forward
 from .optimize import NumericalError, OptimizerSettings, TrainingProblem
-from .optimize import gradient_step_check, init_params, train
+from .optimize import adjoint_deviation, gradient_step_check, init_params, train
 from .oracle import ground_energy
 from .pauli import (
     HamParseError,
@@ -59,6 +61,7 @@ from .pauli import (
     format_hamiltonian,
     parse_hamiltonian,
 )
+from .statevector import MAX_QUBITS
 
 BOND_LENGTH_TOLERANCE = 1e-9
 
@@ -220,7 +223,8 @@ class CurveDataset:
 
 def _scan_dataset(directory: Path) -> list[tuple[float, PauliHamiltonian, Path]]:
     """(bond_length, Hamiltonian, path) of every .ham file in the directory
-    that has a bond_length, in file-name order."""
+    that has a bond_length, in file-name order. Files without one are
+    skipped, each reported by path on stderr."""
     if not directory.is_dir():
         raise DataError(f"dataset directory {directory} does not exist")
     available: list[tuple[float, PauliHamiltonian, Path]] = []
@@ -231,7 +235,9 @@ def _scan_dataset(directory: Path) -> list[tuple[float, PauliHamiltonian, Path]]
             raise DataError(f"cannot read {path}: {exc}") from exc
         except HamParseError as exc:
             raise DataError(f"{path}: {exc}") from exc
-        if h.bond_length is not None:
+        if h.bond_length is None:
+            print(f"skipped {path}: no bond_length", file=sys.stderr)
+        else:
             available.append((h.bond_length, h, path))
     return available
 
@@ -582,13 +588,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run both variants; write ablation table")
     p.add_argument("--config", required=True, type=Path)
 
-    p = sub.add_parser("gradcheck", help="step-halving gradient check")
+    p = sub.add_parser("gradcheck", help="check the gradient against central differences")
     p.add_argument("--config", required=True, type=Path)
     p.add_argument("--seed", type=int, help="override (default: first config seed)")
     return parser
 
 
 def _cmd_gen_synthetic(args) -> None:
+    if not 1 <= args.n_qubits <= MAX_QUBITS:
+        raise ConfigError(
+            f"--n-qubits must be in [1, {MAX_QUBITS}], got {args.n_qubits}"
+        )
     written = gen_synthetic(args.out_dir, args.n_qubits, args.bond_lengths)
     print(f"wrote {len(written)} files to {args.out_dir}")
 
@@ -597,6 +607,8 @@ def _cmd_diag(args) -> None:
     bond_lengths = args.bond_lengths
     if not bond_lengths:  # no values: every file in the directory
         bond_lengths = sorted({a for a, _, _ in _scan_dataset(args.dataset_dir)})
+        if not bond_lengths:
+            raise DataError(f"no .ham file with a bond_length in {args.dataset_dir}")
     dataset = load_dataset(args.dataset_dir, bond_lengths)
     text = run_diag(dataset)
     if args.output is None:
@@ -606,18 +618,20 @@ def _cmd_diag(args) -> None:
         print(f"wrote {args.output}")
 
 
-def _single_variant_config(config: ExperimentConfig, where: str) -> ExperimentConfig:
+def _training_setup(args, where: str) -> tuple[ExperimentConfig, int, TrainingProblem]:
+    """Config, seed and training problem of a single-variant subcommand."""
+    config = load_config(args.config)
     if config.variant == "both":
         raise ConfigError(f"{where} needs a single variant, not 'both'")
-    return config
-
-
-def _cmd_train(args) -> None:
-    config = _single_variant_config(load_config(args.config), "train")
     seed = args.seed if args.seed is not None else config.seeds[0]
     train_ds = load_dataset(config.dataset_dir, config.train_bond_lengths)
     net = NetworkSpec(train_ds.n_qubits, Variant(config.variant))
-    model = train(TrainingProblem(net, train_ds.entries), seed, config.settings)
+    return config, seed, TrainingProblem(net, train_ds.entries)
+
+
+def _cmd_train(args) -> None:
+    config, seed, problem = _training_setup(args, "train")
+    model = train(problem, seed, config.settings)
     print(
         f"seed {seed}: final_cost={model.final_cost!r} "
         f"iterations={model.iterations_used} "
@@ -651,15 +665,12 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_gradcheck(args) -> None:
-    config = _single_variant_config(load_config(args.config), "gradcheck")
-    seed = args.seed if args.seed is not None else config.seeds[0]
-    train_ds = load_dataset(config.dataset_dir, config.train_bond_lengths)
-    net = NetworkSpec(train_ds.n_qubits, Variant(config.variant))
-    problem = TrainingProblem(net, train_ds.entries)
-    params = init_params(net.n_params, seed)
-    deviation = gradient_step_check(
-        params, problem, config.settings.finite_difference_step
-    )
+    config, seed, problem = _training_setup(args, "gradcheck")
+    params = init_params(problem.network.n_params, seed)
+    step = config.settings.finite_difference_step
+    deviation = adjoint_deviation(params, problem, step)
+    print(f"max relative deviation (adjoint vs FD): {deviation!r}")
+    deviation = gradient_step_check(params, problem, step)
     print(f"max relative gradient deviation (h vs h/2): {deviation!r}")
 
 

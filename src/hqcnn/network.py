@@ -24,6 +24,15 @@ amplitudes (H, Ry and CNOT are real gates), the encoding built in closed
 form as a product state, each CNOT ladder one cached gather permutation,
 and all qubits read out at once. The public single-state functions run
 the same kernels on complex rows.
+
+``_adjoint_gradient`` differentiates a summed energy exactly by reverse
+mode: one forward pass, then a backward sweep of the states and their
+adjoints through every block (Jones & Gacon, arXiv:2009.02823). All
+gates are orthogonal, so each is undone by its transpose instead of being
+stored, and the readout is an exact expectation, so it has an exact
+derivative. Besides the cached (n, 2**n) index and sign tables, memory
+is a fixed number of (batch, 2**n) arrays, however many angles the
+network has.
 """
 
 from __future__ import annotations
@@ -49,7 +58,13 @@ from .statevector import (  # noqa: F401
     _h_rows,
     _product_rows,
     _ry_rows,
+    _z_signs,
 )
+
+# Largest array, in amplitudes, that ``_y_overlaps`` gathers at once; above
+# it the qubits of a layer are gathered a few at a time, so the backward
+# sweep's memory stays a fixed number of (batch, 2**n) arrays.
+_FLIP_GATHER_AMPLITUDES = 1 << 16
 
 
 class Variant(enum.Enum):
@@ -176,6 +191,24 @@ def _ladder_permutation(n_qubits: int) -> np.ndarray:
     return perm
 
 
+@lru_cache(maxsize=MAX_QUBITS)
+def _ladder_inverse(n_qubits: int) -> np.ndarray:
+    """Gather indices that undo one CNOT ladder (read-only, cached)."""
+    inverse = np.argsort(_ladder_permutation(n_qubits))
+    inverse.setflags(write=False)
+    return inverse
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _bit_flips(n_qubits: int) -> np.ndarray:
+    """(n, 2**n) gather indices: row q flips bit q of every index
+    (read-only, cached)."""
+    index = np.arange(1 << n_qubits)
+    flips = index ^ (1 << (n_qubits - 1 - np.arange(n_qubits)))[:, None]
+    flips.setflags(write=False)
+    return flips
+
+
 def _pqc_block(rows: np.ndarray, spec: PqcSpec, c, s) -> np.ndarray:
     """Run one trainable block and return the new rows; ``rows`` itself is
     left unchanged, because every layer starts with the ladder's gather.
@@ -193,6 +226,75 @@ def _pqc_block(rows: np.ndarray, spec: PqcSpec, c, s) -> np.ndarray:
     return rows
 
 
+def _y_overlaps(stacked: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(batch, n) array of adjoint[b] . (-iY)_q state[b] for every qubit q,
+    where ``stacked`` holds the batch of states on top of their adjoints.
+
+    Ry(t) = exp(t/2 (-iY)), so half of this is the derivative of the
+    energy by an Ry angle on qubit q that acted last on the state.
+    ((-iY)_q v)[i] = -z_q(i) v[i ^ bit q], with z_q the sigma_z signs.
+    """
+    half = stacked.shape[0] // 2
+    states, adjoints = stacked[:half], stacked[half:]
+    flips = _bit_flips(n_qubits)
+    signs = _z_signs(n_qubits)
+    out = np.empty((half, n_qubits))
+    step = max(1, _FLIP_GATHER_AMPLITUDES // states.size)
+    for q in range(0, n_qubits, step):
+        window = slice(q, q + step)
+        out[:, window] = np.einsum(
+            "bi,bqi,iq->bq", adjoints, states[:, flips[window]], signs[:, window]
+        )
+    return -out
+
+
+def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, c, s, grad) -> np.ndarray:
+    """Undo one trainable block on ``stacked`` (states on top of their
+    adjoints) and return the rows at its input; writes the derivative by
+    each of the block's angles into ``grad``, summed over the batch.
+
+    c and s are the block's scalar angle factors, as for ``_pqc_block``.
+    The Ry's of one layer act on distinct qubits and commute, so all
+    their derivatives are read at the end of the layer, before any is
+    undone; Ry(-t) and the inverse permutation undo the layer, because
+    every gate is orthogonal and so acts on adjoints as on states.
+    """
+    n = spec.n_qubits
+    inverse = _ladder_inverse(n)
+    for j in reversed(range(spec.n_layers)):
+        window = slice(n * j, n * (j + 1))
+        grad[window] = 0.5 * _y_overlaps(stacked, n).sum(axis=0)
+        for i in range(n):
+            _ry_rows(stacked, n, i, c[i + n * j], -s[i + n * j])
+        stacked = _cnot_rows(stacked, inverse)
+    return stacked
+
+
+def _run_blocks(net: NetworkSpec, inputs: np.ndarray, c, s):
+    """Run every block on one row per input; returns the final rows and
+    the list of rows each readout block measured.
+
+    c and s are the angle factors of the whole parameter vector, angle
+    index first, as ``_pqc_block`` takes them. Every encoding block starts
+    from a fresh register, so the readout block only has to capture its
+    values; the collapsed state is dropped.
+    """
+    n = net.n_qubits
+    values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], n, axis=1)
+    rows = None
+    measured = []
+    for block in net.blocks():
+        if isinstance(block, EncodingSpec):
+            rows = _encoded_rows(block.scale * values)
+        elif isinstance(block, PqcSpec):
+            window = slice(block.param_offset, block.param_offset + block.n_params)
+            rows = _pqc_block(rows, block, c[window], s[window])
+        else:
+            measured.append(rows)
+            values = _expect_z_rows(rows, n)
+    return rows, measured
+
+
 def _forward_rows(
     net: NetworkSpec, inputs: np.ndarray, params_rows: np.ndarray
 ) -> np.ndarray:
@@ -201,25 +303,53 @@ def _forward_rows(
     amplitude rows, shape (batch, 2**n).
 
     Every gate is real, so the rows stay real. The angles are validated
-    and turned into cos/sin once, here. Every encoding block starts from a
-    fresh register, so the readout block only has to capture its values;
-    the collapsed state is dropped.
+    and turned into cos/sin once, here.
     """
-    n = net.n_qubits
     c, s = _angle_factors(params_rows)
     c = np.ascontiguousarray(c.T)[:, :, None, None]
     s = np.ascontiguousarray(s.T)[:, :, None, None]
-    values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], n, axis=1)
-    rows = None
-    for block in net.blocks():
-        if isinstance(block, EncodingSpec):
-            rows = _encoded_rows(block.scale * values)
-        elif isinstance(block, PqcSpec):
+    return _run_blocks(net, inputs, c, s)[0]
+
+
+def _adjoint_gradient(
+    net: NetworkSpec, inputs: np.ndarray, params: np.ndarray, rows_gradient
+) -> np.ndarray:
+    """Exact gradient by ``params`` of E = sum_b e_b(rows[b]), where rows
+    are the final rows of one forward pass per input on the one parameter
+    vector ``params``, and ``rows_gradient(rows)`` returns the (batch,
+    2**n) array of de_b/drows[b], the seed of the backward sweep.
+
+    The sweep walks the blocks backwards with the states stacked on top of
+    their adjoints, so each gate undoes both with one kernel call:
+
+    * a trainable block yields its angle derivatives (``_pqc_block_adjoint``);
+    * a re-encoding Ry(scale * v_q) yields dE/dv_q = scale/2 *
+      adjoint . (-iY)_q state, per row;
+    * a readout v_q = <psi|Z_q|psi> turns those into the adjoint
+      2 psi * sum_q dE/dv_q z_q of the measured rows psi, which the
+      forward pass kept, and the sweep continues from psi.
+
+    The first block loads the inputs, which are not trained, so the sweep
+    stops there.
+    """
+    n = net.n_qubits
+    c, s = _angle_factors(params)
+    rows, measured = _run_blocks(net, inputs, c, s)
+    stacked = np.concatenate([rows, rows_gradient(rows)])
+    grad = np.empty(params.size)
+    for block in reversed(net.blocks()[1:]):
+        if isinstance(block, PqcSpec):
             window = slice(block.param_offset, block.param_offset + block.n_params)
-            rows = _pqc_block(rows, block, c[window], s[window])
+            stacked = _pqc_block_adjoint(
+                stacked, block, c[window], s[window], grad[window]
+            )
+        elif isinstance(block, EncodingSpec):
+            value_grad = 0.5 * block.scale * _y_overlaps(stacked, n)
         else:
-            values = _expect_z_rows(rows, n)
-    return rows
+            psi = measured.pop()
+            adjoint = 2.0 * psi * (value_grad @ _z_signs(n).T)
+            stacked = np.concatenate([psi, adjoint])
+    return grad
 
 
 # ---------------------------------------------------------------------------

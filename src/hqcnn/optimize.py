@@ -1,4 +1,4 @@
-"""Training: summed-energy cost, finite-difference gradients, BFGS.
+"""Training: summed-energy cost, exact adjoint gradients, BFGS.
 
 The cost of a parameter vector w over a training set {(a_j, H_j)} is
 
@@ -7,24 +7,31 @@ The cost of a parameter vector w over a training set {(a_j, H_j)} is
 so minimizing f pushes each predicted energy toward the ground energy of
 its Hamiltonian (variational bound: each term is >= lambda_min(H_j)).
 
-Both ``cost`` and ``gradient`` run on the network's real batched path:
-one forward row per (training point, parameter vector), scored against
-the training Hamiltonians, which ``TrainingProblem`` compiles once.
+``cost`` runs on the network's real batched path: one forward row per
+training point, scored against the training Hamiltonians, which
+``TrainingProblem`` compiles once.
 
-Gradients are central finite differences; the readout layer makes the
-model piecewise-smooth but not conveniently differentiable by hand, and a
-step-halving check (``gradient_step_check``) guards the step choice.
+``gradient`` is the exact gradient of ``cost``. The readout is an exact
+expectation, so the model is smooth and reverse mode applies: one forward
+pass keeps the rows each block needs, then adjoint sweeps back through
+the second block, the readout and the first block give every derivative
+(``network._adjoint_gradient``). That is about three passes over one row
+per point, where central differences need 2k rows per point for k
+angles. Central differences, the paper's method, stay as the independent
+reference (``finite_difference_gradient``); ``gradient_step_check``
+guards their step choice and ``adjoint_deviation`` compares the two.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
 Defaults: at most 500 iterations, stop when the gradient infinity norm
 drops to 1e-5.
 
-Determinism: cost evaluates all training points in one batch; gradients
-stack all 2k coordinate perturbations of consecutive training points into
-batches of a size fixed by the problem's dimensions alone; parameter
-initialization draws from a seeded generator. Identical inputs therefore
-give bitwise-identical results on one platform.
+Determinism: cost and gradient evaluate all training points in one batch
+in a fixed order; finite differences stack the 2k coordinate
+perturbations of consecutive training points into batches of a size
+fixed by the problem's dimensions alone; parameter initialization draws
+from a seeded generator. Identical inputs therefore give
+bitwise-identical results on one platform.
 """
 
 from __future__ import annotations
@@ -35,17 +42,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .network import NetworkSpec, _forward_rows, forward
+from .network import NetworkSpec, _adjoint_gradient, _forward_rows, forward
 from .pauli import (
     CompiledHamiltonian,
     PauliHamiltonian,
     _expectation_rows,
+    _real_hamiltonian_rows,
     compile_hamiltonians,
     expectation,
 )
 
-# Largest FD gradient batch, in amplitudes, that stacks several training
-# points; larger per-point batches run one point at a time. Stacking the
+# Largest finite-difference batch, in amplitudes. Batches stack the 2k
+# perturbed rows of as many consecutive training points as fit, at least
+# one; a point whose rows do not fit runs in chunks of rows. Stacking the
 # short rows of small registers saves numpy dispatch; at n = 8 one point
 # already fills 2**16 amplitudes, and stacking more only raised peak memory.
 _GRADIENT_BATCH_AMPLITUDES = 1 << 16
@@ -138,14 +147,30 @@ def cost(params, problem: TrainingProblem) -> float:
     return float(np.sum(_expectation_rows(problem.hamiltonians, rows)))
 
 
-def gradient(params, problem: TrainingProblem, step: float = 1e-6) -> np.ndarray:
+def gradient(params, problem: TrainingProblem) -> np.ndarray:
+    """Exact gradient of :func:`cost`, by adjoint sweeps over one batch
+    with a row per training point. The seed of the sweep is
+    d<phi|H|phi>/dphi = 2 Re(H) phi on the real final rows."""
+    vec = _check_params(params, problem)
+    hamiltonians = problem.hamiltonians
+
+    def energy_gradient(rows: np.ndarray) -> np.ndarray:
+        return 2.0 * _real_hamiltonian_rows(hamiltonians, rows)
+
+    return _adjoint_gradient(problem.network, _bond_lengths(problem), vec, energy_gradient)
+
+
+def finite_difference_gradient(
+    params, problem: TrainingProblem, step: float = 1e-6
+) -> np.ndarray:
     """Central-difference gradient, (f(w + h e_i) - f(w - h e_i)) / 2h.
 
     The 2k perturbed vectors of consecutive training points run as one
     batch, as many points as fit in ``_GRADIENT_BATCH_AMPLITUDES``
-    amplitudes and at least one. The grouping depends only on the
-    problem's dimensions, which keeps the walk order (and therefore the
-    rounding) fixed.
+    amplitudes and at least one; a point that does not fit runs in chunks
+    of as many rows as fit, at least one. The grouping depends only on
+    the problem's dimensions, which keeps the walk order (and therefore
+    the rounding) fixed.
     """
     if not (step > 0):
         raise ValueError("step must be positive")
@@ -156,29 +181,47 @@ def gradient(params, problem: TrainingProblem, step: float = 1e-6) -> np.ndarray
     perturbed[idx, idx] += step
     perturbed[k + idx, idx] -= step
     inputs = _bond_lengths(problem)
-    point_amplitudes = (2 * k) << problem.network.n_qubits
-    per_batch = max(1, _GRADIENT_BATCH_AMPLITUDES // point_amplitudes)
+    rows_per_batch = max(1, _GRADIENT_BATCH_AMPLITUDES >> problem.network.n_qubits)
+    per_batch = max(1, rows_per_batch // (2 * k))
+    chunk = min(2 * k, rows_per_batch)
     values = np.zeros(2 * k, dtype=np.float64)
     for start in range(0, inputs.size, per_batch):
         stop = min(start + per_batch, inputs.size)
         points = stop - start
-        rows = _forward_rows(
-            problem.network,
-            np.repeat(inputs[start:stop], 2 * k),
-            np.tile(perturbed, (points, 1)),
-        )
-        energies = _expectation_rows(problem.hamiltonians.subset(start, stop), rows)
-        values += energies.reshape(points, 2 * k).sum(axis=0)
+        hamiltonians = problem.hamiltonians.subset(start, stop)
+        for lo in range(0, 2 * k, chunk):
+            hi = min(lo + chunk, 2 * k)
+            rows = _forward_rows(
+                problem.network,
+                np.repeat(inputs[start:stop], hi - lo),
+                np.tile(perturbed[lo:hi], (points, 1)),
+            )
+            energies = _expectation_rows(hamiltonians, rows)
+            values[lo:hi] += energies.reshape(points, hi - lo).sum(axis=0)
     return (values[:k] - values[k:]) / (2.0 * step)
 
 
+def _relative_deviation(g, reference) -> float:
+    scale = max(float(np.max(np.abs(reference))), 1e-12)
+    return float(np.max(np.abs(g - reference))) / scale
+
+
 def gradient_step_check(params, problem: TrainingProblem, step: float = 1e-6) -> float:
-    """Max deviation between gradients at h and h/2, relative to the
-    gradient's infinity norm. Small values certify the step choice."""
-    g_full = gradient(params, problem, step)
-    g_half = gradient(params, problem, step / 2.0)
-    scale = max(float(np.max(np.abs(g_half))), 1e-12)
-    return float(np.max(np.abs(g_full - g_half))) / scale
+    """Max deviation between central-difference gradients at h and h/2,
+    relative to the gradient's infinity norm. Small values certify the
+    step choice."""
+    return _relative_deviation(
+        finite_difference_gradient(params, problem, step),
+        finite_difference_gradient(params, problem, step / 2.0),
+    )
+
+
+def adjoint_deviation(params, problem: TrainingProblem, step: float = 1e-6) -> float:
+    """Max deviation between :func:`gradient` and central differences at
+    step h, relative to the central-difference gradient's infinity norm."""
+    return _relative_deviation(
+        gradient(params, problem), finite_difference_gradient(params, problem, step)
+    )
 
 
 def init_params(k: int, seed: int) -> np.ndarray:
@@ -329,7 +372,7 @@ def train(
         return cost(v, problem)
 
     def grad(v: np.ndarray) -> np.ndarray:
-        return gradient(v, problem, settings.finite_difference_step)
+        return gradient(v, problem)
 
     result = bfgs_minimize(objective, grad, x0, settings)
     # Recompute so the reported number is exactly cost(parameters).

@@ -9,11 +9,11 @@ Hamiltonians are evaluated matrix-free from a compiled form
 (:func:`compile_hamiltonians`): the terms are grouped by the basis-state
 flip they cause, so H v is one gather and one multiply per group, with
 a weight vector that folds every term's coefficient and sign. The same
-form gives H|psi> for the Lanczos oracle and <psi|H|psi> for training; on
-the network's real states, strings with an odd number of Y factors
-contribute exactly zero and are left out. ``to_dense`` materializes the
-full matrix only for small registers, as ground truth for tests and the
-dense diagonalization oracle.
+form gives H|psi> for the Lanczos oracle, and <psi|H|psi> and its
+gradient 2 Re(H) psi for training; on the network's real states, strings
+with an odd number of Y factors contribute exactly zero and are left out.
+``to_dense`` materializes the full matrix only for small registers, as
+ground truth for tests and the dense diagonalization oracle.
 
 The ``.ham`` text format (UTF-8, line oriented)::
 
@@ -312,16 +312,28 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray)
     return out.reshape(rows.shape)
 
 
+def _real_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
+    """Re(H) applied to each real row, rows in blocks as for
+    :func:`_apply_hamiltonian_rows`. Re(H) is symmetric and has the same
+    quadratic form as H on real rows, so 2 Re(H) v is the gradient of
+    <v|H|v> by a real v."""
+    blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
+    out = np.zeros(blocks.shape)
+    for flip, weights in hamiltonians.real_groups:
+        partner = blocks if flip is None else blocks[..., flip]
+        out += partner * weights[:, None, :]
+    return out.reshape(rows.shape)
+
+
 def _expectation_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
     """Per-row real <row|H|row>, rows in blocks as for
     :func:`_apply_hamiltonian_rows`. Real rows use the real groups only."""
+    if not np.iscomplexobj(rows):
+        return np.einsum("bi,bi->b", rows, _real_hamiltonian_rows(hamiltonians, rows))
     blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
-    if np.iscomplexobj(rows):
-        groups, left = hamiltonians.groups, blocks.conj()
-    else:
-        groups, left = hamiltonians.real_groups, blocks
+    left = blocks.conj()
     values = np.zeros(blocks.shape[:2])
-    for flip, weights in groups:
+    for flip, weights in hamiltonians.groups:
         partner = blocks if flip is None else blocks[..., flip]
         values += np.matmul(left * partner, weights[:, :, None])[..., 0].real
     return values.reshape(-1)

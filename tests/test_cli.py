@@ -388,3 +388,37 @@ class TestMain:
         out = capsys.readouterr().out
         deviation = float(out.strip().rsplit(" ", 1)[-1])
         assert deviation < 1e-4
+        first = out.split("\n")[0]
+        assert first.startswith("max relative deviation (adjoint vs FD): ")
+        assert float(first.rsplit(" ", 1)[-1]) < 1e-6
+
+    @pytest.mark.parametrize("n_qubits", ["0", "25"])
+    def test_gen_synthetic_rejects_qubit_count(self, n_qubits, tmp_path, capsys):
+        data = tmp_path / "d"
+        code = main(
+            [
+                "gen-synthetic",
+                "--out-dir",
+                str(data),
+                "--n-qubits",
+                n_qubits,
+                "--bond-lengths",
+                "0.5",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not data.exists()
+
+    def test_diag_reports_files_without_bond_length(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        data.mkdir()
+        path = data / "unlabelled.ham"
+        path.write_text("qubits: 1\nterm: 1.0 Z\n")
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"skipped {path}: no bond_length" in captured.err
+        assert "data error: no .ham file with a bond_length" in captured.err

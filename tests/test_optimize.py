@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_ref as ref
+import hqcnn.network as network
 import hqcnn.optimize as optimize
 from hqcnn.cli import DEFAULT_TRAIN_GRID, transverse_field_ising
 from hqcnn.network import NetworkSpec, Variant, forward
@@ -15,6 +18,7 @@ from hqcnn.optimize import (
     bfgs_minimize,
     cost,
     evaluate,
+    finite_difference_gradient,
     gradient,
     gradient_step_check,
     init_params,
@@ -85,7 +89,7 @@ class TestProblemConstruction:
 class TestGradient:
     def test_constant_cost_gives_zero_gradient(self, rng):
         problem, _ = _identity_problem()
-        g = gradient(rng.normal(0, 1, 8), problem)
+        g = finite_difference_gradient(rng.normal(0, 1, 8), problem)
         assert np.max(np.abs(g)) < 1e-9
 
     def test_matches_symbolic_single_qubit(self):
@@ -118,9 +122,10 @@ class TestGradient:
         rng = np.random.default_rng(11)
         for _ in range(6):
             params = rng.normal(0, 1.0, 2)
-            got = gradient(params, problem)
             want = np.array(grad_fn(params[0], params[1], a_val))
+            got = finite_difference_gradient(params, problem)
             assert np.allclose(got, want, atol=1e-6)
+            assert np.allclose(gradient(params, problem), want, rtol=0, atol=1e-10)
 
     def test_step_halving_consistency(self, rng):
         for n in (2, 3):
@@ -131,7 +136,7 @@ class TestGradient:
     def test_rejects_bad_step(self):
         problem = _tfim_problem(2, (1.0,))
         with pytest.raises(ValueError):
-            gradient(np.zeros(8), problem, step=0.0)
+            finite_difference_gradient(np.zeros(8), problem, step=0.0)
 
 
 class TestStackedBatches:
@@ -151,25 +156,28 @@ class TestStackedBatches:
             return forward_rows(net, inputs, params_rows)
 
         monkeypatch.setattr(optimize, "_forward_rows", spy)
-        gradient(init_params(problem.network.n_params, 0), problem)
+        finite_difference_gradient(init_params(problem.network.n_params, 0), problem)
         assert batch_rows == [392, 392, 196]
 
     def test_gradient_matches_central_differences_of_cost(self, problem):
         params = init_params(problem.network.n_params, 3)
         step = 1e-6
-        got = gradient(params, problem, step)
         want = np.empty_like(params)
         for i in range(params.size):
             e = np.zeros_like(params)
             e[i] = step
             want[i] = (cost(params + e, problem) - cost(params - e, problem)) / (2 * step)
+        got = finite_difference_gradient(params, problem, step)
         assert np.max(np.abs(got - want)) < 1e-7
+        assert np.max(np.abs(gradient(params, problem) - want)) < 1e-7
 
     def test_nan_parameter_raises(self, problem):
         params = init_params(problem.network.n_params, 0)
         params[50] = np.nan
         with pytest.raises(ValueError):
             cost(params, problem)
+        with pytest.raises(ValueError):
+            finite_difference_gradient(params, problem)
         with pytest.raises(ValueError):
             gradient(params, problem)
 
@@ -184,7 +192,56 @@ class TestStackedBatches:
         with pytest.raises(ValueError):
             cost(params, problem)
         with pytest.raises(ValueError):
+            finite_difference_gradient(params, problem)
+        with pytest.raises(ValueError):
             gradient(params, problem)
+
+
+class TestChunkedFiniteDifferences:
+    """A point whose 2k FD rows exceed the amplitude budget runs in chunks
+    of rows; at n = 3 (k = 18, rows of 8 amplitudes) a 64-amplitude
+    budget cuts each point's 36 rows into chunks of 8, 8, 8, 8 and 4."""
+
+    def test_chunks_stay_within_budget_and_match(self, monkeypatch):
+        problem = _tfim_problem(3, (0.4, 1.0, 1.6))
+        params = init_params(problem.network.n_params, 2)
+        whole = finite_difference_gradient(params, problem)
+        batch_rows = []
+        forward_rows = optimize._forward_rows
+
+        def spy(net, inputs, params_rows):
+            batch_rows.append(params_rows.shape[0])
+            return forward_rows(net, inputs, params_rows)
+
+        monkeypatch.setattr(optimize, "_GRADIENT_BATCH_AMPLITUDES", 64)
+        monkeypatch.setattr(optimize, "_forward_rows", spy)
+        chunked = finite_difference_gradient(params, problem)
+        assert batch_rows == [8, 8, 8, 8, 4] * 3
+        assert max(batch_rows) * 8 <= 64
+        assert np.max(np.abs(chunked - whole)) < 1e-12
+
+
+class TestAdjointGradient:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        variant=st.sampled_from(list(Variant)),
+        fields=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_finite_differences(self, n, variant, fields, seed):
+        problem = _tfim_problem(n, tuple(fields), variant)
+        params = np.random.default_rng(seed).normal(0, 1.0, 2 * n * n)
+        got = gradient(params, problem)
+        want = finite_difference_gradient(params, problem)
+        assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_gathering_one_qubit_at_a_time_changes_nothing(self, monkeypatch):
+        problem = _tfim_problem(4, DEFAULT_TRAIN_GRID)
+        params = init_params(problem.network.n_params, 1)
+        whole = gradient(params, problem)
+        monkeypatch.setattr(network, "_FLIP_GATHER_AMPLITUDES", 1)
+        assert np.max(np.abs(gradient(params, problem) - whole)) < 1e-12
 
 
 class TestInitParams:
