@@ -224,7 +224,9 @@ class CurveDataset:
 def _scan_dataset(directory: Path) -> list[tuple[float, PauliHamiltonian, Path]]:
     """(bond_length, Hamiltonian, path) of every .ham file in the directory
     that has a bond_length, in file-name order. Files without one are
-    skipped, each reported by path on stderr."""
+    skipped, each reported by path on stderr; a file on more than
+    ``MAX_QUBITS`` qubits is a DataError, because no route can solve or
+    train it."""
     if not directory.is_dir():
         raise DataError(f"dataset directory {directory} does not exist")
     available: list[tuple[float, PauliHamiltonian, Path]] = []
@@ -235,6 +237,8 @@ def _scan_dataset(directory: Path) -> list[tuple[float, PauliHamiltonian, Path]]
             raise DataError(f"cannot read {path}: {exc}") from exc
         except HamParseError as exc:
             raise DataError(f"{path}: {exc}") from exc
+        if h.n_qubits > MAX_QUBITS:
+            raise DataError(f"{path}: {h.n_qubits} qubits, limit is {MAX_QUBITS}")
         if h.bond_length is None:
             print(f"skipped {path}: no bond_length", file=sys.stderr)
         else:
@@ -246,7 +250,12 @@ def load_dataset(directory: Path, bond_lengths) -> CurveDataset:
     """Match each requested bond length to exactly one .ham file in the
     directory (tolerance 1e-9 on the file's bond_length field)."""
     directory = Path(directory)
-    available = _scan_dataset(directory)
+    return _match_dataset(_scan_dataset(directory), bond_lengths, directory)
+
+
+def _match_dataset(available, bond_lengths, directory: Path) -> CurveDataset:
+    """The dataset of the requested bond lengths, each matched to exactly
+    one of the scanned files ``available`` of ``directory``."""
     requested = [float(a) for a in bond_lengths]
     for i, a in enumerate(requested):
         for b in requested[:i]:
@@ -405,8 +414,10 @@ def _run_one_variant(
 
 
 def _load_splits(config: ExperimentConfig) -> tuple[CurveDataset, CurveDataset]:
-    train_ds = load_dataset(config.dataset_dir, config.train_bond_lengths)
-    test_ds = load_dataset(config.dataset_dir, config.test_bond_lengths)
+    """Train and test datasets from one scan of the dataset directory."""
+    available = _scan_dataset(config.dataset_dir)
+    train_ds = _match_dataset(available, config.train_bond_lengths, config.dataset_dir)
+    test_ds = _match_dataset(available, config.test_bond_lengths, config.dataset_dir)
     if (
         test_ds.n_qubits is not None
         and train_ds.n_qubits is not None
@@ -604,12 +615,13 @@ def _cmd_gen_synthetic(args) -> None:
 
 
 def _cmd_diag(args) -> None:
+    available = _scan_dataset(args.dataset_dir)
     bond_lengths = args.bond_lengths
     if not bond_lengths:  # no values: every file in the directory
-        bond_lengths = sorted({a for a, _, _ in _scan_dataset(args.dataset_dir)})
+        bond_lengths = sorted({a for a, _, _ in available})
         if not bond_lengths:
             raise DataError(f"no .ham file with a bond_length in {args.dataset_dir}")
-    dataset = load_dataset(args.dataset_dir, bond_lengths)
+    dataset = _match_dataset(available, bond_lengths, args.dataset_dir)
     text = run_diag(dataset)
     if args.output is None:
         sys.stdout.write(text)

@@ -19,11 +19,11 @@ Parameter vectors are plain 1-D float arrays (radians). Block j of a
 trainable block reads angles ``params[offset + i + n*j]`` for qubit i.
 
 All public functions are pure. The training workload runs through
-``_forward_rows``: one row per (input, parameter vector) pair, float64
-amplitudes (H, Ry and CNOT are real gates), the encoding built in closed
-form as a product state, each CNOT ladder one cached gather permutation,
-and all qubits read out at once. The public single-state functions run
-the same kernels on complex rows.
+``_forward_rows``: one row per input, on one shared parameter vector or
+one vector per row, float64 amplitudes (H, Ry and CNOT are real gates),
+the encoding built in closed form as a product state, each CNOT ladder
+one cached gather permutation, and all qubits read out at once. The
+public single-state functions run the same kernels on complex rows.
 
 ``_adjoint_gradient`` differentiates a summed energy exactly by reverse
 mode: one forward pass, then a backward sweep of the states and their
@@ -295,19 +295,20 @@ def _run_blocks(net: NetworkSpec, inputs: np.ndarray, c, s):
     return rows, measured
 
 
-def _forward_rows(
-    net: NetworkSpec, inputs: np.ndarray, params_rows: np.ndarray
-) -> np.ndarray:
+def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> np.ndarray:
     """One forward pass per row: row b encodes the bond length inputs[b]
-    and runs on the angles params_rows[b]. Returns the final float64
-    amplitude rows, shape (batch, 2**n).
+    and runs on the angles ``params``, one vector shared by every row, or
+    params[b] when ``params`` is 2-D. Returns the final float64 amplitude
+    rows, shape (batch, 2**n).
 
     Every gate is real, so the rows stay real. The angles are validated
-    and turned into cos/sin once, here.
+    and turned into cos/sin once, here: scalar factors for a shared
+    vector, (batch, 1, 1) factor arrays for one vector per row.
     """
-    c, s = _angle_factors(params_rows)
-    c = np.ascontiguousarray(c.T)[:, :, None, None]
-    s = np.ascontiguousarray(s.T)[:, :, None, None]
+    c, s = _angle_factors(params)
+    if c.ndim == 2:
+        c = np.ascontiguousarray(c.T)[:, :, None, None]
+        s = np.ascontiguousarray(s.T)[:, :, None, None]
     return _run_blocks(net, inputs, c, s)[0]
 
 
@@ -406,5 +407,5 @@ def forward(net: NetworkSpec, bond_length: float, params) -> StateVector:
             f"expected {net.n_params} parameters for n_qubits={net.n_qubits}, "
             f"got {vec.ndim}-D input of size {vec.size}"
         )
-    rows = _forward_rows(net, np.array([float(bond_length)]), vec.reshape(1, -1))
+    rows = _forward_rows(net, np.array([float(bond_length)]), vec)
     return StateVector(net.n_qubits, rows[0])

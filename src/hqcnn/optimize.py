@@ -141,9 +141,7 @@ def cost(params, problem: TrainingProblem) -> float:
     """Summed energy expectation over the training points, evaluated as one
     batch with a row per point."""
     vec = _check_params(params, problem)
-    inputs = _bond_lengths(problem)
-    params_rows = np.broadcast_to(vec, (inputs.size, vec.size))
-    rows = _forward_rows(problem.network, inputs, params_rows)
+    rows = _forward_rows(problem.network, _bond_lengths(problem), vec)
     return float(np.sum(_expectation_rows(problem.hamiltonians, rows)))
 
 

@@ -2,14 +2,20 @@
 
 Two independent routes to the smallest eigenvalue:
 
-* ``ground_state`` and ``spectrum_bounds`` build the dense matrix and
+* ``ground_state`` and ``spectrum_bounds`` build the dense matrix
+  (``to_dense``, a Kronecker product of monomial matrices per term) and
   call the symmetric eigensolver. Exact up to LAPACK rounding, limited to
-  ``DENSE_MAX_QUBITS``.
+  ``DENSE_MAX_QUBITS``. The matrix is real for real symmetric H (every
+  string has an even number of Y factors, as in the TFIM and molecular
+  Jordan-Wigner Hamiltonians), so LAPACK's real symmetric solver runs;
+  otherwise the complex Hermitian one.
 * ``ground_energy_iterative`` never materializes the matrix: it wraps the
   compiled Hamiltonian's matrix-free product in a LinearOperator and runs
-  Lanczos (shift-free, smallest-algebraic). Agreement between the two
-  routes is a strong check that the compiled flip-mask form and the
-  Kronecker construction implement the same operator.
+  Lanczos (shift-free, smallest-algebraic), on float64 vectors when every
+  compiled weight is real and on complex ones otherwise. Agreement between
+  the two routes is a strong check that the compiled flip-mask form and
+  the monomial Kronecker construction, which share no code, implement the
+  same operator.
 
 ``ground_energy`` takes the dense route up to ``DENSE_MAX_QUBITS`` and the
 Lanczos route above it.
@@ -70,20 +76,24 @@ def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
         raise ValueError(f"Lanczos limited to {MAX_QUBITS} qubits, got {h.n_qubits}")
     dim = 1 << h.n_qubits
     compiled = compile_hamiltonians((h,))
+    # Real weights make a real symmetric operator, which eigsh solves by
+    # the symmetric Lanczos instead of the complex Arnoldi route.
+    real = not any(np.iscomplexobj(w) for _, w in compiled.groups)
+    dtype = np.float64 if real else np.complex128
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(v, dtype=np.complex128).reshape(1, dim)
+        rows = np.ascontiguousarray(v, dtype=dtype).reshape(1, dim)
         return _apply_hamiltonian_rows(compiled, rows)[0]
 
-    op = scipy.sparse.linalg.LinearOperator(
-        shape=(dim, dim), matvec=matvec, dtype=np.complex128
-    )
+    op = scipy.sparse.linalg.LinearOperator(shape=(dim, dim), matvec=matvec, dtype=dtype)
     if dim == 2:
         # Lanczos needs k < dim; a 2x2 problem is cheaper dense anyway.
-        m = np.column_stack([matvec(col) for col in np.eye(2, dtype=np.complex128)])
+        m = np.column_stack([matvec(col) for col in np.eye(2, dtype=dtype)])
         return float(np.linalg.eigvalsh(m)[0])
     rng = np.random.default_rng(7)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v0 = rng.standard_normal(dim)
+    if not real:
+        v0 = v0 + 1j * rng.standard_normal(dim)
     try:
         values = scipy.sparse.linalg.eigsh(
             op, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False

@@ -13,7 +13,10 @@ form gives H|psi> for the Lanczos oracle, and <psi|H|psi> and its
 gradient 2 Re(H) psi for training; on the network's real states, strings
 with an odd number of Y factors contribute exactly zero and are left out.
 ``to_dense`` materializes the full matrix only for small registers, as
-ground truth for tests and the dense diagonalization oracle.
+ground truth for tests and the dense diagonalization oracle. It is built
+independently of the compiled form, term by term as a Kronecker product
+of monomial matrices, and is real (float64) whenever H is real symmetric,
+as it is when every string has an even number of Y factors.
 
 The ``.ham`` text format (UTF-8, line oriented)::
 
@@ -33,7 +36,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -53,11 +55,14 @@ class PauliAxis(enum.Enum):
 
 _AXIS_BY_CHAR = {axis.value: axis for axis in PauliAxis}
 
-PAULI_MATRICES = {
-    PauliAxis.I: np.eye(2, dtype=np.complex128),
-    PauliAxis.X: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    PauliAxis.Y: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    PauliAxis.Z: np.array([[1, 0], [0, -1]], dtype=np.complex128),
+# Every Pauli factor is a monomial matrix: row r holds one nonzero, at
+# column columns[r], with value values[r]. Y = i [[0, -1], [1, 0]], so with
+# its factor i taken out every table is real.
+_MONOMIALS = {
+    PauliAxis.I: (np.array([0, 1]), np.array([1.0, 1.0])),
+    PauliAxis.X: (np.array([1, 0]), np.array([1.0, 1.0])),
+    PauliAxis.Y: (np.array([1, 0]), np.array([-1.0, 1.0])),
+    PauliAxis.Z: (np.array([0, 1]), np.array([1.0, -1.0])),
 }
 
 
@@ -366,14 +371,41 @@ def expectation(h: PauliHamiltonian, psi: StateVector) -> float:
 
 def to_dense(h: PauliHamiltonian) -> np.ndarray:
     """Full 2**n x 2**n Hermitian matrix, qubit 0 as the leftmost Kronecker
-    factor. Guarded to small registers; use the matrix-free path otherwise."""
+    factor: float64 when its imaginary part is identically zero (every
+    string with an odd number of Y factors cancels, or there is none),
+    complex128 otherwise. Each term is a monomial matrix, one nonzero per
+    row, so it costs O(2**n) to build and write. Guarded to small
+    registers; use the matrix-free path otherwise."""
     if h.n_qubits > DENSE_MAX_QUBITS:
         raise ValueError(
             f"to_dense limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}"
         )
     dim = 1 << h.n_qubits
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    rows = np.arange(dim)
+    real = np.zeros((dim, dim))
+    imag = None
     for term in h.terms:
-        factors = [PAULI_MATRICES[a] for a in term.axes]
-        out += term.coefficient * reduce(np.kron, factors)
+        # The term's column map and values are the Kronecker combination of
+        # its factors' tables, qubit 0 first; a string with n_y Y factors
+        # carries the phase i**n_y on top, real for even n_y.
+        columns = np.zeros(1, dtype=np.intp)
+        values = np.full(1, term.coefficient)
+        n_y = 0
+        for axis in term.axes:
+            c, v = _MONOMIALS[axis]
+            columns = (2 * columns[:, None] + c).reshape(-1)
+            values = np.kron(values, v)
+            n_y += axis is PauliAxis.Y
+        if n_y % 4 >= 2:
+            values = -values
+        if n_y % 2 == 0:
+            real[rows, columns] += values
+        else:
+            if imag is None:
+                imag = np.zeros((dim, dim))
+            imag[rows, columns] += values
+    if imag is None or not imag.any():
+        return real
+    out = imag * 1j
+    out += real
     return out

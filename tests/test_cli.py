@@ -1,6 +1,6 @@
-import numpy as np
 import pytest
 
+import dense_ref as ref
 import hqcnn.cli as cli
 from hqcnn.cli import (
     ConfigError,
@@ -18,6 +18,7 @@ from hqcnn.cli import (
 from hqcnn.optimize import NumericalError, OptimizerSettings
 from hqcnn.oracle import ground_energy
 from hqcnn.pauli import parse_hamiltonian
+from hqcnn.statevector import MAX_QUBITS
 
 
 @pytest.fixture
@@ -212,6 +213,14 @@ class TestRunCurve:
         for r in rows:
             assert float(r[2]) >= float(r[3]) - 1e-9
 
+    def test_file_without_bond_length_reported_once(self, tfim2_dir, tmp_path, capsys):
+        # The train and test splits come from one scan of the directory.
+        path = tfim2_dir / "unlabelled.ham"
+        path.write_text("qubits: 2\nterm: 1.0 ZZ\n")
+        settings = OptimizerSettings(max_iterations=2)
+        run_curve(_fast_config(tfim2_dir, tmp_path / "out", seeds=(0,), settings=settings))
+        assert capsys.readouterr().err.count(f"skipped {path}: no bond_length") == 1
+
     def test_rerun_is_byte_identical(self, tfim2_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
         out = tmp_path / "out"
@@ -309,17 +318,14 @@ class TestMain:
             assert energy == ground_energy(transverse_field_ising(2, a))
 
     def test_diag_above_dense_limit_uses_lanczos(self, tmp_path, capsys):
-        # 13 qubits is past to_dense's 12-qubit cap. The open-chain TFIM
-        # ground energy is minus the sum of the singular values of the
-        # bidiagonal matrix with the field on the diagonal and the unit
-        # coupling above it (free fermions), an independent reference.
+        # 13 qubits is past to_dense's 12-qubit cap; the free-fermion
+        # energy is an independent reference.
         data = tmp_path / "d"
         gen_synthetic(data, 13, [1.3])
         assert main(["diag", "--dataset-dir", str(data), "--bond-lengths", "1.3"]) == 0
         row = capsys.readouterr().out.strip().split("\n")[1]
         a, energy = (float(x) for x in row.split(","))
-        coupling = np.diag(np.full(13, 1.3)) + np.diag(np.ones(12), 1)
-        exact = -float(np.linalg.svd(coupling, compute_uv=False).sum())
+        exact = ref.tfim_ground_energy(13, 1.3)
         assert a == 1.3
         assert energy == pytest.approx(exact, abs=1e-9)
 
@@ -422,3 +428,25 @@ class TestMain:
         assert captured.out == ""
         assert f"skipped {path}: no bond_length" in captured.err
         assert "data error: no .ham file with a bond_length" in captured.err
+
+    def test_diag_rejects_register_above_max_qubits(self, tmp_path, capsys):
+        # One short line of text: the file is refused when it is scanned,
+        # before anything of size 2**n exists.
+        data = tmp_path / "d"
+        data.mkdir()
+        n = MAX_QUBITS + 1
+        (data / "big.ham").write_text(f"qubits: {n}\nbond_length: 1.0\nterm: 1.0 {'Z' * n}\n")
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:")
+        assert f"{n} qubits, limit is {MAX_QUBITS}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_diag_without_values_reports_skipped_file_once(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        gen_synthetic(data, 1, [0.5])
+        path = data / "unlabelled.ham"
+        path.write_text("qubits: 1\nterm: 1.0 Z\n")
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 0
+        assert capsys.readouterr().err.count(f"skipped {path}: no bond_length") == 1

@@ -223,6 +223,17 @@ class TestForward:
             want = ref.forward(n, with_measurements, inputs[b], params[b])
             assert np.max(np.abs(rows[b] - want)) < 1e-12
 
+    def test_shared_parameters_match_per_row_bitwise(self, rng):
+        # A shared vector runs on scalar factors; the rows equal those of
+        # the same vector repeated per row.
+        for n in (1, 4):
+            for variant in Variant:
+                net = NetworkSpec(n, variant)
+                params = rng.normal(0, 1.5, net.n_params)
+                inputs = rng.uniform(-3, 3, 5)
+                per_row = _forward_rows(net, inputs, np.tile(params, (5, 1)))
+                assert np.array_equal(_forward_rows(net, inputs, params), per_row)
+
     def test_final_norm(self, rng):
         for variant in Variant:
             net = NetworkSpec(3, variant)

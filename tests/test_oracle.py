@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import dense_ref as ref
+from hqcnn import oracle
+from hqcnn.cli import transverse_field_ising
 from hqcnn.oracle import (
     ground_energy,
     ground_energy_iterative,
     ground_state,
     spectrum_bounds,
 )
-from hqcnn.pauli import PauliHamiltonian, PauliTerm, expectation
+from hqcnn.pauli import PauliHamiltonian, PauliTerm, expectation, to_dense
 
 
 def _ham(terms, n):
@@ -82,3 +84,39 @@ def test_variational_bound_against_random_states(rng):
         psi = StateVector(3, ref.random_state(rng, 3))
         value = expectation(h, psi)
         assert lo - 1e-9 <= value <= hi + 1e-9
+
+
+def test_ten_qubit_tfim_matches_free_fermions():
+    # The dense route at the benchmark's size, on a real matrix.
+    h = transverse_field_ising(10, 0.7)
+    assert to_dense(h).dtype == np.float64
+    assert ground_energy(h) == pytest.approx(ref.tfim_ground_energy(10, 0.7), abs=1e-9)
+
+
+def _lanczos_dtypes(h, monkeypatch):
+    """Row dtypes the Lanczos matvec saw, and the energy it found."""
+    dtypes = set()
+    apply_rows = oracle._apply_hamiltonian_rows
+
+    def spy(compiled, rows):
+        dtypes.add(rows.dtype)
+        return apply_rows(compiled, rows)
+
+    monkeypatch.setattr(oracle, "_apply_hamiltonian_rows", spy)
+    return dtypes, ground_energy_iterative(h)
+
+
+def test_real_hamiltonian_runs_real_lanczos(monkeypatch):
+    h = transverse_field_ising(4, 1.1)
+    dtypes, energy = _lanczos_dtypes(h, monkeypatch)
+    assert dtypes == {np.dtype(np.float64)}
+    assert energy == pytest.approx(ref.tfim_ground_energy(4, 1.1), abs=1e-10)
+
+
+def test_odd_y_hamiltonian_stays_complex(monkeypatch):
+    terms = [(-1.0, "ZZI"), (-0.8, "IZZ"), (0.6, "YXI"), (-0.4, "IZY"), (0.3, "XYY")]
+    h = _ham(terms, 3)
+    assert to_dense(h).dtype == np.complex128
+    dtypes, energy = _lanczos_dtypes(h, monkeypatch)
+    assert dtypes == {np.dtype(np.complex128)}
+    assert energy == pytest.approx(ground_energy(h), abs=1e-10)

@@ -260,7 +260,35 @@ class TestCompiled:
         assert np.array_equal(_expectation_rows(tail, rows), _expectation_rows(want, rows))
 
 
+@st.composite
+def mixed_pauli_sums(draw):
+    """(n, terms) on 1-5 qubits; in about half of the draws every string
+    has an even number of Y factors, so the sum is real symmetric."""
+    n = draw(st.integers(1, 5))
+    axes = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(st.lists(st.tuples(coeffs, axes), max_size=8))
+    if draw(st.booleans()):
+        terms = [(c, a.replace("Y", "X", 1) if a.count("Y") % 2 else a) for c, a in terms]
+    return n, terms
+
+
 class TestDense:
+    @settings(max_examples=100, deadline=None)
+    @given(case=mixed_pauli_sums())
+    def test_matches_kronecker_reference(self, case):
+        n, terms = case
+        got = to_dense(_ham(terms, n))
+        want = ref.hamiltonian_matrix(terms, n)
+        assert got.dtype in (np.float64, np.complex128)
+        assert (got.dtype == np.float64) == (not np.any(want.imag))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_cancelling_odd_y_strings_give_a_real_matrix(self):
+        m = to_dense(_ham([(0.5, "YZ"), (1.0, "XX"), (-0.5, "YZ")], 2))
+        assert m.dtype == np.float64
+        assert np.array_equal(m, ref.hamiltonian_matrix([(1.0, "XX")], 2).real)
+
     def test_single_qubit_z(self):
         assert np.array_equal(to_dense(_ham([(1.0, "Z")], 1)), np.diag([1, -1]))
 
