@@ -19,15 +19,18 @@ Parameter vectors are plain 1-D float arrays (radians). Block j of a
 trainable block reads angles ``params[offset + i + n*j]`` for qubit i.
 
 All public functions are pure. The training workload runs through
-``_forward_rows``: one row per input, on one shared parameter vector or
-one vector per row, float64 amplitudes (H, Ry and CNOT are real gates),
-the encoding built in closed form as a product state, each CNOT ladder
-one cached gather permutation, and all qubits read out at once. The
-public single-state functions run the same kernels on complex rows.
+``_run_blocks``, by way of ``_forward_pass`` (one shared parameter
+vector, kept for the adjoint sweep) or ``_forward_rows`` (a shared vector
+or one vector per row): one row per input, float64 amplitudes (H, Ry and
+CNOT are real gates), the encoding built in closed form as a product
+state, each CNOT ladder one cached gather permutation, and all qubits
+read out at once. The public single-state functions run the same kernels
+on complex rows.
 
 ``_adjoint_gradient`` differentiates a summed energy exactly by reverse
-mode: one forward pass, then a backward sweep of the states and their
-adjoints through every block (Jones & Gacon, arXiv:2009.02823). All
+mode: given the ``_forward_pass`` that scored the energy, it runs a
+backward sweep of the states and their adjoints through every block
+(Jones & Gacon, arXiv:2009.02823). All
 gates are orthogonal, so each is undone by its transpose instead of being
 stored, and the readout is an exact expectation, so it has an exact
 derivative. Besides the cached (n, 2**n) index and sign tables, memory
@@ -41,6 +44,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,16 +145,22 @@ class NetworkSpec:
         return 2 * self.n_qubits * self.n_qubits
 
     def blocks(self) -> tuple[Block, ...]:
-        n = self.n_qubits
-        if self.variant is Variant.WITH_MEASUREMENTS:
-            return (
-                EncodingSpec(1.0),
-                PqcSpec(n, n, 0),
-                MeasureSpec(),
-                EncodingSpec(math.pi),
-                PqcSpec(n, n, n * n),
-            )
-        return (EncodingSpec(1.0), PqcSpec(n, 2 * n, 0))
+        """The block sequence, built once per spec (cached)."""
+        return _blocks(self)
+
+
+@lru_cache(maxsize=2 * MAX_QUBITS)
+def _blocks(net: NetworkSpec) -> tuple[Block, ...]:
+    n = net.n_qubits
+    if net.variant is Variant.WITH_MEASUREMENTS:
+        return (
+            EncodingSpec(1.0),
+            PqcSpec(n, n, 0),
+            MeasureSpec(),
+            EncodingSpec(math.pi),
+            PqcSpec(n, n, n * n),
+        )
+    return (EncodingSpec(1.0), PqcSpec(n, 2 * n, 0))
 
 
 def entangler_pattern(n_qubits: int) -> list[tuple[int, int]]:
@@ -210,19 +220,19 @@ def _bit_flips(n_qubits: int) -> np.ndarray:
 
 
 def _pqc_block(rows: np.ndarray, spec: PqcSpec, c, s) -> np.ndarray:
-    """Run one trainable block and return the new rows; ``rows`` itself is
-    left unchanged, because every layer starts with the ladder's gather.
+    """Run one trainable block and return the new rows; like every kernel,
+    it leaves ``rows`` itself unchanged.
 
     c and s are cos/sin of half the block's own angles, angle index first,
     so ``c[i + n*j]`` is the factor of qubit i in layer j (a scalar, or
-    shape (batch, 1, 1) for one angle per row).
+    shape (batch, 1, 1, 1) for one angle per row).
     """
     n = spec.n_qubits
     perm = _ladder_permutation(n)
     for j in range(spec.n_layers):
         rows = _cnot_rows(rows, perm)
         for i in range(n):
-            _ry_rows(rows, n, i, c[i + n * j], s[i + n * j])
+            rows = _ry_rows(rows, n, i, c[i + n * j], s[i + n * j])
     return rows
 
 
@@ -265,9 +275,20 @@ def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, c, s, grad) -> np.nda
         window = slice(n * j, n * (j + 1))
         grad[window] = 0.5 * _y_overlaps(stacked, n).sum(axis=0)
         for i in range(n):
-            _ry_rows(stacked, n, i, c[i + n * j], -s[i + n * j])
+            stacked = _ry_rows(stacked, n, i, c[i + n * j], -s[i + n * j])
         stacked = _cnot_rows(stacked, inverse)
     return stacked
+
+
+class _ForwardPass(NamedTuple):
+    """What one forward pass on a shared parameter vector leaves for the
+    backward sweep: the angle factors of the whole vector, the final rows
+    and the rows each readout block measured, all read-only."""
+
+    c: np.ndarray
+    s: np.ndarray
+    rows: np.ndarray
+    measured: tuple[np.ndarray, ...]
 
 
 def _run_blocks(net: NetworkSpec, inputs: np.ndarray, c, s):
@@ -303,22 +324,33 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
 
     Every gate is real, so the rows stay real. The angles are validated
     and turned into cos/sin once, here: scalar factors for a shared
-    vector, (batch, 1, 1) factor arrays for one vector per row.
+    vector, (batch, 1, 1, 1) factor arrays for one vector per row.
     """
     c, s = _angle_factors(params)
     if c.ndim == 2:
-        c = np.ascontiguousarray(c.T)[:, :, None, None]
-        s = np.ascontiguousarray(s.T)[:, :, None, None]
+        c = np.ascontiguousarray(c.T)[:, :, None, None, None]
+        s = np.ascontiguousarray(s.T)[:, :, None, None, None]
     return _run_blocks(net, inputs, c, s)[0]
 
 
-def _adjoint_gradient(
-    net: NetworkSpec, inputs: np.ndarray, params: np.ndarray, rows_gradient
-) -> np.ndarray:
-    """Exact gradient by ``params`` of E = sum_b e_b(rows[b]), where rows
-    are the final rows of one forward pass per input on the one parameter
-    vector ``params``, and ``rows_gradient(rows)`` returns the (batch,
-    2**n) array of de_b/drows[b], the seed of the backward sweep.
+def _forward_pass(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> _ForwardPass:
+    """One forward pass per input on the one parameter vector ``params``,
+    kept whole for ``_adjoint_gradient``; ``rows`` are the rows that
+    ``_forward_rows`` returns for the same arguments."""
+    c, s = _angle_factors(params)
+    rows, measured = _run_blocks(net, inputs, c, s)
+    for array in (c, s, rows, *measured):
+        array.setflags(write=False)
+    return _ForwardPass(c, s, rows, tuple(measured))
+
+
+def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, rows_gradient) -> np.ndarray:
+    """Exact gradient by the parameters of E = sum_b e_b(rows[b]), where
+    ``forward`` is the ``_forward_pass`` of those parameters on the
+    inputs, which this function takes rather than runs, so that a caller
+    that already scored the rows reuses them; ``rows_gradient(rows)``
+    returns the (batch, 2**n) array of de_b/drows[b], the seed of the
+    backward sweep.
 
     The sweep walks the blocks backwards with the states stacked on top of
     their adjoints, so each gate undoes both with one kernel call:
@@ -331,13 +363,13 @@ def _adjoint_gradient(
       forward pass kept, and the sweep continues from psi.
 
     The first block loads the inputs, which are not trained, so the sweep
-    stops there.
+    stops there. ``forward`` is only read.
     """
     n = net.n_qubits
-    c, s = _angle_factors(params)
-    rows, measured = _run_blocks(net, inputs, c, s)
+    c, s, rows, measured = forward
+    measured = list(measured)
     stacked = np.concatenate([rows, rows_gradient(rows)])
-    grad = np.empty(params.size)
+    grad = np.empty(c.size)
     for block in reversed(net.blocks()[1:]):
         if isinstance(block, PqcSpec):
             window = slice(block.param_offset, block.param_offset + block.n_params)

@@ -17,9 +17,14 @@ pass keeps the rows each block needs, then adjoint sweeps back through
 the second block, the readout and the first block give every derivative
 (``network._adjoint_gradient``). That is about three passes over one row
 per point, where central differences need 2k rows per point for k
-angles. Central differences, the paper's method, stay as the independent
-reference (``finite_difference_gradient``); ``gradient_step_check``
-guards their step choice and ``adjoint_deviation`` compares the two.
+angles. ``gradient`` reuses the forward pass of ``cost`` at the same
+point: a ``TrainingProblem`` keeps its last forward pass, keyed by the
+bytes of the parameter vector, and BFGS asks for the gradient exactly at
+the points whose cost it has just accepted, so there ``gradient`` runs
+only the backward sweeps. Central differences, the paper's method, stay
+as the independent reference (``finite_difference_gradient``);
+``gradient_step_check`` guards their step choice and
+``adjoint_deviation`` compares the two.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
@@ -42,7 +47,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .network import NetworkSpec, _adjoint_gradient, _forward_rows, forward
+from .network import (
+    NetworkSpec,
+    _adjoint_gradient,
+    _forward_pass,
+    _ForwardPass,
+    _forward_rows,
+    forward,
+)
 from .pauli import (
     CompiledHamiltonian,
     PauliHamiltonian,
@@ -67,11 +79,19 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class TrainingProblem:
     """A network plus the ordered (bond_length, Hamiltonian) training pairs;
-    ``hamiltonians`` is their compiled form, built once here."""
+    ``hamiltonians`` is their compiled form, built once here.
+
+    ``_last_forward`` holds at most one forward pass over the training
+    points, keyed by the bytes of its parameter vector, for ``cost`` and
+    ``gradient`` to share; each problem has its own.
+    """
 
     network: NetworkSpec
     training_set: tuple[tuple[float, PauliHamiltonian], ...]
     hamiltonians: CompiledHamiltonian = field(init=False, repr=False, compare=False)
+    _last_forward: dict[bytes, _ForwardPass] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         pairs = tuple((float(a), h) for a, h in self.training_set)
@@ -137,25 +157,40 @@ def _bond_lengths(problem: TrainingProblem) -> np.ndarray:
     return np.array([a for a, _ in problem.training_set], dtype=np.float64)
 
 
+def _training_pass(params, problem: TrainingProblem) -> _ForwardPass:
+    """The forward pass of ``params`` over the training points, one row per
+    point: the problem's kept pass when it was run on the same bytes,
+    else a new one, which replaces it."""
+    vec = _check_params(params, problem)
+    key = vec.tobytes()
+    memo = problem._last_forward
+    found = memo.get(key)
+    if found is None:
+        memo.clear()
+        found = _forward_pass(problem.network, _bond_lengths(problem), vec)
+        memo[key] = found
+    return found
+
+
 def cost(params, problem: TrainingProblem) -> float:
     """Summed energy expectation over the training points, evaluated as one
     batch with a row per point."""
-    vec = _check_params(params, problem)
-    rows = _forward_rows(problem.network, _bond_lengths(problem), vec)
+    rows = _training_pass(params, problem).rows
     return float(np.sum(_expectation_rows(problem.hamiltonians, rows)))
 
 
 def gradient(params, problem: TrainingProblem) -> np.ndarray:
     """Exact gradient of :func:`cost`, by adjoint sweeps over one batch
-    with a row per training point. The seed of the sweep is
+    with a row per training point, from the forward pass of ``cost`` when
+    it was just called on the same vector. The seed of the sweep is
     d<phi|H|phi>/dphi = 2 Re(H) phi on the real final rows."""
-    vec = _check_params(params, problem)
+    forward_pass = _training_pass(params, problem)
     hamiltonians = problem.hamiltonians
 
     def energy_gradient(rows: np.ndarray) -> np.ndarray:
         return 2.0 * _real_hamiltonian_rows(hamiltonians, rows)
 
-    return _adjoint_gradient(problem.network, _bond_lengths(problem), vec, energy_gradient)
+    return _adjoint_gradient(problem.network, forward_pass, energy_gradient)
 
 
 def finite_difference_gradient(

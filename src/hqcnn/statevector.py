@@ -14,7 +14,17 @@ circuits advance with a single numpy call. The kernels are dtype-generic:
 H, Ry and CNOT have real matrices, so the network's training path runs
 them on float64 rows, and the public API runs the same kernels on
 complex128 rows. The private ``_*_rows`` functions expose that batched
-path to the rest of the package.
+path to the rest of the package. Every kernel returns fresh rows and
+never mutates its input.
+
+The layout of the rows is part of the contract, because the readout
+``_expect_z_rows`` is a BLAS product and the energy sums are einsums, and
+both round differently on C- and Fortran-ordered operands.
+``_product_rows`` and the CNOT gather ``_cnot_rows`` return
+Fortran-ordered rows, the batch index varying fastest, whatever their
+input; the one-qubit kernels return rows in the layout of their input.
+So the rows of a forward pass are Fortran-ordered on every path, with
+shared or per-row angles, and round the same way.
 """
 
 from __future__ import annotations
@@ -77,11 +87,13 @@ def _check_qubit(n_qubits: int, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
 
 
-def _bit_slices(rows: np.ndarray, n_qubits: int, q: int):
-    """Views of the amplitudes where bit q is 0 resp. 1."""
-    stride = 1 << (n_qubits - 1 - q)
-    v = rows.reshape(rows.shape[0], -1, 2, stride)
-    return v[:, :, 0, :], v[:, :, 1, :]
+def _pairs(rows: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
+    """(batch, 2**q, 2, 2**(n-1-q)) view of the rows whose axis 2 is bit q:
+    ``[:, :, 0]`` holds the amplitudes where bit q is 0, ``[:, :, 1]``
+    those where it is 1, and ``[:, :, ::-1]`` swaps the two halves. A
+    kernel computing ``out`` from this view elementwise gets the layout of
+    ``rows`` in ``out.reshape(rows.shape)``."""
+    return rows.reshape(rows.shape[0], -1, 2, 1 << (n_qubits - 1 - q))
 
 
 def _angle_factors(theta) -> tuple[np.ndarray, np.ndarray]:
@@ -97,37 +109,45 @@ def _angle_factors(theta) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(t), np.sin(t)
 
 
-def _h_rows(rows: np.ndarray, n_qubits: int, q: int) -> None:
-    lo, hi = _bit_slices(rows, n_qubits, q)
-    a = lo.copy()
-    lo[...] = (a + hi) * _INV_SQRT2
-    hi[...] = (a - hi) * _INV_SQRT2
+# Signs that turn the swapped pair (hi, lo) into (-hi, lo), and for H
+# the pair (lo, hi) into (lo, -hi); shaped to broadcast over ``_pairs``.
+_Y_SIGNS = np.array([[-1.0], [1.0]])
+_H_SIGNS = -_Y_SIGNS
+
+
+def _h_rows(rows: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
+    """(lo, hi) -> ((lo + hi), (lo - hi)) / sqrt(2) on bit q."""
+    v = _pairs(rows, n_qubits, q)
+    out = _H_SIGNS * v
+    out += v[:, :, ::-1]
+    out *= _INV_SQRT2
+    return out.reshape(rows.shape)
 
 
 # The rotation kernels take c, s = _angle_factors(theta), scalars or
-# arrays broadcastable to (batch, 1, 1) for one angle per row.
+# arrays of shape (batch, 1, 1, 1) for one angle per row.
 
 
-def _ry_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> None:
-    lo, hi = _bit_slices(rows, n_qubits, q)
-    a = s * lo
-    lo *= c
-    lo -= s * hi
-    hi *= c
-    hi += a
+def _ry_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
+    """(lo, hi) -> (c lo - s hi, c hi + s lo) on bit q."""
+    v = _pairs(rows, n_qubits, q)
+    out = c * v
+    out += (s * _Y_SIGNS) * v[:, :, ::-1]
+    return out.reshape(rows.shape)
 
 
-def _rx_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> None:
-    lo, hi = _bit_slices(rows, n_qubits, q)
-    a = lo.copy()
-    lo[...] = c * a - 1j * s * hi
-    hi[...] = -1j * s * a + c * hi
+def _rx_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
+    """(lo, hi) -> (c lo - i s hi, c hi - i s lo) on bit q; complex rows."""
+    v = _pairs(rows, n_qubits, q)
+    out = c * v
+    out += (-1j * s) * v[:, :, ::-1]
+    return out.reshape(rows.shape)
 
 
-def _rz_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> None:
-    lo, hi = _bit_slices(rows, n_qubits, q)
-    lo *= c - 1j * s
-    hi *= c + 1j * s
+def _rz_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
+    """(lo, hi) -> ((c - i s) lo, (c + i s) hi) on bit q; complex rows."""
+    out = _pairs(rows, n_qubits, q) * (c + 1j * s * _Y_SIGNS)
+    return out.reshape(rows.shape)
 
 
 def _cnot_permutation(n_qubits: int, pairs) -> np.ndarray:
@@ -145,8 +165,8 @@ def _cnot_permutation(n_qubits: int, pairs) -> np.ndarray:
 
 def _cnot_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Apply a CNOT sequence given by its ``_cnot_permutation``; returns
-    new rows rather than working in place."""
-    return rows[:, perm]
+    new Fortran-ordered rows, gathered as whole columns of the batch."""
+    return rows.T.take(perm, axis=0).T
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -175,12 +195,13 @@ def _product_rows(factors: np.ndarray) -> np.ndarray:
     """Product states from per-qubit amplitude pairs.
 
     ``factors`` has shape (batch, n, 2), the amplitudes of |0> and |1> of
-    each qubit; returns the (batch, 2**n) rows of their tensor products.
+    each qubit; returns the Fortran-ordered (batch, 2**n) rows of their
+    tensor products, built transposed.
     """
-    rows = factors[:, 0, :]
+    columns = factors[:, 0, :].T
     for q in range(1, factors.shape[1]):
-        rows = (rows[:, :, None] * factors[:, q, None, :]).reshape(rows.shape[0], -1)
-    return rows
+        columns = (columns[:, None, :] * factors[:, q, :].T).reshape(-1, factors.shape[0])
+    return np.asfortranarray(columns.T)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +210,7 @@ def _product_rows(factors: np.ndarray) -> np.ndarray:
 
 
 def _applied(psi: StateVector, kernel, *args) -> StateVector:
-    rows = psi.amplitudes.copy().reshape(1, -1)
-    kernel(rows, psi.n_qubits, *args)
+    rows = kernel(psi.amplitudes.reshape(1, -1), psi.n_qubits, *args)
     return StateVector(psi.n_qubits, rows[0])
 
 

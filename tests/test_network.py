@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_ref as ref
+import hqcnn.network as network
 from hqcnn.network import _forward_rows
 from hqcnn.network import (
     EncodingSpec,
@@ -79,6 +82,12 @@ class TestSpecs:
                     b.n_params for b in spec.blocks() if isinstance(b, PqcSpec)
                 )
                 assert consumed == spec.n_params
+
+    def test_blocks_built_once_per_spec(self):
+        for variant in Variant:
+            spec = NetworkSpec(3, variant)
+            assert spec.blocks() is spec.blocks()
+            assert NetworkSpec(3, variant).blocks() is spec.blocks()
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -313,3 +322,54 @@ class TestNonlinearityWitness:
             for _ in range(5)
         ]
         assert max(residuals) > 1e-3
+
+
+def _fortran(rows):
+    return rows.flags["F_CONTIGUOUS"]
+
+
+class TestRowLayout:
+    """The readout is a BLAS product and the energy sums are einsums, and
+    both round differently on C- and Fortran-ordered rows, so the layout
+    of the rows decides the bits of every result. The network's rows are
+    Fortran-ordered, the layout the CNOT gather makes, on every path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        with_measurements=st.booleans(),
+        per_row=st.booleans(),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_are_fortran_ordered(self, n, with_measurements, per_row, batch, seed):
+        variant = (
+            Variant.WITH_MEASUREMENTS if with_measurements else Variant.WITHOUT_MEASUREMENTS
+        )
+        net = NetworkSpec(n, variant)
+        rng = np.random.default_rng(seed)
+
+        product = network._product_rows(rng.normal(size=(batch, n, 2)))
+        assert _fortran(product)
+        c_ordered = np.ascontiguousarray(product)
+        perm = network._ladder_permutation(n)
+        assert _fortran(network._cnot_rows(product, perm))
+        assert _fortran(network._cnot_rows(c_ordered, perm))
+        angles = rng.normal(size=(batch, 1, 1, 1)) if per_row else rng.normal()
+        c, s = np.cos(angles), np.sin(angles)
+        for q in range(n):
+            # A one-qubit kernel keeps the layout of its input.
+            assert _fortran(network._ry_rows(product, n, q, c, s))
+            assert network._ry_rows(c_ordered, n, q, c, s).flags["C_CONTIGUOUS"]
+
+        inputs = rng.uniform(-3, 3, batch)
+        shape = (batch, net.n_params) if per_row else net.n_params
+        params = rng.normal(0, 1.5, shape)
+        with mock.patch.object(
+            network, "_expect_z_rows", wraps=network._expect_z_rows
+        ) as readout:
+            rows = _forward_rows(net, inputs, params)
+        assert _fortran(rows)
+        assert readout.call_count == int(with_measurements)
+        for call in readout.call_args_list:
+            assert _fortran(call.args[0])

@@ -244,6 +244,123 @@ class TestAdjointGradient:
         assert np.max(np.abs(gradient(params, problem) - whole)) < 1e-12
 
 
+class TestForwardMemo:
+    """cost and gradient share the problem's last forward pass, keyed by
+    the bytes of the parameter vector; a spy counts the passes run."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        run_blocks = network._run_blocks
+
+        def spy(*args):
+            calls.append(args[0])
+            return run_blocks(*args)
+
+        monkeypatch.setattr(network, "_run_blocks", spy)
+        return calls
+
+    @staticmethod
+    def _problem():
+        return _tfim_problem(3, (0.4, 1.0, 1.6))
+
+    def test_cost_then_gradient_runs_one_pass(self, passes):
+        problem = self._problem()
+        params = init_params(problem.network.n_params, 0)
+        f = cost(params, problem)
+        g = gradient(params, problem)
+        assert len(passes) == 1
+        assert cost(params, problem) == f
+        assert len(passes) == 1
+        assert g.tobytes() == gradient(params, self._problem()).tobytes()
+
+    def test_gradient_alone_runs_its_own_pass(self, passes):
+        problem = self._problem()
+        params = init_params(problem.network.n_params, 1)
+        g = gradient(params, problem)
+        assert len(passes) == 1
+        assert g.tobytes() == gradient(params, self._problem()).tobytes()
+
+    def test_gradient_after_cost_elsewhere_runs_its_own_pass(self, passes):
+        problem = self._problem()
+        params = init_params(problem.network.n_params, 2)
+        cost(params + 0.01, problem)
+        g = gradient(params, problem)
+        assert len(passes) == 2
+        assert g.tobytes() == gradient(params, self._problem()).tobytes()
+
+    def test_in_place_mutation_is_not_served_stale(self, passes):
+        problem = self._problem()
+        params = init_params(problem.network.n_params, 3)
+        cost(params, problem)
+        params[5] += 0.25
+        g = gradient(params, problem)
+        assert len(passes) == 2
+        assert g.tobytes() == gradient(params, self._problem()).tobytes()
+        assert cost(params, problem) == cost(params.copy(), self._problem())
+
+    def test_nan_vector_raises_and_keeps_nothing(self, passes):
+        problem = self._problem()
+        params = init_params(problem.network.n_params, 4)
+        bad = params.copy()
+        bad[2] = np.nan
+        with pytest.raises(ValueError):
+            cost(bad, problem)
+        with pytest.raises(ValueError):
+            gradient(bad, problem)
+        assert problem._last_forward == {}
+        cost(params, problem)
+        with pytest.raises(ValueError):
+            gradient(bad, problem)
+        assert problem._last_forward == {}
+        assert len(passes) == 1
+
+    def test_third_vector_evicts_the_first(self, passes):
+        problem = self._problem()
+        a, b, c = (init_params(problem.network.n_params, seed) for seed in (5, 6, 7))
+        cost(a, problem)
+        cost(b, problem)
+        cost(c, problem)
+        assert len(problem._last_forward) == 1
+        gradient(c, problem)
+        assert len(passes) == 3
+        gradient(a, problem)
+        assert len(passes) == 4
+
+    def test_problems_never_share_a_memo(self, passes):
+        first, second = self._problem(), self._problem()
+        assert first._last_forward is not second._last_forward
+        params = init_params(first.network.n_params, 8)
+        cost(params, first)
+        gradient(params, second)
+        assert len(passes) == 2
+
+    def test_train_scores_each_accepted_point_once(self, monkeypatch):
+        problem = self._problem()
+        settings = OptimizerSettings(max_iterations=5)
+        calls = {"cost": 0, "gradient": 0, "passes": 0}
+        for name in ("cost", "gradient"):
+            fn = getattr(optimize, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(optimize, name, counted)
+        run_blocks = network._run_blocks
+
+        def spy(*args):
+            calls["passes"] += 1
+            return run_blocks(*args)
+
+        monkeypatch.setattr(network, "_run_blocks", spy)
+        train(problem, 0, settings)
+        # Every gradient and the final cost fall on a point that cost
+        # has just scored; only the line search's rejected points and the
+        # start point run a pass of their own.
+        assert calls["passes"] == calls["cost"] - 1
+
+
 class TestInitParams:
     def test_length_and_determinism(self):
         p = init_params(32, 7)

@@ -4,6 +4,13 @@ import pytest
 import dense_ref as ref
 from hqcnn.statevector import (
     StateVector,
+    _angle_factors,
+    _cnot_permutation,
+    _cnot_rows,
+    _h_rows,
+    _rx_rows,
+    _ry_rows,
+    _rz_rows,
     apply_cnot,
     apply_h,
     apply_rx,
@@ -125,6 +132,43 @@ def test_gates_do_not_mutate_input(rng):
     apply_ry(psi, 1, 0.3)
     apply_cnot(psi, 0, 1)
     assert np.array_equal(psi.amplitudes, v)
+
+
+def test_kernels_return_fresh_rows(rng):
+    for n in (1, 2, 4):
+        rows = np.asfortranarray(
+            np.stack([ref.random_state(rng, n) for _ in range(3)])
+        )
+        before = rows.copy()
+        c, s = _angle_factors(0.7)
+        perm = _cnot_permutation(n, ((0, n - 1),) if n > 1 else ())
+        for q in range(n):
+            for out in (
+                _h_rows(rows, n, q),
+                _rx_rows(rows, n, q, c, s),
+                _ry_rows(rows, n, q, c, s),
+                _rz_rows(rows, n, q, c, s),
+                _cnot_rows(rows, perm),
+            ):
+                assert out.shape == rows.shape
+                assert not np.shares_memory(out, rows)
+        assert np.array_equal(rows, before)
+
+
+def test_ry_kernel_rounds_as_the_two_by_two_formula(rng):
+    # (lo, hi) -> (c lo - s hi, c hi + s lo), each product and sum rounded
+    # once, for shared and per-row factors.
+    for n in (1, 3, 5):
+        rows = rng.normal(size=(4, 1 << n))
+        for angles in (rng.normal(), rng.normal(size=(4, 1, 1, 1))):
+            c, s = _angle_factors(angles)
+            for q in range(n):
+                v = rows.reshape(4, -1, 2, 1 << (n - 1 - q))
+                lo, hi = v[:, :, 0], v[:, :, 1]
+                cc, ss = (c, s) if np.ndim(c) == 0 else (c[..., 0], s[..., 0])
+                want = np.stack([cc * lo - ss * hi, cc * hi + ss * lo], axis=2)
+                got = _ry_rows(rows, n, q, c, s)
+                assert np.array_equal(got, want.reshape(rows.shape))
 
 
 def _random_gate(rng, n):
