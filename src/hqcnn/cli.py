@@ -18,7 +18,8 @@ rejected)::
     variant: with_measurements        # with_measurements | without_measurements | both
     train_bond_lengths: 0.2 0.6 1.0 1.4 1.8
     test_bond_lengths: 0.4 0.8 1.2 1.6 2.0
-    seeds: 0 1 2 3
+    seeds: 0 1 2 3                    # non-negative integers
+    label: tfim4                      # label column of compare.txt (default: dataset_dir's name)
     max_iterations: 500
     gradient_norm_tolerance: 1e-5
     finite_difference_step: 1e-6
@@ -106,6 +107,9 @@ class ExperimentConfig:
             raise ConfigError("train_bond_lengths must be non-empty")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ConfigError(f"seeds must be non-negative, got {seed}")
         for a in self.train_bond_lengths + self.test_bond_lengths:
             if not math.isfinite(a):
                 raise ConfigError(f"bond lengths must be finite, got {a}")
@@ -610,6 +614,9 @@ def _cmd_gen_synthetic(args) -> None:
         raise ConfigError(
             f"--n-qubits must be in [1, {MAX_QUBITS}], got {args.n_qubits}"
         )
+    for a in args.bond_lengths:
+        if not math.isfinite(a):
+            raise ConfigError(f"--bond-lengths must be finite, got {a}")
     written = gen_synthetic(args.out_dir, args.n_qubits, args.bond_lengths)
     print(f"wrote {len(written)} files to {args.out_dir}")
 
@@ -632,6 +639,8 @@ def _cmd_diag(args) -> None:
 
 def _training_setup(args, where: str) -> tuple[ExperimentConfig, int, TrainingProblem]:
     """Config, seed and training problem of a single-variant subcommand."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     config = load_config(args.config)
     if config.variant == "both":
         raise ConfigError(f"{where} needs a single variant, not 'both'")

@@ -344,13 +344,12 @@ def _forward_pass(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> _
     return _ForwardPass(c, s, rows, tuple(measured))
 
 
-def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, rows_gradient) -> np.ndarray:
+def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
     """Exact gradient by the parameters of E = sum_b e_b(rows[b]), where
     ``forward`` is the ``_forward_pass`` of those parameters on the
     inputs, which this function takes rather than runs, so that a caller
-    that already scored the rows reuses them; ``rows_gradient(rows)``
-    returns the (batch, 2**n) array of de_b/drows[b], the seed of the
-    backward sweep.
+    that already scored the rows reuses them; ``seed`` is the
+    (batch, 2**n) array of de_b/drows[b] that starts the backward sweep.
 
     The sweep walks the blocks backwards with the states stacked on top of
     their adjoints, so each gate undoes both with one kernel call:
@@ -363,12 +362,12 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, rows_gradient) ->
       forward pass kept, and the sweep continues from psi.
 
     The first block loads the inputs, which are not trained, so the sweep
-    stops there. ``forward`` is only read.
+    stops there. ``forward`` and ``seed`` are only read.
     """
     n = net.n_qubits
     c, s, rows, measured = forward
     measured = list(measured)
-    stacked = np.concatenate([rows, rows_gradient(rows)])
+    stacked = np.concatenate([rows, seed])
     grad = np.empty(c.size)
     for block in reversed(net.blocks()[1:]):
         if isinstance(block, PqcSpec):

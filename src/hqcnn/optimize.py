@@ -16,25 +16,25 @@ expectation, so the model is smooth and reverse mode applies: one forward
 pass keeps the rows each block needs, then adjoint sweeps back through
 the second block, the readout and the first block give every derivative
 (``network._adjoint_gradient``). That is about three passes over one row
-per point, where central differences need 2k rows per point for k
+per point, where central differences need 2k forward passes for k
 angles. ``gradient`` reuses the forward pass of ``cost`` at the same
-point: a ``TrainingProblem`` keeps its last forward pass, keyed by the
-bytes of the parameter vector, and BFGS asks for the gradient exactly at
-the points whose cost it has just accepted, so there ``gradient`` runs
-only the backward sweeps. Central differences, the paper's method, stay
-as the independent reference (``finite_difference_gradient``);
-``gradient_step_check`` guards their step choice and
-``adjoint_deviation`` compares the two.
+point: a ``TrainingProblem`` keeps its last forward pass and the product
+H phi of its final rows, keyed by the bytes of the parameter vector, and
+BFGS asks for the gradient exactly at the points whose cost it has just
+accepted, so there ``gradient`` runs only the backward sweeps. Central
+differences, the paper's method, stay as the independent reference
+(``finite_difference_gradient``): plain central differences of ``cost``,
+one coordinate at a time. ``gradient_step_check`` guards their step
+choice and ``adjoint_deviation`` compares the two.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
 Defaults: at most 500 iterations, stop when the gradient infinity norm
 drops to 1e-5.
 
-Determinism: cost and gradient evaluate all training points in one batch
-in a fixed order; finite differences stack the 2k coordinate
-perturbations of consecutive training points into batches of a size
-fixed by the problem's dimensions alone; parameter initialization draws
+Determinism: cost, gradient and each central-difference evaluation run
+all training points in one batch in a fixed order, and the central
+differences walk the coordinates in order; parameter initialization draws
 from a seeded generator. Identical inputs therefore give
 bitwise-identical results on one platform.
 """
@@ -58,19 +58,11 @@ from .network import (
 from .pauli import (
     CompiledHamiltonian,
     PauliHamiltonian,
+    _apply_hamiltonian_rows,
     _expectation_rows,
-    _real_hamiltonian_rows,
     compile_hamiltonians,
     expectation,
 )
-
-# Largest finite-difference batch, in amplitudes. Batches stack the 2k
-# perturbed rows of as many consecutive training points as fit, at least
-# one; a point whose rows do not fit runs in chunks of rows. Stacking the
-# short rows of small registers saves numpy dispatch; at n = 8 one point
-# already fills 2**16 amplitudes, and stacking more only raised peak memory.
-_GRADIENT_BATCH_AMPLITUDES = 1 << 16
-
 
 class NumericalError(RuntimeError):
     """Objective or gradient produced a non-finite value."""
@@ -82,14 +74,15 @@ class TrainingProblem:
     ``hamiltonians`` is their compiled form, built once here.
 
     ``_last_forward`` holds at most one forward pass over the training
-    points, keyed by the bytes of its parameter vector, for ``cost`` and
-    ``gradient`` to share; each problem has its own.
+    points and the product H phi of its final rows, keyed by the bytes of
+    its parameter vector, for ``cost`` and ``gradient`` to share; each
+    problem has its own.
     """
 
     network: NetworkSpec
     training_set: tuple[tuple[float, PauliHamiltonian], ...]
     hamiltonians: CompiledHamiltonian = field(init=False, repr=False, compare=False)
-    _last_forward: dict[bytes, _ForwardPass] = field(
+    _last_forward: dict[bytes, tuple[_ForwardPass, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -157,26 +150,29 @@ def _bond_lengths(problem: TrainingProblem) -> np.ndarray:
     return np.array([a for a, _ in problem.training_set], dtype=np.float64)
 
 
-def _training_pass(params, problem: TrainingProblem) -> _ForwardPass:
+def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.ndarray]:
     """The forward pass of ``params`` over the training points, one row per
-    point: the problem's kept pass when it was run on the same bytes,
-    else a new one, which replaces it."""
+    point, and H applied to its final rows (read-only): the problem's
+    kept pair when it was run on the same bytes, else a new one, which
+    replaces it."""
     vec = _check_params(params, problem)
     key = vec.tobytes()
     memo = problem._last_forward
     found = memo.get(key)
     if found is None:
         memo.clear()
-        found = _forward_pass(problem.network, _bond_lengths(problem), vec)
-        memo[key] = found
+        forward_pass = _forward_pass(problem.network, _bond_lengths(problem), vec)
+        products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.rows)
+        products.setflags(write=False)
+        found = memo[key] = (forward_pass, products)
     return found
 
 
 def cost(params, problem: TrainingProblem) -> float:
     """Summed energy expectation over the training points, evaluated as one
     batch with a row per point."""
-    rows = _training_pass(params, problem).rows
-    return float(np.sum(_expectation_rows(problem.hamiltonians, rows)))
+    forward_pass, products = _training_pass(params, problem)
+    return float(np.sum(np.einsum("bi,bi->b", forward_pass.rows, products)))
 
 
 def gradient(params, problem: TrainingProblem) -> np.ndarray:
@@ -184,54 +180,36 @@ def gradient(params, problem: TrainingProblem) -> np.ndarray:
     with a row per training point, from the forward pass of ``cost`` when
     it was just called on the same vector. The seed of the sweep is
     d<phi|H|phi>/dphi = 2 Re(H) phi on the real final rows."""
-    forward_pass = _training_pass(params, problem)
-    hamiltonians = problem.hamiltonians
-
-    def energy_gradient(rows: np.ndarray) -> np.ndarray:
-        return 2.0 * _real_hamiltonian_rows(hamiltonians, rows)
-
-    return _adjoint_gradient(problem.network, forward_pass, energy_gradient)
+    forward_pass, products = _training_pass(params, problem)
+    return _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
 
 
 def finite_difference_gradient(
     params, problem: TrainingProblem, step: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference gradient, (f(w + h e_i) - f(w - h e_i)) / 2h.
-
-    The 2k perturbed vectors of consecutive training points run as one
-    batch, as many points as fit in ``_GRADIENT_BATCH_AMPLITUDES``
-    amplitudes and at least one; a point that does not fit runs in chunks
-    of as many rows as fit, at least one. The grouping depends only on
-    the problem's dimensions, which keeps the walk order (and therefore
-    the rounding) fixed.
-    """
+    """Central-difference gradient, (f(w + h e_i) - f(w - h e_i)) / 2h,
+    one coordinate at a time. Each f is the value :func:`cost` returns,
+    computed afresh on all training points at once, so the problem's kept
+    forward pass is neither read nor replaced."""
     if not (step > 0):
         raise ValueError("step must be positive")
     vec = _check_params(params, problem)
-    k = vec.size
-    perturbed = np.repeat(vec.reshape(1, -1), 2 * k, axis=0)
-    idx = np.arange(k)
-    perturbed[idx, idx] += step
-    perturbed[k + idx, idx] -= step
     inputs = _bond_lengths(problem)
-    rows_per_batch = max(1, _GRADIENT_BATCH_AMPLITUDES >> problem.network.n_qubits)
-    per_batch = max(1, rows_per_batch // (2 * k))
-    chunk = min(2 * k, rows_per_batch)
-    values = np.zeros(2 * k, dtype=np.float64)
-    for start in range(0, inputs.size, per_batch):
-        stop = min(start + per_batch, inputs.size)
-        points = stop - start
-        hamiltonians = problem.hamiltonians.subset(start, stop)
-        for lo in range(0, 2 * k, chunk):
-            hi = min(lo + chunk, 2 * k)
-            rows = _forward_rows(
-                problem.network,
-                np.repeat(inputs[start:stop], hi - lo),
-                np.tile(perturbed[lo:hi], (points, 1)),
-            )
-            energies = _expectation_rows(hamiltonians, rows)
-            values[lo:hi] += energies.reshape(points, hi - lo).sum(axis=0)
-    return (values[:k] - values[k:]) / (2.0 * step)
+
+    def f(w: np.ndarray) -> float:
+        rows = _forward_rows(problem.network, inputs, w)
+        return float(np.sum(_expectation_rows(problem.hamiltonians, rows)))
+
+    grad = np.empty(vec.size)
+    shifted = vec.copy()
+    for i in range(vec.size):
+        shifted[i] = vec[i] + step
+        up = f(shifted)
+        shifted[i] = vec[i] - step
+        down = f(shifted)
+        shifted[i] = vec[i]
+        grad[i] = (up - down) / (2.0 * step)
+    return grad
 
 
 def _relative_deviation(g, reference) -> float:
@@ -258,9 +236,12 @@ def adjoint_deviation(params, problem: TrainingProblem, step: float = 1e-6) -> f
 
 
 def init_params(k: int, seed: int) -> np.ndarray:
-    """k Gaussian draws, mean 0, standard deviation 0.1, seeded."""
+    """k Gaussian draws, mean 0, standard deviation 0.1, seeded by a
+    non-negative integer."""
     if k < 1:
         raise ValueError("k must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed).normal(0.0, 0.1, size=k)
 
 

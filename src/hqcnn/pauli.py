@@ -246,15 +246,6 @@ class CompiledHamiltonian:
     groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
     real_groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
 
-    def subset(self, start: int, stop: int) -> "CompiledHamiltonian":
-        """Hamiltonians ``start`` to ``stop - 1`` (weight views, no copies)."""
-        return CompiledHamiltonian(
-            self.n_qubits,
-            stop - start,
-            tuple((i, w[start:stop]) for i, w in self.groups),
-            tuple((i, w[start:stop]) for i, w in self.real_groups),
-        )
-
 
 def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
     """Group the terms of each Hamiltonian (all on the same register) by
@@ -305,26 +296,19 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
 
 
 def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
-    """H applied to each row of a (batch, 2**n) array; the rows form
-    ``hamiltonians.count`` equal consecutive blocks, block j for
-    Hamiltonian j."""
-    blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
-    dtype = np.result_type(rows, *(w for _, w in hamiltonians.groups))
-    out = np.zeros(blocks.shape, dtype=dtype)
-    for flip, weights in hamiltonians.groups:
-        partner = blocks if flip is None else blocks[..., flip]
-        out += partner * weights[:, None, :]
-    return out.reshape(rows.shape)
+    """H applied to each row of a (batch, 2**n) array, in the rows' dtype;
+    the rows form ``hamiltonians.count`` equal consecutive blocks, block j
+    for Hamiltonian j.
 
-
-def _real_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
-    """Re(H) applied to each real row, rows in blocks as for
-    :func:`_apply_hamiltonian_rows`. Re(H) is symmetric and has the same
-    quadratic form as H on real rows, so 2 Re(H) v is the gradient of
-    <v|H|v> by a real v."""
+    Complex rows read the full ``groups``. Real rows read ``real_groups``,
+    that is Re(H): equal to H when H is real, and in any case symmetric
+    with the same quadratic form as H on real rows, so 2 Re(H) v is the
+    gradient of <v|H|v> by a real v.
+    """
+    groups = hamiltonians.groups if rows.dtype.kind == "c" else hamiltonians.real_groups
     blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
-    out = np.zeros(blocks.shape)
-    for flip, weights in hamiltonians.real_groups:
+    out = np.zeros(blocks.shape, dtype=rows.dtype)
+    for flip, weights in groups:
         partner = blocks if flip is None else blocks[..., flip]
         out += partner * weights[:, None, :]
     return out.reshape(rows.shape)
@@ -332,16 +316,9 @@ def _real_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) 
 
 def _expectation_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
     """Per-row real <row|H|row>, rows in blocks as for
-    :func:`_apply_hamiltonian_rows`. Real rows use the real groups only."""
-    if not np.iscomplexobj(rows):
-        return np.einsum("bi,bi->b", rows, _real_hamiltonian_rows(hamiltonians, rows))
-    blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
-    left = blocks.conj()
-    values = np.zeros(blocks.shape[:2])
-    for flip, weights in hamiltonians.groups:
-        partner = blocks if flip is None else blocks[..., flip]
-        values += np.matmul(left * partner, weights[:, :, None])[..., 0].real
-    return values.reshape(-1)
+    :func:`_apply_hamiltonian_rows`."""
+    products = _apply_hamiltonian_rows(hamiltonians, rows)
+    return np.einsum("bi,bi->b", rows.conj(), products).real
 
 
 def apply_term(term: PauliTerm, psi: StateVector) -> StateVector:

@@ -418,6 +418,59 @@ class TestMain:
         assert "Traceback" not in err
         assert not data.exists()
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_gen_synthetic_rejects_non_finite_bond_length(self, bad, tmp_path, capsys):
+        data = tmp_path / "d"
+        code = main(
+            [
+                "gen-synthetic",
+                "--out-dir",
+                str(data),
+                "--n-qubits",
+                "2",
+                "--bond-lengths",
+                "0.3",
+                bad,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --bond-lengths must be finite")
+        assert "Traceback" not in err
+        assert not data.exists()
+
+    def test_negative_config_seed_exit_1(self, tfim2_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {out}\n"
+            "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\nseeds: -1 2\n"
+        )
+        assert main(["curve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seeds must be non-negative, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_negative_seed_flag_exit_1(self, command, tfim2_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {out}\n"
+            "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\nseeds: 0\n"
+        )
+        argv = [command, "--config", str(cfg), "--seed", "-1"]
+        params_file = tmp_path / "params.txt"
+        if command == "train":
+            argv += ["--params-out", str(params_file)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --seed must be non-negative, got -1")
+        assert "Traceback" not in captured.err
+        assert not params_file.exists() and not out.exists()
+
     def test_diag_reports_files_without_bond_length(self, tmp_path, capsys):
         data = tmp_path / "d"
         data.mkdir()

@@ -140,24 +140,12 @@ class TestGradient:
 
 
 class TestStackedBatches:
-    """At n = 7 one point's FD batch is 2k = 196 rows of 128 amplitudes, so
-    the 2**16-amplitude rule splits the 5 training points 2, 2, 1."""
+    """At n = 7 (k = 98 angles, 5 training points) the central differences
+    run 2k forward passes of 5 rows each, one per perturbed vector."""
 
     @pytest.fixture(scope="class")
     def problem(self):
         return _tfim_problem(7, DEFAULT_TRAIN_GRID)
-
-    def test_gradient_batches_split_two_two_one(self, problem, monkeypatch):
-        batch_rows = []
-        forward_rows = optimize._forward_rows
-
-        def spy(net, inputs, params_rows):
-            batch_rows.append(params_rows.shape[0])
-            return forward_rows(net, inputs, params_rows)
-
-        monkeypatch.setattr(optimize, "_forward_rows", spy)
-        finite_difference_gradient(init_params(problem.network.n_params, 0), problem)
-        assert batch_rows == [392, 392, 196]
 
     def test_gradient_matches_central_differences_of_cost(self, problem):
         params = init_params(problem.network.n_params, 3)
@@ -183,7 +171,7 @@ class TestStackedBatches:
 
     def test_nan_bond_length_raises(self):
         # TrainingProblem rejects NaN bond lengths, so put one past it, in
-        # the point that forms the last FD batch on its own.
+        # the last training point, which every FD evaluation runs.
         problem = _tfim_problem(7, DEFAULT_TRAIN_GRID)
         pairs = list(problem.training_set)
         pairs[4] = (float("nan"), pairs[4][1])
@@ -195,30 +183,6 @@ class TestStackedBatches:
             finite_difference_gradient(params, problem)
         with pytest.raises(ValueError):
             gradient(params, problem)
-
-
-class TestChunkedFiniteDifferences:
-    """A point whose 2k FD rows exceed the amplitude budget runs in chunks
-    of rows; at n = 3 (k = 18, rows of 8 amplitudes) a 64-amplitude
-    budget cuts each point's 36 rows into chunks of 8, 8, 8, 8 and 4."""
-
-    def test_chunks_stay_within_budget_and_match(self, monkeypatch):
-        problem = _tfim_problem(3, (0.4, 1.0, 1.6))
-        params = init_params(problem.network.n_params, 2)
-        whole = finite_difference_gradient(params, problem)
-        batch_rows = []
-        forward_rows = optimize._forward_rows
-
-        def spy(net, inputs, params_rows):
-            batch_rows.append(params_rows.shape[0])
-            return forward_rows(net, inputs, params_rows)
-
-        monkeypatch.setattr(optimize, "_GRADIENT_BATCH_AMPLITUDES", 64)
-        monkeypatch.setattr(optimize, "_forward_rows", spy)
-        chunked = finite_difference_gradient(params, problem)
-        assert batch_rows == [8, 8, 8, 8, 4] * 3
-        assert max(batch_rows) * 8 <= 64
-        assert np.max(np.abs(chunked - whole)) < 1e-12
 
 
 class TestAdjointGradient:
@@ -376,6 +340,10 @@ class TestInitParams:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             init_params(0, 1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            init_params(8, -1)
 
 
 class TestBfgs:

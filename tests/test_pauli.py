@@ -119,6 +119,15 @@ class TestRoundTrip:
             h = _ham(terms, n, bond)
             assert parse_hamiltonian(format_hamiltonian(h)) == h
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_property_parse_format_parse_is_exact(self, data, n):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        terms = data.draw(st.lists(st.tuples(finite, st.text("IXYZ", min_size=n, max_size=n))))
+        bond = data.draw(st.none() | finite)
+        h = _ham(terms, n, bond)
+        assert parse_hamiltonian(format_hamiltonian(h)) == h
+
 
 class TestEvaluation:
     def test_zz_on_bell_state(self):
@@ -251,13 +260,6 @@ class TestCompiled:
         assert len(compiled.groups) == 1  # both strings flip qubit 0 only
         rows = np.random.default_rng(3).standard_normal((4, 4))
         assert np.array_equal(_expectation_rows(compiled, rows), np.zeros(4))
-
-    def test_subset_selects_hamiltonians(self, rng):
-        hams = [_ham(ref.random_terms(rng, 2, 4), 2) for _ in range(3)]
-        rows = rng.standard_normal((2, 4))
-        tail = compile_hamiltonians(hams).subset(1, 3)
-        want = compile_hamiltonians(hams[1:])
-        assert np.array_equal(_expectation_rows(tail, rows), _expectation_rows(want, rows))
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dense_ref as ref
 from hqcnn.statevector import (
@@ -219,6 +221,28 @@ class TestDenseEquivalence:
             name, args, _ = _random_gate(rng, 4)
             psi = _APPLY[name](psi, *args)
         assert norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        gate=st.sampled_from(sorted(_APPLY)),
+        theta=st.floats(-20.0, 20.0, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_gates_preserve_norm(self, data, n, gate, theta, seed):
+        psi = StateVector(n, ref.random_state(np.random.default_rng(seed), n))
+        q = data.draw(st.integers(0, n - 1))
+        if gate == "cnot":
+            assume(n > 1)
+            t = data.draw(st.integers(0, n - 1).filter(lambda t: t != q))
+            args = (q, t)
+        elif gate == "h":
+            args = (q,)
+        else:
+            args = (q, theta)
+        out = _APPLY[gate](psi, *args)
+        assert norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_gate_locality(self, rng):
         # Product state: a gate on qubit 0 must not move <sigma_z> on qubit 2.
