@@ -31,7 +31,15 @@ adjoint gradient, so finite_difference_step governs only gradcheck.
 Outputs use '.' decimal points, '\\n' line endings, and shortest
 round-trip float formatting, so a rerun with the same config is
 byte-identical. The manifest carries a timestamp; set SOURCE_DATE_EPOCH
-(seconds since the epoch) to pin it for reproducible reruns.
+(seconds since the epoch) to pin it for reproducible reruns. Every
+subcommand checks SOURCE_DATE_EPOCH before it starts: a value that is
+not an integer, or not a representable date, is a config error.
+
+curve and compare score a trained model on the training pass: the
+predicted energies of a split are one batched real forward pass over its
+points, scored against its Hamiltonians, compiled once per variant. The
+train energies are those of the pass training ended on, so per seed they
+sum exactly (numpy's sum, in row order) to the final cost.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
 3 numerical failure.
@@ -50,19 +58,22 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import NetworkSpec, Variant, forward
+from .network import NetworkSpec, Variant
 from .optimize import NumericalError, OptimizerSettings, TrainingProblem
-from .optimize import adjoint_deviation, gradient_step_check, init_params, train
+from .optimize import energies, gradient_deviations, init_params, train
 from .oracle import ground_energy
 from .pauli import (
     HamParseError,
     PauliHamiltonian,
     PauliTerm,
-    expectation,
     format_hamiltonian,
     parse_hamiltonian,
 )
 from .statevector import MAX_QUBITS
+
+# Not called here: imported so that perfbench/layers.py can hook them by name.
+from .network import forward  # noqa: F401
+from .pauli import expectation  # noqa: F401
 
 BOND_LENGTH_TOLERANCE = 1e-9
 
@@ -181,7 +192,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: Path) -> ExperimentConfig:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -239,7 +250,7 @@ def _scan_dataset(directory: Path) -> list[tuple[float, PauliHamiltonian, Path]]
             h = parse_hamiltonian(path.read_text(encoding="utf-8"))
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-        except HamParseError as exc:
+        except (HamParseError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: {exc}") from exc
         if h.n_qubits > MAX_QUBITS:
             raise DataError(f"{path}: {h.n_qubits} qubits, limit is {MAX_QUBITS}")
@@ -374,21 +385,33 @@ def _run_one_variant(
     exact_test: list[float],
 ) -> tuple[VariantSummary, list[str]]:
     """Train each seed, evaluate all points; returns the summary and the
-    CSV rows (train rows then test rows, ascending bond length, per seed)."""
+    CSV rows (train rows then test rows, ascending bond length, per seed).
+
+    Each non-empty split is one ``TrainingProblem``, so its Hamiltonians
+    compile once. The train energies come from the pass that ``train``'s
+    final cost kept; the test split costs one batched pass per seed."""
     assert train_ds.n_qubits is not None
     net = NetworkSpec(train_ds.n_qubits, variant)
-    problem = TrainingProblem(net, train_ds.entries)
-    outcomes: list[SeedOutcome] = []
-    rows: list[str] = []
-    for seed in config.seeds:
-        model = train(problem, seed, config.settings)
-        sums = {"train": 0.0, "test": 0.0}
+    splits = [
+        (split, TrainingProblem(net, dataset.entries), exact_values)
         for split, dataset, exact_values in (
             ("train", train_ds, exact_train),
             ("test", test_ds, exact_test),
-        ):
-            for (a, h), exact in zip(dataset.entries, exact_values):
-                energy = expectation(h, forward(net, a, model.parameters))
+        )
+        if dataset.entries
+    ]
+    train_problem = splits[0][1]  # the train split is never empty
+    outcomes: list[SeedOutcome] = []
+    rows: list[str] = []
+    for seed in config.seeds:
+        model = train(train_problem, seed, config.settings)
+        sums = {"train": 0.0, "test": 0.0}
+        for split, problem, exact_values in splits:
+            predicted = energies(model.parameters, problem)
+            for (a, _), energy, exact in zip(
+                problem.training_set, predicted, exact_values
+            ):
+                energy = float(energy)
                 error = abs(energy - exact)
                 sums[split] += error
                 rows.append(
@@ -500,28 +523,45 @@ def _write_output(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _run(config: ExperimentConfig, run: str, variants: tuple[Variant, ...]) -> RunManifest:
+    """Train and evaluate each variant on one load of the splits and one
+    set of exact energies; write the outputs once every variant is done.
+    A curve writes results.csv, a compare one results_<variant>.csv per
+    variant and compare.txt; both write manifest.txt."""
+    timestamp = _run_timestamp()
+    train_ds, test_ds = _load_splits(config)
+    exact_train = [ground_energy(h) for _, h in train_ds.entries]
+    exact_test = [ground_energy(h) for _, h in test_ds.entries]
+    results = [
+        _run_one_variant(variant, config, train_ds, test_ds, exact_train, exact_test)
+        for variant in variants
+    ]
+    manifest = RunManifest(
+        run=run,
+        version=__version__,
+        timestamp=timestamp,
+        config=config,
+        n_qubits=train_ds.n_qubits or 0,
+        sections=tuple(summary for summary, _ in results),
+    )
+    outputs = {}
+    for summary, rows in results:
+        name = "results.csv" if run == "curve" else f"results_{summary.variant.value}.csv"
+        outputs[name] = "\n".join([CSV_HEADER] + rows) + "\n"
+    if run == "compare":
+        outputs["compare.txt"] = render_compare_table(manifest)
+    outputs["manifest.txt"] = render_manifest(manifest)
+    for name, text in outputs.items():
+        _write_output(config.output_dir / name, text)
+    return manifest
+
+
 def run_curve(config: ExperimentConfig) -> RunManifest:
     """Train per seed on the configured variant, evaluate every train and
     test point, and write results.csv plus manifest.txt to output_dir."""
     if config.variant == "both":
         raise ConfigError("curve needs a single variant, not 'both'")
-    train_ds, test_ds = _load_splits(config)
-    exact_train = [ground_energy(h) for _, h in train_ds.entries]
-    exact_test = [ground_energy(h) for _, h in test_ds.entries]
-    summary, rows = _run_one_variant(
-        Variant(config.variant), config, train_ds, test_ds, exact_train, exact_test
-    )
-    manifest = RunManifest(
-        run="curve",
-        version=__version__,
-        timestamp=_run_timestamp(),
-        config=config,
-        n_qubits=train_ds.n_qubits or 0,
-        sections=(summary,),
-    )
-    _write_output(config.output_dir / "results.csv", "\n".join([CSV_HEADER] + rows) + "\n")
-    _write_output(config.output_dir / "manifest.txt", render_manifest(manifest))
-    return manifest
+    return _run(config, "curve", (Variant(config.variant),))
 
 
 def run_compare(config: ExperimentConfig) -> RunManifest:
@@ -531,30 +571,7 @@ def run_compare(config: ExperimentConfig) -> RunManifest:
         raise ConfigError("compare needs 'variant: both' so both networks run")
     if len(config.seeds) < 2:
         raise ConfigError("compare needs at least 2 seeds")
-    train_ds, test_ds = _load_splits(config)
-    exact_train = [ground_energy(h) for _, h in train_ds.entries]
-    exact_test = [ground_energy(h) for _, h in test_ds.entries]
-    sections = []
-    for variant in (Variant.WITH_MEASUREMENTS, Variant.WITHOUT_MEASUREMENTS):
-        summary, rows = _run_one_variant(
-            variant, config, train_ds, test_ds, exact_train, exact_test
-        )
-        sections.append(summary)
-        _write_output(
-            config.output_dir / f"results_{variant.value}.csv",
-            "\n".join([CSV_HEADER] + rows) + "\n",
-        )
-    manifest = RunManifest(
-        run="compare",
-        version=__version__,
-        timestamp=_run_timestamp(),
-        config=config,
-        n_qubits=train_ds.n_qubits or 0,
-        sections=tuple(sections),
-    )
-    _write_output(config.output_dir / "compare.txt", render_compare_table(manifest))
-    _write_output(config.output_dir / "manifest.txt", render_manifest(manifest))
-    return manifest
+    return _run(config, "compare", (Variant.WITH_MEASUREMENTS, Variant.WITHOUT_MEASUREMENTS))
 
 
 def run_diag(dataset: CurveDataset) -> str:
@@ -688,11 +705,11 @@ def _cmd_compare(args) -> None:
 def _cmd_gradcheck(args) -> None:
     config, seed, problem = _training_setup(args, "gradcheck")
     params = init_params(problem.network.n_params, seed)
-    step = config.settings.finite_difference_step
-    deviation = adjoint_deviation(params, problem, step)
-    print(f"max relative deviation (adjoint vs FD): {deviation!r}")
-    deviation = gradient_step_check(params, problem, step)
-    print(f"max relative gradient deviation (h vs h/2): {deviation!r}")
+    adjoint, step = gradient_deviations(
+        params, problem, config.settings.finite_difference_step
+    )
+    print(f"max relative deviation (adjoint vs FD): {adjoint!r}")
+    print(f"max relative gradient deviation (h vs h/2): {step!r}")
 
 
 _COMMANDS = {
@@ -708,6 +725,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _run_timestamp()  # a bad SOURCE_DATE_EPOCH fails before any work
         _COMMANDS[args.command](args)
         return 0
     except SystemExit as exc:  # argparse --help

@@ -7,9 +7,13 @@ The cost of a parameter vector w over a training set {(a_j, H_j)} is
 so minimizing f pushes each predicted energy toward the ground energy of
 its Hamiltonian (variational bound: each term is >= lambda_min(H_j)).
 
-``cost`` runs on the network's real batched path: one forward row per
-training point, scored against the training Hamiltonians, which
-``TrainingProblem`` compiles once.
+``energies`` gives the per-point energies on the network's real batched
+path: one forward row per training point, scored against the training
+Hamiltonians, which ``TrainingProblem`` compiles once. ``cost`` is their
+sum. A trained model's predictions are ``energies`` too: on its training
+points they come from the pass that training's final ``cost`` kept, so
+they sum exactly to the final cost; other points are scored as the
+training set of a ``TrainingProblem`` of their own.
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
 expectation, so the model is smooth and reverse mode applies: one forward
@@ -24,8 +28,9 @@ BFGS asks for the gradient exactly at the points whose cost it has just
 accepted, so there ``gradient`` runs only the backward sweeps. Central
 differences, the paper's method, stay as the independent reference
 (``finite_difference_gradient``): plain central differences of ``cost``,
-one coordinate at a time. ``gradient_step_check`` guards their step
-choice and ``adjoint_deviation`` compares the two.
+one coordinate at a time. ``gradient_deviations`` compares the adjoint
+with them and guards their step choice by halving it, from two
+central-difference gradients; ``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
@@ -168,11 +173,17 @@ def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.n
     return found
 
 
+def energies(params, problem: TrainingProblem) -> np.ndarray:
+    """Per-point energies <phi_j|H_j|phi_j>, in training-set order, from the
+    problem's kept forward pass of ``params`` (or a new one)."""
+    forward_pass, products = _training_pass(params, problem)
+    return np.einsum("bi,bi->b", forward_pass.rows, products)
+
+
 def cost(params, problem: TrainingProblem) -> float:
     """Summed energy expectation over the training points, evaluated as one
     batch with a row per point."""
-    forward_pass, products = _training_pass(params, problem)
-    return float(np.sum(np.einsum("bi,bi->b", forward_pass.rows, products)))
+    return float(np.sum(energies(params, problem)))
 
 
 def gradient(params, problem: TrainingProblem) -> np.ndarray:
@@ -217,22 +228,27 @@ def _relative_deviation(g, reference) -> float:
     return float(np.max(np.abs(g - reference))) / scale
 
 
+def gradient_deviations(
+    params, problem: TrainingProblem, step: float = 1e-6
+) -> tuple[float, float]:
+    """(adjoint, step) deviations from one central-difference gradient at
+    step h and one at h/2: the max deviation of :func:`gradient` from the
+    central differences at h, relative to their infinity norm, and that of
+    the central differences at h from those at h/2, relative to the
+    latter's. Small values certify the adjoint and the step choice."""
+    at_h = finite_difference_gradient(params, problem, step)
+    at_half_h = finite_difference_gradient(params, problem, step / 2.0)
+    return (
+        _relative_deviation(gradient(params, problem), at_h),
+        _relative_deviation(at_h, at_half_h),
+    )
+
+
 def gradient_step_check(params, problem: TrainingProblem, step: float = 1e-6) -> float:
     """Max deviation between central-difference gradients at h and h/2,
     relative to the gradient's infinity norm. Small values certify the
     step choice."""
-    return _relative_deviation(
-        finite_difference_gradient(params, problem, step),
-        finite_difference_gradient(params, problem, step / 2.0),
-    )
-
-
-def adjoint_deviation(params, problem: TrainingProblem, step: float = 1e-6) -> float:
-    """Max deviation between :func:`gradient` and central differences at
-    step h, relative to the central-difference gradient's infinity norm."""
-    return _relative_deviation(
-        gradient(params, problem), finite_difference_gradient(params, problem, step)
-    )
+    return gradient_deviations(params, problem, step)[1]
 
 
 def init_params(k: int, seed: int) -> np.ndarray:

@@ -27,7 +27,6 @@ errors as a fraction of the spectral range.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .pauli import (
     DENSE_MAX_QUBITS,
@@ -72,6 +71,11 @@ def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
     ``MAX_QUBITS`` are refused: their state vectors alone would need
     gigabytes.
     """
+    # Imported on first use: importing scipy.sparse makes numpy's f2py parse
+    # SOURCE_DATE_EPOCH with int(), so at module level a bad value would end
+    # every command in a traceback before the CLI could report it.
+    import scipy.sparse.linalg
+
     if h.n_qubits > MAX_QUBITS:
         raise ValueError(f"Lanczos limited to {MAX_QUBITS} qubits, got {h.n_qubits}")
     dim = 1 << h.n_qubits

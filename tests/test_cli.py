@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import dense_ref as ref
 import hqcnn.cli as cli
+import hqcnn.network as network
+import hqcnn.optimize as optimize
+import hqcnn.pauli as pauli
 from hqcnn.cli import (
     ConfigError,
     DataError,
@@ -15,7 +24,15 @@ from hqcnn.cli import (
     run_diag,
     transverse_field_ising,
 )
-from hqcnn.optimize import NumericalError, OptimizerSettings
+from hqcnn.network import NetworkSpec, Variant
+from hqcnn.optimize import (
+    NumericalError,
+    OptimizerSettings,
+    TrainingProblem,
+    finite_difference_gradient,
+    gradient,
+    init_params,
+)
 from hqcnn.oracle import ground_energy
 from hqcnn.pauli import parse_hamiltonian
 from hqcnn.statevector import MAX_QUBITS
@@ -275,6 +292,138 @@ class TestRunCompare:
         assert seeds[0] == seeds[1]
 
 
+class TestScoring:
+    """curve and compare score a trained model with ``optimize.energies``
+    on one TrainingProblem per split, never with the single-state path."""
+
+    @staticmethod
+    def _csv_rows(path):
+        return [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+
+    def test_train_energies_sum_to_final_cost(self, tfim2_dir, tmp_path):
+        out = tmp_path / "out"
+        manifest = run_curve(_fast_config(tfim2_dir, out))
+        rows = self._csv_rows(out / "results.csv")
+        for outcome in manifest.sections[0].outcomes:
+            predicted = [
+                float(r[2]) for r in rows if r[1] == "train" and int(r[5]) == outcome.seed
+            ]
+            assert len(predicted) == 2
+            assert float(np.sum(np.array(predicted))) == outcome.final_cost
+
+    def test_never_calls_single_state_path(self, tfim2_dir, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("single-state path called")
+
+        monkeypatch.setattr(cli, "forward", refuse)
+        monkeypatch.setattr(cli, "expectation", refuse)
+        settings = OptimizerSettings(max_iterations=5)
+        run_compare(_fast_config(tfim2_dir, tmp_path / "c", variant="both", settings=settings))
+        run_curve(_fast_config(tfim2_dir, tmp_path / "o", settings=settings))
+
+    @pytest.mark.parametrize(
+        "variant, test_bond_lengths, sizes",
+        [("both", (1.0,), [2, 1, 2, 1]), ("with_measurements", (), [2])],
+    )
+    def test_compiles_each_split_once_per_variant(
+        self, variant, test_bond_lengths, sizes, tfim2_dir, tmp_path, monkeypatch
+    ):
+        compiled = []
+        compile_hamiltonians = pauli.compile_hamiltonians
+
+        def spy(hamiltonians):
+            hamiltonians = tuple(hamiltonians)
+            compiled.append(len(hamiltonians))
+            return compile_hamiltonians(hamiltonians)
+
+        monkeypatch.setattr(pauli, "compile_hamiltonians", spy)
+        monkeypatch.setattr(optimize, "compile_hamiltonians", spy)
+        config = _fast_config(
+            tfim2_dir,
+            tmp_path / "o",
+            variant=variant,
+            test_bond_lengths=test_bond_lengths,
+            settings=OptimizerSettings(max_iterations=5),
+        )
+        (run_compare if variant == "both" else run_curve)(config)
+        assert compiled == sizes
+
+    @pytest.mark.parametrize(
+        "variant, test_bond_lengths, after_training",
+        [("both", (1.0,), [(1.0,)]), ("with_measurements", (), [])],
+    )
+    def test_one_test_pass_per_seed_after_training(
+        self, variant, test_bond_lengths, after_training, tfim2_dir, tmp_path, monkeypatch
+    ):
+        events = []
+        train = cli.train
+
+        def spy_train(*args, **kwargs):
+            events.append("train")
+            model = train(*args, **kwargs)
+            events.append("trained")
+            return model
+
+        run_blocks = network._run_blocks
+
+        def spy_blocks(net, inputs, *args):
+            events.append(tuple(float(a) for a in inputs))
+            return run_blocks(net, inputs, *args)
+
+        monkeypatch.setattr(cli, "train", spy_train)
+        monkeypatch.setattr(network, "_run_blocks", spy_blocks)
+        config = _fast_config(
+            tfim2_dir,
+            tmp_path / "o",
+            variant=variant,
+            test_bond_lengths=test_bond_lengths,
+            settings=OptimizerSettings(max_iterations=5),
+        )
+        (run_compare if variant == "both" else run_curve)(config)
+        # The passes between the end of one training and the start of the
+        # next (or the end of the run) score the trained model.
+        scoring = []
+        for i, event in enumerate(events):
+            if event == "trained":
+                rest = events[i + 1 :]
+                scoring.append(rest[: rest.index("train")] if "train" in rest else rest)
+        assert len(scoring) == len(config.seeds) * (2 if variant == "both" else 1)
+        assert all(passes == after_training for passes in scoring)
+
+    def test_without_test_split_writes_train_rows_only(self, tfim2_dir, tmp_path):
+        out = tmp_path / "out"
+        config = _fast_config(
+            tfim2_dir, out, test_bond_lengths=(), settings=OptimizerSettings(max_iterations=5)
+        )
+        manifest = run_curve(config)
+        rows = self._csv_rows(out / "results.csv")
+        assert [(r[0], r[1], r[5]) for r in rows] == [
+            ("0.5", "train", "0"),
+            ("1.5", "train", "0"),
+            ("0.5", "train", "1"),
+            ("1.5", "train", "1"),
+        ]
+        for outcome in manifest.sections[0].outcomes:
+            assert outcome.sum_test_error == 0.0
+        assert manifest.sections[0].test_error_mean == 0.0
+        assert (out / "manifest.txt").read_text().count("sum_test_error=0.0\n") == 2
+
+
+def _cli_subprocess(argv, **env):
+    """Run ``python -m hqcnn.cli`` on the package sources in a fresh
+    interpreter, so that import-time behaviour is covered too."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    environment = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "hqcnn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=environment,
+        timeout=120,
+    )
+
+
 class TestMain:
     def test_usage_error_exit_1(self, capsys):
         assert main(["curve"]) == 1
@@ -503,3 +652,82 @@ class TestMain:
         path.write_text("qubits: 1\nterm: 1.0 Z\n")
         assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 0
         assert capsys.readouterr().err.count(f"skipped {path}: no bond_length") == 1
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_bytes(b"dataset_dir: d\xff\noutput_dir: " + bytes(out) + b"\n")
+        assert main(["curve", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot read config {cfg}:")
+        assert "utf-8" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_non_utf8_ham_file_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        gen_synthetic(data, 2, [0.5])
+        path = data / "latin1.ham"
+        path.write_bytes(b"qubits: 2\nbond_length: 1.0\nterm: 1.0 ZZ # \xff\n")
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {path}:")
+        assert "utf-8" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["compare", "gen-synthetic"])
+    @pytest.mark.parametrize("epoch", ["bogus", "300000000000"])
+    def test_bad_source_date_epoch_fails_before_any_work(
+        self, epoch, command, tfim2_dir, tmp_path
+    ):
+        out = tmp_path / "o"
+        if command == "compare":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(
+                f"dataset_dir: {tfim2_dir}\noutput_dir: {out}\nvariant: both\n"
+                "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\n"
+                "seeds: 0 1\nmax_iterations: 5\n"
+            )
+            argv = ["compare", "--config", str(cfg)]
+        else:
+            argv = ["gen-synthetic", "--out-dir", str(out), "--n-qubits", "2"]
+            argv += ["--bond-lengths", "0.5"]
+        result = _cli_subprocess(argv, SOURCE_DATE_EPOCH=epoch)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"config error: bad SOURCE_DATE_EPOCH {epoch!r}")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_gradcheck_runs_two_central_difference_gradients(
+        self, tfim2_dir, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {tmp_path / 'o'}\n"
+            "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\nseeds: 0\n"
+        )
+        steps = []
+
+        def spy(params, problem, step=1e-6):
+            steps.append(step)
+            return finite_difference_gradient(params, problem, step)
+
+        monkeypatch.setattr(optimize, "finite_difference_gradient", spy)
+        assert main(["gradcheck", "--config", str(cfg)]) == 0
+        assert steps == [1e-6, 5e-7]
+        # The two lines, as printed before they shared one gradient at h.
+        problem = TrainingProblem(
+            NetworkSpec(2, Variant.WITH_MEASUREMENTS),
+            load_dataset(tfim2_dir, (0.5, 1.5)).entries,
+        )
+        params = init_params(problem.network.n_params, 0)
+        at_h = finite_difference_gradient(params, problem, 1e-6)
+        at_half_h = finite_difference_gradient(params, problem, 5e-7)
+        adjoint = optimize._relative_deviation(gradient(params, problem), at_h)
+        step = optimize._relative_deviation(at_h, at_half_h)
+        assert capsys.readouterr().out == (
+            f"max relative deviation (adjoint vs FD): {adjoint!r}\n"
+            f"max relative gradient deviation (h vs h/2): {step!r}\n"
+        )

@@ -17,6 +17,7 @@ from hqcnn.optimize import (
     TrainingProblem,
     bfgs_minimize,
     cost,
+    energies,
     evaluate,
     finite_difference_gradient,
     gradient,
@@ -72,6 +73,22 @@ class TestCost:
         problem = _tfim_problem(2, (1.0,))
         with pytest.raises(ValueError):
             cost(np.zeros(5), problem)
+
+
+class TestEnergies:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sum_is_cost_and_points_match_single_state(self, n, variant):
+        fields = (0.3, 0.9, 1.7)
+        problem = _tfim_problem(n, fields, variant)
+        params = init_params(problem.network.n_params, n)
+        values = energies(params, problem)
+        assert values.shape == (len(fields),)
+        assert float(np.sum(values)) == cost(params, problem)
+        assert float(np.sum(values)) == cost(params, _tfim_problem(n, fields, variant))
+        for (a, h), value in zip(problem.training_set, values):
+            single = expectation(h, forward(problem.network, a, params))
+            assert abs(value - single) < 1e-12
 
 
 class TestProblemConstruction:
