@@ -23,17 +23,22 @@ All public functions are pure. The training workload runs through
 vector, kept for the adjoint sweep) or ``_forward_rows`` (a shared vector
 or one vector per row): one row per input, float64 amplitudes (H, Ry and
 CNOT are real gates), the encoding built in closed form as a product
-state, each CNOT ladder one cached gather permutation, and all qubits
-read out at once. The public single-state functions run the same kernels
-on complex rows.
+state, each CNOT ladder one cached gather permutation, each layer's n
+Ry's a few Kronecker tiles of up to four qubits, and all qubits read out
+at once. The tiles of a whole parameter vector are built once per pass
+(``statevector._ry_tiles``), and each is one matmul that writes
+Fortran-ordered rows (``statevector._tile_rows``), so the rows of every
+path keep that layout. The public single-state functions run the same
+kernels on complex rows.
 
 ``_adjoint_gradient`` differentiates a summed energy exactly by reverse
 mode: given the ``_forward_pass`` that scored the energy, it runs a
 backward sweep of the states and their adjoints through every block
 (Jones & Gacon, arXiv:2009.02823). All
 gates are orthogonal, so each is undone by its transpose instead of being
-stored, and the readout is an exact expectation, so it has an exact
-derivative. Besides the cached (n, 2**n) index and sign tables, memory
+stored: the Ry tiles that the forward pass kept are applied transposed.
+The readout is an exact expectation, so it has an exact derivative.
+Besides the cached (n, 2**n) index and sign tables and the tiles, memory
 is a fixed number of (batch, 2**n) arrays, however many angles the
 network has.
 """
@@ -48,9 +53,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# _h_rows is not called here: the encoding is built in closed form. It is
-# imported so that all gate kernels stay reachable through this module,
-# where perfbench/layers.py hooks them by name.
+# _h_rows and _ry_rows are not called here: the encoding is built in
+# closed form and the Ry layers run as tiles. They are imported so that
+# all gate kernels stay reachable through this module, where
+# perfbench/layers.py hooks them by name.
 from .statevector import (  # noqa: F401
     MAX_QUBITS,
     _INV_SQRT2,
@@ -62,6 +68,8 @@ from .statevector import (  # noqa: F401
     _h_rows,
     _product_rows,
     _ry_rows,
+    _ry_tiles,
+    _tile_rows,
     _z_signs,
 )
 
@@ -219,21 +227,26 @@ def _bit_flips(n_qubits: int) -> np.ndarray:
     return flips
 
 
-def _pqc_block(rows: np.ndarray, spec: PqcSpec, c, s) -> np.ndarray:
-    """Run one trainable block and return the new rows; like every kernel,
-    it leaves ``rows`` itself unchanged.
+def _pqc_block(rows: np.ndarray, spec: PqcSpec, tiles) -> np.ndarray:
+    """Run one trainable block and return the new, Fortran-ordered rows;
+    like every kernel, it leaves ``rows`` itself unchanged.
 
-    c and s are cos/sin of half the block's own angles, angle index first,
-    so ``c[i + n*j]`` is the factor of qubit i in layer j (a scalar, or
-    shape (batch, 1, 1, 1) for one angle per row).
+    ``tiles`` are the ``_ry_tiles`` of the block's own angles, layer
+    first: ``tiles[t][j]`` is tile t of layer j. Each layer is its CNOT
+    ladder, one gather, then its n Ry's as those tiles, one matmul each.
     """
-    n = spec.n_qubits
-    perm = _ladder_permutation(n)
+    perm = _ladder_permutation(spec.n_qubits)
     for j in range(spec.n_layers):
         rows = _cnot_rows(rows, perm)
-        for i in range(n):
-            rows = _ry_rows(rows, n, i, c[i + n * j], s[i + n * j])
+        rows = _tile_rows(rows, [tile[j] for tile in tiles])
     return rows
+
+
+def _block_tiles(tiles, spec: PqcSpec):
+    """The layers of ``spec`` out of the tiles of a whole parameter
+    vector, whose blocks start on layer boundaries."""
+    first = spec.param_offset // spec.n_qubits
+    return [tile[first : first + spec.n_layers] for tile in tiles]
 
 
 def _y_overlaps(stacked: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -258,47 +271,48 @@ def _y_overlaps(stacked: np.ndarray, n_qubits: int) -> np.ndarray:
     return -out
 
 
-def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, c, s, grad) -> np.ndarray:
+def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, tiles, grad) -> np.ndarray:
     """Undo one trainable block on ``stacked`` (states on top of their
     adjoints) and return the rows at its input; writes the derivative by
     each of the block's angles into ``grad``, summed over the batch.
 
-    c and s are the block's scalar angle factors, as for ``_pqc_block``.
-    The Ry's of one layer act on distinct qubits and commute, so all
-    their derivatives are read at the end of the layer, before any is
-    undone; Ry(-t) and the inverse permutation undo the layer, because
-    every gate is orthogonal and so acts on adjoints as on states.
+    ``tiles`` are the block's shared tiles, as for ``_pqc_block``. The
+    Ry's of one layer act on distinct qubits and commute, so all their
+    derivatives are read at the end of the layer, before any is undone.
+    The transposed tiles and the inverse permutation undo the layer:
+    every tile is a product of rotations and so orthogonal, and every
+    gate acts on adjoints as on states.
     """
     n = spec.n_qubits
     inverse = _ladder_inverse(n)
+    transposed = [np.swapaxes(tile, -1, -2) for tile in tiles]
     for j in reversed(range(spec.n_layers)):
         window = slice(n * j, n * (j + 1))
         grad[window] = 0.5 * _y_overlaps(stacked, n).sum(axis=0)
-        for i in range(n):
-            stacked = _ry_rows(stacked, n, i, c[i + n * j], -s[i + n * j])
+        stacked = _tile_rows(stacked, [tile[j] for tile in transposed])
         stacked = _cnot_rows(stacked, inverse)
     return stacked
 
 
 class _ForwardPass(NamedTuple):
     """What one forward pass on a shared parameter vector leaves for the
-    backward sweep: the angle factors of the whole vector, the final rows
-    and the rows each readout block measured, all read-only."""
+    backward sweep, all read-only: the ``_ry_tiles`` of the whole vector,
+    built once and undone by their transposes, the final rows and the
+    rows each readout block measured."""
 
-    c: np.ndarray
-    s: np.ndarray
+    tiles: tuple[np.ndarray, ...]
     rows: np.ndarray
     measured: tuple[np.ndarray, ...]
 
 
-def _run_blocks(net: NetworkSpec, inputs: np.ndarray, c, s):
+def _run_blocks(net: NetworkSpec, inputs: np.ndarray, tiles):
     """Run every block on one row per input; returns the final rows and
     the list of rows each readout block measured.
 
-    c and s are the angle factors of the whole parameter vector, angle
-    index first, as ``_pqc_block`` takes them. Every encoding block starts
-    from a fresh register, so the readout block only has to capture its
-    values; the collapsed state is dropped.
+    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector, shared
+    or one vector per row. Every encoding block starts from a fresh
+    register, so the readout block only has to capture its values; the
+    collapsed state is dropped.
     """
     n = net.n_qubits
     values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], n, axis=1)
@@ -308,8 +322,7 @@ def _run_blocks(net: NetworkSpec, inputs: np.ndarray, c, s):
         if isinstance(block, EncodingSpec):
             rows = _encoded_rows(block.scale * values)
         elif isinstance(block, PqcSpec):
-            window = slice(block.param_offset, block.param_offset + block.n_params)
-            rows = _pqc_block(rows, block, c[window], s[window])
+            rows = _pqc_block(rows, block, _block_tiles(tiles, block))
         else:
             measured.append(rows)
             values = _expect_z_rows(rows, n)
@@ -323,25 +336,22 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
     rows, shape (batch, 2**n).
 
     Every gate is real, so the rows stay real. The angles are validated
-    and turned into cos/sin once, here: scalar factors for a shared
-    vector, (batch, 1, 1, 1) factor arrays for one vector per row.
+    and turned into Ry tiles once, here: (2**k, 2**k) tiles for a shared
+    vector, (batch, 1, 2**k, 2**k) tiles for one vector per row.
     """
     c, s = _angle_factors(params)
-    if c.ndim == 2:
-        c = np.ascontiguousarray(c.T)[:, :, None, None, None]
-        s = np.ascontiguousarray(s.T)[:, :, None, None, None]
-    return _run_blocks(net, inputs, c, s)[0]
+    return _run_blocks(net, inputs, _ry_tiles(c, s, net.n_qubits))[0]
 
 
 def _forward_pass(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> _ForwardPass:
     """One forward pass per input on the one parameter vector ``params``,
     kept whole for ``_adjoint_gradient``; ``rows`` are the rows that
     ``_forward_rows`` returns for the same arguments."""
-    c, s = _angle_factors(params)
-    rows, measured = _run_blocks(net, inputs, c, s)
-    for array in (c, s, rows, *measured):
+    tiles = _ry_tiles(*_angle_factors(params), net.n_qubits)
+    rows, measured = _run_blocks(net, inputs, tiles)
+    for array in (rows, *measured):
         array.setflags(write=False)
-    return _ForwardPass(c, s, rows, tuple(measured))
+    return _ForwardPass(tiles, rows, tuple(measured))
 
 
 def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
@@ -365,15 +375,15 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     stops there. ``forward`` and ``seed`` are only read.
     """
     n = net.n_qubits
-    c, s, rows, measured = forward
+    tiles, rows, measured = forward
     measured = list(measured)
     stacked = np.concatenate([rows, seed])
-    grad = np.empty(c.size)
+    grad = np.empty(net.n_params)
     for block in reversed(net.blocks()[1:]):
         if isinstance(block, PqcSpec):
             window = slice(block.param_offset, block.param_offset + block.n_params)
             stacked = _pqc_block_adjoint(
-                stacked, block, c[window], s[window], grad[window]
+                stacked, block, _block_tiles(tiles, block), grad[window]
             )
         elif isinstance(block, EncodingSpec):
             value_grad = 0.5 * block.scale * _y_overlaps(stacked, n)
@@ -419,7 +429,8 @@ def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
             f"block reads indices [{spec.param_offset}, {end})"
         )
     c, s = _angle_factors(vec[spec.param_offset : end])
-    rows = _pqc_block(psi.amplitudes.reshape(1, -1), spec, c, s)
+    tiles = _ry_tiles(c, s, spec.n_qubits)
+    rows = _pqc_block(psi.amplitudes.reshape(1, -1), spec, tiles)
     return StateVector(psi.n_qubits, rows[0])
 
 

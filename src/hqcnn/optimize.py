@@ -52,7 +52,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle
-from .network import (
+
+# forward and expectation are not called here: trained models are scored
+# with energies. They are imported so that perfbench/layers.py, which
+# hooks them by name in this module, still finds them.
+from .network import (  # noqa: F401
     NetworkSpec,
     _adjoint_gradient,
     _forward_pass,
@@ -60,7 +64,7 @@ from .network import (
     _forward_rows,
     forward,
 )
-from .pauli import (
+from .pauli import (  # noqa: F401
     CompiledHamiltonian,
     PauliHamiltonian,
     _apply_hamiltonian_rows,
@@ -228,6 +232,16 @@ def _relative_deviation(g, reference) -> float:
     return float(np.max(np.abs(g - reference))) / scale
 
 
+def _step_halving(
+    params, problem: TrainingProblem, step: float
+) -> tuple[np.ndarray, float]:
+    """The central-difference gradient at step h and its max deviation from
+    the one at h/2, relative to the latter's infinity norm."""
+    at_h = finite_difference_gradient(params, problem, step)
+    at_half_h = finite_difference_gradient(params, problem, step / 2.0)
+    return at_h, _relative_deviation(at_h, at_half_h)
+
+
 def gradient_deviations(
     params, problem: TrainingProblem, step: float = 1e-6
 ) -> tuple[float, float]:
@@ -236,19 +250,15 @@ def gradient_deviations(
     central differences at h, relative to their infinity norm, and that of
     the central differences at h from those at h/2, relative to the
     latter's. Small values certify the adjoint and the step choice."""
-    at_h = finite_difference_gradient(params, problem, step)
-    at_half_h = finite_difference_gradient(params, problem, step / 2.0)
-    return (
-        _relative_deviation(gradient(params, problem), at_h),
-        _relative_deviation(at_h, at_half_h),
-    )
+    at_h, step_deviation = _step_halving(params, problem, step)
+    return _relative_deviation(gradient(params, problem), at_h), step_deviation
 
 
 def gradient_step_check(params, problem: TrainingProblem, step: float = 1e-6) -> float:
     """Max deviation between central-difference gradients at h and h/2,
     relative to the gradient's infinity norm. Small values certify the
-    step choice."""
-    return gradient_deviations(params, problem, step)[1]
+    step choice. Runs the two central-difference gradients only."""
+    return _step_halving(params, problem, step)[1]
 
 
 def init_params(k: int, seed: int) -> np.ndarray:
@@ -419,7 +429,10 @@ def train(
 def evaluate(
     model: TrainedModel, bond_length: float, h: PauliHamiltonian
 ) -> tuple[float, float]:
-    """(predicted energy, absolute error vs the diagonalization oracle)."""
-    psi = forward(model.network, bond_length, model.parameters)
-    energy = expectation(h, psi)
+    """(predicted energy, absolute error vs the diagonalization oracle).
+
+    The energy is scored like a training point, on the real batched path:
+    ``energies`` of a one-point ``TrainingProblem``."""
+    problem = TrainingProblem(model.network, ((bond_length, h),))
+    energy = float(energies(model.parameters, problem)[0])
     return energy, abs(energy - oracle.ground_energy(h))

@@ -4,8 +4,10 @@ A state on n qubits is stored as 2**n amplitudes. Qubit 0 is the leftmost
 tensor factor, i.e. the most significant bit of the amplitude index (the
 q0 (x) q1 (x) ... (x) q_{n-1} ordering). No 2**n x 2**n matrix is ever
 built: one-qubit gates work on amplitude slices selected by bit strides,
-and a CNOT, or a whole fixed sequence of CNOTs, is one gather through a
-precomputed index permutation.
+a CNOT, or a whole fixed sequence of CNOTs, is one gather through a
+precomputed index permutation, and a layer of Ry's on every qubit is
+applied as Kronecker tiles of up to ``_TILE_QUBITS`` qubits, each one
+matmul with a 2**k x 2**k matrix on a view of the rows.
 
 The public functions are value-semantic: they take and return complex
 ``StateVector`` instances and never mutate their argument. Internally
@@ -20,11 +22,13 @@ never mutates its input.
 The layout of the rows is part of the contract, because the readout
 ``_expect_z_rows`` is a BLAS product and the energy sums are einsums, and
 both round differently on C- and Fortran-ordered operands.
-``_product_rows`` and the CNOT gather ``_cnot_rows`` return
-Fortran-ordered rows, the batch index varying fastest, whatever their
-input; the one-qubit kernels return rows in the layout of their input.
-So the rows of a forward pass are Fortran-ordered on every path, with
-shared or per-row angles, and round the same way.
+``_product_rows``, the CNOT gather ``_cnot_rows`` and the Ry tiles
+``_tile_rows`` return Fortran-ordered rows, the batch index varying
+fastest, whatever their input: a tile's matmul writes into a
+Fortran-ordered array through its ``out`` view. The one-qubit kernels
+return rows in the layout of their input. So the rows of a forward pass
+are Fortran-ordered on every path, with shared or per-row angles, and
+round the same way.
 """
 
 from __future__ import annotations
@@ -148,6 +152,91 @@ def _rz_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
     """(lo, hi) -> ((c - i s) lo, (c + i s) hi) on bit q; complex rows."""
     out = _pairs(rows, n_qubits, q) * (c + 1j * s * _Y_SIGNS)
     return out.reshape(rows.shape)
+
+
+# Ry layers are applied as Kronecker tiles of at most this many qubits: a
+# 16 x 16 tile costs one matmul dispatch where four one-qubit kernels
+# cost twelve ufunc dispatches, and larger tiles grow as 4**k.
+_TILE_QUBITS = 4
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _tile_entries(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Where the entries of the Ry tiles of one layer come from, one
+    (tiles, k, 4**k) index array per tile size k (read-only, cached).
+
+    The layer's one-qubit factors are laid out as the 3n values cos,
+    then sin, then -sin of each qubit's half angle. Entry (I, J) of the
+    tile on qubits q0 .. q0 + k - 1 is the product over m < k of the
+    factor that Ry on qubit q0 + m has at (bit m of I, bit m of J), bit 0
+    the most significant: cos where the bits agree, sin at (1, 0) and
+    -sin at (0, 1). Row m of a tile's index array lists those factors
+    for all its entries, row-major.
+    """
+    full = n_qubits - n_qubits % _TILE_QUBITS
+    groups = []
+    for starts, k in (
+        (range(0, full, _TILE_QUBITS), _TILE_QUBITS),
+        (range(full, n_qubits, _TILE_QUBITS), n_qubits - full),
+    ):
+        if not starts:
+            continue
+        shifts = np.arange(k - 1, -1, -1)[:, None]
+        row, col = np.divmod(np.arange(1 << (2 * k)), 1 << k)
+        i, j = (row >> shifts) & 1, (col >> shifts) & 1
+        factor = np.arange(k)[:, None] + n_qubits * ((i > j) + 2 * (i < j))
+        index = np.array(starts)[:, None, None] + factor
+        index.setflags(write=False)
+        groups.append(index)
+    return tuple(groups)
+
+
+def _ry_tiles(c: np.ndarray, s: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Tile matrices of layers of n Ry's, one per qubit, from their angle
+    factors ``c, s = _angle_factors(theta)``, where theta[i + n*j] is the
+    angle of qubit i in layer j.
+
+    Tile t is the Kronecker product of the Ry's on qubits
+    ``_TILE_QUBITS * t`` up to the next tile or n; entry t of the result
+    holds it for every layer, layer first: shape (layers, 2**k, 2**k) for
+    1-D factors, and (layers, batch, 1, 2**k, 2**k) for (batch, n*layers)
+    factors, one angle vector per row. All tiles of one size are built
+    at once, by one gather and one product from the factors, and
+    returned read-only.
+    """
+    split = (*c.shape[:-1], -1, n_qubits)
+    factors = np.concatenate((c.reshape(split), s.reshape(split), -s.reshape(split)), axis=-1)
+    if c.ndim == 2:
+        factors = np.moveaxis(factors, 0, 1)[:, :, None]
+    tiles = []
+    for index in _tile_entries(n_qubits):
+        size = 1 << index.shape[1]
+        entries = np.multiply.reduce(factors.take(index, axis=-1), axis=-2)
+        entries = entries.reshape(*entries.shape[:-1], size, size)
+        entries.setflags(write=False)
+        tiles += [entries[..., t, :, :] for t in range(index.shape[0])]
+    return tuple(tiles)
+
+
+def _tile_rows(rows: np.ndarray, tiles) -> np.ndarray:
+    """Apply the tiles of one layer, as ``_ry_tiles`` builds them for one
+    layer index: tile t acts on the qubits from ``_TILE_QUBITS * t`` on.
+
+    Each tile is one matmul on the (batch, 2**q0, 2**k, 2**(n-q0-k)) view
+    of the rows whose axis 2 is the tile's bits, written into a
+    Fortran-ordered (batch, 2**n) array, so the rows come out
+    Fortran-ordered whatever their input. A tile of shape (batch, 1, 2**k,
+    2**k) applies one matrix per row through the same matmul. The tiles
+    are real, so the rows keep their dtype. Returns fresh rows; ``rows``
+    is unchanged.
+    """
+    batch = rows.shape[0]
+    for t, tile in enumerate(tiles):
+        shape = (batch, 1 << (_TILE_QUBITS * t), tile.shape[-1], -1)
+        out = np.empty(rows.shape, dtype=rows.dtype, order="F")
+        np.matmul(tile, rows.reshape(shape), out=out.reshape(shape))
+        rows = out
+    return rows
 
 
 def _cnot_permutation(n_qubits: int, pairs) -> np.ndarray:

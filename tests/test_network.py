@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import dense_ref as ref
 import hqcnn.network as network
+import hqcnn.optimize as optimize
+import hqcnn.statevector as statevector
 from hqcnn.network import _forward_rows
 from hqcnn.network import (
     EncodingSpec,
@@ -373,3 +375,104 @@ class TestRowLayout:
         assert readout.call_count == int(with_measurements)
         for call in readout.call_args_list:
             assert _fortran(call.args[0])
+
+
+def _per_gate_block(rows, n, layers, c, s):
+    """The trainable block as a chain of one-qubit kernels: per layer, the
+    CNOT ladder, then Ry on qubits 0 .. n-1 in order."""
+    perm = network._ladder_permutation(n)
+    for j in range(layers):
+        rows = network._cnot_rows(rows, perm)
+        for i in range(n):
+            rows = network._ry_rows(rows, n, i, c[i + n * j], s[i + n * j])
+    return rows
+
+
+def _random_rows(rng, batch, n, complex_rows):
+    rows = rng.normal(size=(batch, 1 << n))
+    if complex_rows:
+        rows = rows + 1j * rng.normal(size=rows.shape)
+    return np.asfortranarray(rows)
+
+
+class TestRyTiles:
+    """Each layer's Ry's run as Kronecker tiles of up to four qubits: one
+    matmul per tile instead of one kernel per gate. n = 1..9 covers tiles
+    of every remainder size (1 to 3 qubits) and the boundaries at 4, 5, 8
+    and 9 qubits."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_block_matches_per_gate_kernels(self, rng, n, complex_rows, per_row):
+        batch, layers = 3, 2
+        spec = PqcSpec(n, layers, 0)
+        rows = _random_rows(rng, batch, n, complex_rows)
+        shape = (batch, n * layers) if per_row else n * layers
+        c, s = network._angle_factors(rng.normal(0, 1.5, shape))
+        tiles = network._ry_tiles(c, s, n)
+        assert len(tiles) == -(-n // 4)
+        got = network._pqc_block(rows, spec, tiles)
+        if per_row:
+            c = np.ascontiguousarray(c.T)[:, :, None, None, None]
+            s = np.ascontiguousarray(s.T)[:, :, None, None, None]
+        want = _per_gate_block(rows, n, layers, c, s)
+        assert got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_transposed_tiles_restore_the_rows(self, rng, n, complex_rows, per_row):
+        batch = 3
+        rows = _random_rows(rng, batch, n, complex_rows)
+        shape = (batch, n) if per_row else n
+        tiles = network._ry_tiles(*network._angle_factors(rng.normal(0, 1.5, shape)), n)
+        layer = [tile[0] for tile in tiles]
+        rotated = network._tile_rows(rows, layer)
+        assert np.max(np.abs(rotated - rows)) > 1e-3
+        undone = network._tile_rows(rotated, [np.swapaxes(t, -1, -2) for t in layer])
+        assert np.max(np.abs(undone - rows)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 6])
+    def test_tiles_are_read_only_and_rows_fresh_and_fortran(self, rng, n):
+        tiles = network._ry_tiles(*network._angle_factors(rng.normal(size=n)), n)
+        assert all(not tile.flags.writeable for tile in tiles)
+        layer = [tile[0] for tile in tiles]
+        f_rows = _random_rows(rng, 4, n, False)
+        for rows in (f_rows, np.ascontiguousarray(f_rows)):
+            before = rows.copy()
+            out = network._tile_rows(rows, layer)
+            assert _fortran(out)
+            assert not np.shares_memory(out, rows)
+            assert np.array_equal(rows, before)
+
+    def test_tile_entries_are_kronecker_products(self, rng):
+        for n in (3, 4, 6):
+            theta = rng.normal(size=2 * n)
+            tiles = network._ry_tiles(*network._angle_factors(theta), n)
+            for j in range(2):
+                gates = [ref.ry(theta[i + n * j]).real for i in range(n)]
+                for t, tile in enumerate(tiles):
+                    want = np.array([[1.0]])
+                    for gate in gates[4 * t : 4 * t + 4]:
+                        want = np.kron(want, gate)
+                    assert np.max(np.abs(tile[j] - want)) < 1e-15
+
+    def test_training_and_public_paths_make_no_per_gate_ry_call(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-gate _ry_rows called")
+
+        monkeypatch.setattr(network, "_ry_rows", forbidden)
+        monkeypatch.setattr(statevector, "_ry_rows", forbidden)
+        n = 3
+        net = NetworkSpec(n, Variant.WITH_MEASUREMENTS)
+        problem = optimize.TrainingProblem(
+            net, tuple((a, transverse_field_ising(n, a)) for a in (0.5, 1.5))
+        )
+        params = rng.normal(0, 0.5, net.n_params)
+        optimize.cost(params, problem)
+        optimize.gradient(params, problem)
+        optimize.finite_difference_gradient(params, problem)
+        apply_pqc(zero_state(n), PqcSpec(n, 2, 0), params)
+        forward(net, 0.7, params)

@@ -150,6 +150,29 @@ class TestGradient:
             params = rng.normal(0, 0.5, 2 * n * n)
             assert gradient_step_check(params, problem) < 1e-4
 
+    def test_step_check_runs_only_the_two_central_differences(self, rng, monkeypatch):
+        problem = _tfim_problem(3, (0.4, 1.6))
+        params = rng.normal(0, 0.5, 18)
+        at_h = finite_difference_gradient(params, problem, 1e-6)
+        at_half_h = finite_difference_gradient(params, problem, 5e-7)
+        scale = max(float(np.max(np.abs(at_half_h))), 1e-12)
+        want = float(np.max(np.abs(at_h - at_half_h))) / scale
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gradient_step_check ran the adjoint gradient")
+
+        steps = []
+        central = optimize.finite_difference_gradient
+
+        def spy(params, problem, step=1e-6):
+            steps.append(step)
+            return central(params, problem, step)
+
+        monkeypatch.setattr(optimize, "gradient", forbidden)
+        monkeypatch.setattr(optimize, "finite_difference_gradient", spy)
+        assert gradient_step_check(params, problem) == want
+        assert steps == [1e-6, 5e-7]
+
     def test_rejects_bad_step(self):
         problem = _tfim_problem(2, (1.0,))
         with pytest.raises(ValueError):
@@ -513,6 +536,24 @@ class TestEvaluate:
             energy, error = evaluate(model, a, h)
             assert energy >= exact - 1e-9
             assert error == pytest.approx(abs(energy - exact), abs=1e-15)
+
+    def test_scores_on_the_batched_training_path(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluate ran the single-state path")
+
+        h = transverse_field_ising(3, 0.9)
+        for variant in Variant:
+            net = NetworkSpec(3, variant)
+            model = TrainedModel(net, rng.normal(0, 1, net.n_params), 0.0, 0, False)
+            want = expectation(h, forward(net, 0.9, model.parameters))
+            with monkeypatch.context() as patched:
+                patched.setattr(optimize, "forward", forbidden)
+                patched.setattr(optimize, "expectation", forbidden)
+                energy, error = evaluate(model, 0.9, h)
+            assert energy == pytest.approx(want, abs=1e-12)
+            problem = TrainingProblem(net, ((0.9, h),))
+            assert energy == float(energies(model.parameters, problem)[0])
+            assert error == abs(energy - ground_energy(h))
 
     def test_trained_single_point_has_small_error(self):
         h = transverse_field_ising(2, 1.0)
