@@ -18,15 +18,17 @@ rejected)::
     variant: with_measurements        # with_measurements | without_measurements | both
     train_bond_lengths: 0.2 0.6 1.0 1.4 1.8
     test_bond_lengths: 0.4 0.8 1.2 1.6 2.0
-    seeds: 0 1 2 3                    # non-negative integers
+    seeds: 0 1 2 3                    # distinct non-negative integers
     label: tfim4                      # label column of compare.txt (default: dataset_dir's name)
     max_iterations: 500
     gradient_norm_tolerance: 1e-5
     finite_difference_step: 1e-6
 
 Only dataset_dir and output_dir are required; the grids, seeds, and
-optimizer settings above are the defaults. Training uses the exact
-adjoint gradient, so finite_difference_step governs only gradcheck.
+optimizer settings above are the defaults. A grid lists each bond length
+once, and no bond length is in both grids; bond lengths within 1e-9
+count as equal. Training uses the exact adjoint gradient, so
+finite_difference_step governs only gradcheck.
 
 Outputs use '.' decimal points, '\\n' line endings, and shortest
 round-trip float formatting, so a rerun with the same config is
@@ -118,12 +120,17 @@ class ExperimentConfig:
             raise ConfigError("train_bond_lengths must be non-empty")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        for seed in self.seeds:
+        for i, seed in enumerate(self.seeds):
             if seed < 0:
                 raise ConfigError(f"seeds must be non-negative, got {seed}")
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seeds must be distinct, got {seed} twice")
         for a in self.train_bond_lengths + self.test_bond_lengths:
             if not math.isfinite(a):
                 raise ConfigError(f"bond lengths must be finite, got {a}")
+        for key in ("train_bond_lengths", "test_bond_lengths"):
+            if (a := _repeated_bond_length(getattr(self, key))) is not None:
+                raise ConfigError(f"{key} must be distinct, got {a!r} twice")
         for t in self.train_bond_lengths:
             for s in self.test_bond_lengths:
                 if abs(t - s) <= BOND_LENGTH_TOLERANCE:
@@ -132,6 +139,16 @@ class ExperimentConfig:
                     )
         if not self.label:
             object.__setattr__(self, "label", self.dataset_dir.name or "dataset")
+
+
+def _repeated_bond_length(bond_lengths) -> float | None:
+    """The first bond length within BOND_LENGTH_TOLERANCE of an earlier
+    one, or None."""
+    for i, a in enumerate(bond_lengths):
+        for b in bond_lengths[:i]:
+            if abs(a - b) <= BOND_LENGTH_TOLERANCE:
+                return a
+    return None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -272,10 +289,8 @@ def _match_dataset(available, bond_lengths, directory: Path) -> CurveDataset:
     """The dataset of the requested bond lengths, each matched to exactly
     one of the scanned files ``available`` of ``directory``."""
     requested = [float(a) for a in bond_lengths]
-    for i, a in enumerate(requested):
-        for b in requested[:i]:
-            if abs(a - b) <= BOND_LENGTH_TOLERANCE:
-                raise DataError(f"bond length {a!r} requested twice")
+    if (a := _repeated_bond_length(requested)) is not None:
+        raise DataError(f"bond length {a!r} requested twice")
     chosen: list[tuple[float, PauliHamiltonian]] = []
     for a in requested:
         matches = [
@@ -634,6 +649,8 @@ def _cmd_gen_synthetic(args) -> None:
     for a in args.bond_lengths:
         if not math.isfinite(a):
             raise ConfigError(f"--bond-lengths must be finite, got {a}")
+    if (a := _repeated_bond_length(args.bond_lengths)) is not None:
+        raise ConfigError(f"--bond-lengths must be distinct, got {a!r} twice")
     written = gen_synthetic(args.out_dir, args.n_qubits, args.bond_lengths)
     print(f"wrote {len(written)} files to {args.out_dir}")
 

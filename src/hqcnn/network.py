@@ -36,11 +36,13 @@ mode: given the ``_forward_pass`` that scored the energy, it runs a
 backward sweep of the states and their adjoints through every block
 (Jones & Gacon, arXiv:2009.02823). All
 gates are orthogonal, so each is undone by its transpose instead of being
-stored: the Ry tiles that the forward pass kept are applied transposed.
-The readout is an exact expectation, so it has an exact derivative.
-Besides the cached (n, 2**n) index and sign tables and the tiles, memory
-is a fixed number of (batch, 2**n) arrays, however many angles the
-network has.
+stored: the Ry tiles that the forward pass kept are applied transposed,
+and the Ry derivatives are read on the same tiles, from each tile's Gram
+matrix of adjoint and state (``_y_overlaps``). The readout is an exact
+expectation, so it has an exact derivative. Besides the tiles, the
+cached (2**n, n) sign table of the readout and the O(k 4**k) sign tables
+of the tile sizes k, memory is a fixed number of (batch, 2**n) arrays,
+however many angles the network has.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ import numpy as np
 from .statevector import (  # noqa: F401
     MAX_QUBITS,
     _INV_SQRT2,
+    _TILE_QUBITS,
     StateVector,
     _angle_factors,
     _cnot_permutation,
@@ -72,11 +75,6 @@ from .statevector import (  # noqa: F401
     _tile_rows,
     _z_signs,
 )
-
-# Largest array, in amplitudes, that ``_y_overlaps`` gathers at once; above
-# it the qubits of a layer are gathered a few at a time, so the backward
-# sweep's memory stays a fixed number of (batch, 2**n) arrays.
-_FLIP_GATHER_AMPLITUDES = 1 << 16
 
 
 class Variant(enum.Enum):
@@ -217,16 +215,6 @@ def _ladder_inverse(n_qubits: int) -> np.ndarray:
     return inverse
 
 
-@lru_cache(maxsize=MAX_QUBITS)
-def _bit_flips(n_qubits: int) -> np.ndarray:
-    """(n, 2**n) gather indices: row q flips bit q of every index
-    (read-only, cached)."""
-    index = np.arange(1 << n_qubits)
-    flips = index ^ (1 << (n_qubits - 1 - np.arange(n_qubits)))[:, None]
-    flips.setflags(write=False)
-    return flips
-
-
 def _pqc_block(rows: np.ndarray, spec: PqcSpec, tiles) -> np.ndarray:
     """Run one trainable block and return the new, Fortran-ordered rows;
     like every kernel, it leaves ``rows`` itself unchanged.
@@ -249,26 +237,44 @@ def _block_tiles(tiles, spec: PqcSpec):
     return [tile[first : first + spec.n_layers] for tile in tiles]
 
 
+@lru_cache(maxsize=_TILE_QUBITS)
+def _tile_y_signs(k: int) -> np.ndarray:
+    """(4**k, k) table that turns the flattened Gram matrix
+    G[I, J] = adjoint[I] . state[J] of a k-qubit tile into its k overlaps
+    adjoint . (-iY)_m state: entry (I * 2**k + J, m) is -z_m(I) where J is
+    I with bit m flipped, bit 0 the most significant, and 0 elsewhere
+    (read-only, cached)."""
+    index = np.arange(1 << k)[:, None]
+    flipped = index ^ (1 << (k - 1 - np.arange(k)))
+    table = np.zeros((1 << k, 1 << k, k))
+    table[index, flipped, np.arange(k)] = -_z_signs(k)
+    table = table.reshape(-1, k)
+    table.setflags(write=False)
+    return table
+
+
 def _y_overlaps(stacked: np.ndarray, n_qubits: int) -> np.ndarray:
     """(batch, n) array of adjoint[b] . (-iY)_q state[b] for every qubit q,
     where ``stacked`` holds the batch of states on top of their adjoints.
 
     Ry(t) = exp(t/2 (-iY)), so half of this is the derivative of the
     energy by an Ry angle on qubit q that acted last on the state.
-    ((-iY)_q v)[i] = -z_q(i) v[i ^ bit q], with z_q the sigma_z signs.
+    ((-iY)_q v)[i] = -z_q(i) v[i ^ bit q], with z_q the sigma_z signs, so
+    the overlaps of the qubits of one Ry tile are fixed sums over the
+    tile's (2**k, 2**k) Gram matrix of adjoint and state, summed over every
+    bit outside the tile: one batched matmul on a copy of the rows with
+    the tile's bits in front, then one product with ``_tile_y_signs``.
     """
-    half = stacked.shape[0] // 2
-    states, adjoints = stacked[:half], stacked[half:]
-    flips = _bit_flips(n_qubits)
-    signs = _z_signs(n_qubits)
-    out = np.empty((half, n_qubits))
-    step = max(1, _FLIP_GATHER_AMPLITUDES // states.size)
-    for q in range(0, n_qubits, step):
-        window = slice(q, q + step)
-        out[:, window] = np.einsum(
-            "bi,bqi,iq->bq", adjoints, states[:, flips[window]], signs[:, window]
-        )
-    return -out
+    rows = stacked.shape[0]
+    half = rows // 2
+    overlaps = []
+    for q0 in range(0, n_qubits, _TILE_QUBITS):
+        k = min(_TILE_QUBITS, n_qubits - q0)
+        tile = stacked.reshape(rows, 1 << q0, 1 << k, -1).swapaxes(1, 2)
+        tile = tile.reshape(rows, 1 << k, -1)
+        gram = np.matmul(tile[half:], tile[:half].swapaxes(1, 2))
+        overlaps.append(gram.reshape(half, -1) @ _tile_y_signs(k))
+    return np.concatenate(overlaps, axis=1)
 
 
 def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, tiles, grad) -> np.ndarray:
@@ -278,10 +284,11 @@ def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, tiles, grad) -> np.nd
 
     ``tiles`` are the block's shared tiles, as for ``_pqc_block``. The
     Ry's of one layer act on distinct qubits and commute, so all their
-    derivatives are read at the end of the layer, before any is undone.
-    The transposed tiles and the inverse permutation undo the layer:
-    every tile is a product of rotations and so orthogonal, and every
-    gate acts on adjoints as on states.
+    derivatives are read at the end of the layer, before any is undone,
+    tile by tile on the split the tiles use (``_y_overlaps``), and summed
+    over the batch. The transposed tiles and the inverse permutation undo
+    the layer: every tile is a product of rotations and so orthogonal,
+    and every gate acts on adjoints as on states.
     """
     n = spec.n_qubits
     inverse = _ladder_inverse(n)

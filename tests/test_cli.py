@@ -601,6 +601,63 @@ class TestMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_duplicate_config_seed_exit_1(self, tfim2_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {out}\nvariant: both\n"
+            "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\nseeds: 3 3\n"
+        )
+        assert main(["compare", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seeds must be distinct, got 3 twice")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "train, test, key",
+        [
+            ("0.5 1.5 0.5", "1.0", "train_bond_lengths"),
+            ("0.5 1.5", "1.0 1.0000000000001", "test_bond_lengths"),
+        ],
+    )
+    def test_repeated_config_bond_length_exit_1(
+        self, train, test, key, tfim2_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "c.cfg"
+        out = tmp_path / "o"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {out}\n"
+            f"train_bond_lengths: {train}\ntest_bond_lengths: {test}\nseeds: 0\n"
+        )
+        assert main(["curve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be distinct")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_gen_synthetic_rejects_repeated_bond_length(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        code = main(
+            [
+                "gen-synthetic",
+                "--out-dir",
+                str(data),
+                "--n-qubits",
+                "2",
+                "--bond-lengths",
+                "0.5",
+                "0.5",
+                "0.5000000000001",
+            ]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: --bond-lengths must be distinct, got 0.5 twice")
+        assert "Traceback" not in err
+        assert "wrote" not in out
+        assert not data.exists()
+
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_negative_seed_flag_exit_1(self, command, tfim2_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -240,12 +240,26 @@ class TestAdjointGradient:
         want = finite_difference_gradient(params, problem)
         assert np.max(np.abs(got - want)) < 1e-7
 
-    def test_gathering_one_qubit_at_a_time_changes_nothing(self, monkeypatch):
-        problem = _tfim_problem(4, DEFAULT_TRAIN_GRID)
-        params = init_params(problem.network.n_params, 1)
-        whole = gradient(params, problem)
-        monkeypatch.setattr(network, "_FLIP_GATHER_AMPLITUDES", 1)
-        assert np.max(np.abs(gradient(params, problem) - whole)) < 1e-12
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_y_overlaps_match_dense_reference(self, rng, n, order):
+        # n = 1..9 covers every tile remainder and both sides of the
+        # tile boundaries at 4 and 8 qubits.
+        batch = 3
+        stacked = np.asarray(rng.normal(size=(2 * batch, 1 << n)), order=order)
+        states, adjoints = stacked[:batch], stacked[batch:]
+        want = np.empty((batch, n))
+        for q in range(n):
+            minus_iy = -1j * ref.pauli_matrix("I" * q + "Y" + "I" * (n - q - 1))
+            for b in range(batch):
+                want[b, q] = (adjoints[b] @ minus_iy @ states[b]).real
+        got = network._y_overlaps(stacked, n)
+        assert got.shape == (batch, n)
+        assert np.max(np.abs(got - want)) < 1e-12
+        k = min(n, 4)
+        table = network._tile_y_signs(k)
+        assert table.shape == (4**k, k)
+        assert not table.flags.writeable
 
 
 class TestForwardMemo:
