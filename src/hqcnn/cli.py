@@ -641,21 +641,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_bond_length_flag(bond_lengths) -> None:
+    """``--bond-lengths`` values must be finite and distinct; either fault
+    is a config error."""
+    for a in bond_lengths:
+        if not math.isfinite(a):
+            raise ConfigError(f"--bond-lengths must be finite, got {a}")
+    if (a := _repeated_bond_length(bond_lengths)) is not None:
+        raise ConfigError(f"--bond-lengths must be distinct, got {a!r} twice")
+
+
 def _cmd_gen_synthetic(args) -> None:
     if not 1 <= args.n_qubits <= MAX_QUBITS:
         raise ConfigError(
             f"--n-qubits must be in [1, {MAX_QUBITS}], got {args.n_qubits}"
         )
-    for a in args.bond_lengths:
-        if not math.isfinite(a):
-            raise ConfigError(f"--bond-lengths must be finite, got {a}")
-    if (a := _repeated_bond_length(args.bond_lengths)) is not None:
-        raise ConfigError(f"--bond-lengths must be distinct, got {a!r} twice")
+    _check_bond_length_flag(args.bond_lengths)
     written = gen_synthetic(args.out_dir, args.n_qubits, args.bond_lengths)
     print(f"wrote {len(written)} files to {args.out_dir}")
 
 
 def _cmd_diag(args) -> None:
+    _check_bond_length_flag(args.bond_lengths)
     available = _scan_dataset(args.dataset_dir)
     bond_lengths = args.bond_lengths
     if not bond_lengths:  # no values: every file in the directory

@@ -25,21 +25,28 @@ or one vector per row): one row per input, float64 amplitudes (H, Ry and
 CNOT are real gates), the encoding built in closed form as a product
 state, each CNOT ladder one cached gather permutation, each layer's n
 Ry's a few Kronecker tiles of up to four qubits, and all qubits read out
-at once. The tiles of a whole parameter vector are built once per pass
-(``statevector._ry_tiles``), and each is one matmul that writes
-Fortran-ordered rows (``statevector._tile_rows``), so the rows of every
-path keep that layout. The public single-state functions run the same
-kernels on complex rows.
+at once. The rows of the first encoding depend on the inputs only, so a
+caller that runs many passes on the same inputs builds them once
+(``_input_rows``) and passes them in. The tiles of a whole parameter
+vector are built once per pass (``statevector._ry_tiles``), and each is
+one matmul that writes Fortran-ordered rows (``statevector._tile_rows``),
+so the rows of every path keep that layout. The public single-state
+functions run the same kernels on complex rows.
 
 ``_adjoint_gradient`` differentiates a summed energy exactly by reverse
 mode: given the ``_forward_pass`` that scored the energy, it runs a
 backward sweep of the states and their adjoints through every block
-(Jones & Gacon, arXiv:2009.02823). All
-gates are orthogonal, so each is undone by its transpose instead of being
-stored: the Ry tiles that the forward pass kept are applied transposed,
-and the Ry derivatives are read on the same tiles, from each tile's Gram
-matrix of adjoint and state (``_y_overlaps``). The readout is an exact
-expectation, so it has an exact derivative. Besides the tiles, the
+(Jones & Gacon, arXiv:2009.02823). The sweep keeps them as one C-ordered
+(2, 2**n, batch) pair of amplitude-major columns, the transpose of the
+forward's Fortran-ordered rows, so that its products are BLAS matmuls
+across all batch columns. All gates are orthogonal, so each is undone by
+its transpose instead of being stored: the Ry tiles that the forward pass
+kept are applied transposed, one matmul per tile, and the CNOT ladder by
+one gather along the amplitude axis. The Ry derivatives are read on the
+same tiles, from each tile's Gram matrix of adjoint and state
+(``_y_overlaps``): for a trainable layer one product per tile, summed
+over the batch, and per column for the re-encoding. The readout is an
+exact expectation, so it has an exact derivative. Besides the tiles, the
 cached (2**n, n) sign table of the readout and the O(k 4**k) sign tables
 of the tile sizes k, memory is a fixed number of (batch, 2**n) arrays,
 however many angles the network has.
@@ -253,52 +260,72 @@ def _tile_y_signs(k: int) -> np.ndarray:
     return table
 
 
-def _y_overlaps(stacked: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(batch, n) array of adjoint[b] . (-iY)_q state[b] for every qubit q,
-    where ``stacked`` holds the batch of states on top of their adjoints.
+# ---------------------------------------------------------------------------
+# backward sweep: ``pair`` is a (2, 2**n, batch) array of amplitude-major
+# columns, the states in pair[0] and their adjoints in pair[1]
+# ---------------------------------------------------------------------------
+
+
+def _y_overlaps(pair: np.ndarray, n_qubits: int, per_row: bool) -> np.ndarray:
+    """adjoint . (-iY)_q state for every qubit q, summed over the batch
+    columns of ``pair`` into a (1, n) array, or (batch, n), one row per
+    column, when ``per_row``.
 
     Ry(t) = exp(t/2 (-iY)), so half of this is the derivative of the
     energy by an Ry angle on qubit q that acted last on the state.
     ((-iY)_q v)[i] = -z_q(i) v[i ^ bit q], with z_q the sigma_z signs, so
     the overlaps of the qubits of one Ry tile are fixed sums over the
     tile's (2**k, 2**k) Gram matrix of adjoint and state, summed over every
-    bit outside the tile: one batched matmul on a copy of the rows with
-    the tile's bits in front, then one product with ``_tile_y_signs``.
+    bit outside the tile: per tile, one matmul on a copy of the columns
+    with the tile's bits in front, and one product with ``_tile_y_signs``.
+    Summed, the batch is one more axis outside the tile, so each Gram
+    matrix is one BLAS product, and the first tile needs no copy.
     """
-    rows = stacked.shape[0]
-    half = rows // 2
+    rows = pair.shape[-1] if per_row else 1
     overlaps = []
     for q0 in range(0, n_qubits, _TILE_QUBITS):
         k = min(_TILE_QUBITS, n_qubits - q0)
-        tile = stacked.reshape(rows, 1 << q0, 1 << k, -1).swapaxes(1, 2)
-        tile = tile.reshape(rows, 1 << k, -1)
-        gram = np.matmul(tile[half:], tile[:half].swapaxes(1, 2))
-        overlaps.append(gram.reshape(half, -1) @ _tile_y_signs(k))
+        tile = pair.reshape(2, 1 << q0, 1 << k, -1, rows).transpose(0, 4, 2, 1, 3)
+        tile = tile.reshape(2, rows, 1 << k, -1)
+        gram = np.matmul(tile[1], tile[0].swapaxes(1, 2))
+        overlaps.append(gram.reshape(rows, -1) @ _tile_y_signs(k))
     return np.concatenate(overlaps, axis=1)
 
 
-def _pqc_block_adjoint(stacked: np.ndarray, spec: PqcSpec, tiles, grad) -> np.ndarray:
-    """Undo one trainable block on ``stacked`` (states on top of their
-    adjoints) and return the rows at its input; writes the derivative by
-    each of the block's angles into ``grad``, summed over the batch.
+def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
+    """Undo one layer's Ry tiles, as ``_ry_tiles`` builds them for one
+    layer index, on the states and adjoints of ``pair``: tile t, on the
+    qubits from ``_TILE_QUBITS * t`` on, is one matmul by its transpose on
+    the (2 * 2**q0, 2**k, rest) view of the columns, whose trailing
+    (2**k, rest) matrices are C-ordered, so each is a BLAS product across
+    all batch columns. Returns a fresh, C-ordered pair."""
+    for t, tile in enumerate(tiles):
+        shape = (2 << (_TILE_QUBITS * t), tile.shape[-1], -1)
+        pair = np.matmul(tile.T, pair.reshape(shape)).reshape(pair.shape)
+    return pair
+
+
+def _pqc_block_adjoint(pair: np.ndarray, spec: PqcSpec, tiles, grad) -> np.ndarray:
+    """Undo one trainable block on ``pair`` and return the pair at its
+    input; writes the derivative by each of the block's angles into
+    ``grad``, summed over the batch.
 
     ``tiles`` are the block's shared tiles, as for ``_pqc_block``. The
     Ry's of one layer act on distinct qubits and commute, so all their
     derivatives are read at the end of the layer, before any is undone,
-    tile by tile on the split the tiles use (``_y_overlaps``), and summed
-    over the batch. The transposed tiles and the inverse permutation undo
+    tile by tile on the split the tiles use (``_y_overlaps``), already
+    summed over the batch. The transposed tiles (``_undo_tiles``) and the
+    inverse ladder permutation, one gather along the amplitude axis, undo
     the layer: every tile is a product of rotations and so orthogonal,
     and every gate acts on adjoints as on states.
     """
     n = spec.n_qubits
     inverse = _ladder_inverse(n)
-    transposed = [np.swapaxes(tile, -1, -2) for tile in tiles]
     for j in reversed(range(spec.n_layers)):
-        window = slice(n * j, n * (j + 1))
-        grad[window] = 0.5 * _y_overlaps(stacked, n).sum(axis=0)
-        stacked = _tile_rows(stacked, [tile[j] for tile in transposed])
-        stacked = _cnot_rows(stacked, inverse)
-    return stacked
+        grad[n * j : n * (j + 1)] = 0.5 * _y_overlaps(pair, n, per_row=False)[0]
+        pair = _undo_tiles(pair, [tile[j] for tile in tiles])
+        pair = pair.take(inverse, axis=1)
+    return pair
 
 
 class _ForwardPass(NamedTuple):
@@ -312,20 +339,28 @@ class _ForwardPass(NamedTuple):
     measured: tuple[np.ndarray, ...]
 
 
-def _run_blocks(net: NetworkSpec, inputs: np.ndarray, tiles):
+def _input_rows(net: NetworkSpec, inputs) -> np.ndarray:
+    """The rows of the network's first block, which loads input b on
+    every qubit of row b; Fortran-ordered, like every row of a pass."""
+    values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], net.n_qubits, axis=1)
+    return _encoded_rows(net.blocks()[0].scale * values)
+
+
+def _run_blocks(net: NetworkSpec, inputs: np.ndarray, tiles, encoded=None):
     """Run every block on one row per input; returns the final rows and
     the list of rows each readout block measured.
 
     ``tiles`` are the ``_ry_tiles`` of the whole parameter vector, shared
-    or one vector per row. Every encoding block starts from a fresh
-    register, so the readout block only has to capture its values; the
-    collapsed state is dropped.
+    or one vector per row. ``encoded`` are the ``_input_rows`` of
+    ``inputs`` when the caller keeps them; without them the inputs are
+    encoded here. Every later encoding block starts from a fresh register,
+    so the readout block only has to capture its values; the collapsed
+    state is dropped.
     """
     n = net.n_qubits
-    values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], n, axis=1)
-    rows = None
+    rows = _input_rows(net, inputs) if encoded is None else encoded
     measured = []
-    for block in net.blocks():
+    for block in net.blocks()[1:]:
         if isinstance(block, EncodingSpec):
             rows = _encoded_rows(block.scale * values)
         elif isinstance(block, PqcSpec):
@@ -350,12 +385,15 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
     return _run_blocks(net, inputs, _ry_tiles(c, s, net.n_qubits))[0]
 
 
-def _forward_pass(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> _ForwardPass:
+def _forward_pass(
+    net: NetworkSpec, inputs: np.ndarray, params: np.ndarray, encoded=None
+) -> _ForwardPass:
     """One forward pass per input on the one parameter vector ``params``,
     kept whole for ``_adjoint_gradient``; ``rows`` are the rows that
-    ``_forward_rows`` returns for the same arguments."""
+    ``_forward_rows`` returns for the same arguments. ``encoded`` are the
+    kept ``_input_rows`` of ``inputs``, if any, as for ``_run_blocks``."""
     tiles = _ry_tiles(*_angle_factors(params), net.n_qubits)
-    rows, measured = _run_blocks(net, inputs, tiles)
+    rows, measured = _run_blocks(net, inputs, tiles, encoded)
     for array in (rows, *measured):
         array.setflags(write=False)
     return _ForwardPass(tiles, rows, tuple(measured))
@@ -368,12 +406,13 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     that already scored the rows reuses them; ``seed`` is the
     (batch, 2**n) array of de_b/drows[b] that starts the backward sweep.
 
-    The sweep walks the blocks backwards with the states stacked on top of
-    their adjoints, so each gate undoes both with one kernel call:
+    The sweep walks the blocks backwards on one pair of amplitude-major
+    columns, the transposed rows of the states and of their adjoints, so
+    each gate undoes both with one kernel call:
 
     * a trainable block yields its angle derivatives (``_pqc_block_adjoint``);
     * a re-encoding Ry(scale * v_q) yields dE/dv_q = scale/2 *
-      adjoint . (-iY)_q state, per row;
+      adjoint . (-iY)_q state, per column;
     * a readout v_q = <psi|Z_q|psi> turns those into the adjoint
       2 psi * sum_q dE/dv_q z_q of the measured rows psi, which the
       forward pass kept, and the sweep continues from psi.
@@ -384,20 +423,17 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     n = net.n_qubits
     tiles, rows, measured = forward
     measured = list(measured)
-    stacked = np.concatenate([rows, seed])
+    pair = np.stack([rows.T, seed.T])
     grad = np.empty(net.n_params)
     for block in reversed(net.blocks()[1:]):
         if isinstance(block, PqcSpec):
             window = slice(block.param_offset, block.param_offset + block.n_params)
-            stacked = _pqc_block_adjoint(
-                stacked, block, _block_tiles(tiles, block), grad[window]
-            )
+            pair = _pqc_block_adjoint(pair, block, _block_tiles(tiles, block), grad[window])
         elif isinstance(block, EncodingSpec):
-            value_grad = 0.5 * block.scale * _y_overlaps(stacked, n)
+            value_grad = 0.5 * block.scale * _y_overlaps(pair, n, per_row=True)
         else:
-            psi = measured.pop()
-            adjoint = 2.0 * psi * (value_grad @ _z_signs(n).T)
-            stacked = np.concatenate([psi, adjoint])
+            psi = measured.pop().T
+            pair = np.stack([psi, 2.0 * psi * (_z_signs(n) @ value_grad.T)])
     return grad
 
 

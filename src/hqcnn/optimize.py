@@ -9,11 +9,12 @@ its Hamiltonian (variational bound: each term is >= lambda_min(H_j)).
 
 ``energies`` gives the per-point energies on the network's real batched
 path: one forward row per training point, scored against the training
-Hamiltonians, which ``TrainingProblem`` compiles once. ``cost`` is their
-sum. A trained model's predictions are ``energies`` too: on its training
-points they come from the pass that training's final ``cost`` kept, so
-they sum exactly to the final cost; other points are scored as the
-training set of a ``TrainingProblem`` of their own.
+Hamiltonians. ``TrainingProblem`` compiles those once, and encodes the
+bond lengths once. ``cost`` is their sum. A trained model's predictions
+are ``energies`` too: on its training points they come from the pass
+that training's final ``cost`` kept, so they sum exactly to the final
+cost; other points are scored as the training set of a
+``TrainingProblem`` of their own.
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
 expectation, so the model is smooth and reverse mode applies: one forward
@@ -62,6 +63,7 @@ from .network import (  # noqa: F401
     _forward_pass,
     _ForwardPass,
     _forward_rows,
+    _input_rows,
     forward,
 )
 from .pauli import (  # noqa: F401
@@ -80,7 +82,9 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class TrainingProblem:
     """A network plus the ordered (bond_length, Hamiltonian) training pairs;
-    ``hamiltonians`` is their compiled form, built once here.
+    ``hamiltonians`` is their compiled form and ``encoded`` the rows of the
+    network's first encoding of their bond lengths (``network._input_rows``,
+    read-only), both built once here.
 
     ``_last_forward`` holds at most one forward pass over the training
     points and the product H phi of its final rows, keyed by the bytes of
@@ -91,6 +95,8 @@ class TrainingProblem:
     network: NetworkSpec
     training_set: tuple[tuple[float, PauliHamiltonian], ...]
     hamiltonians: CompiledHamiltonian = field(init=False, repr=False, compare=False)
+    encoded: np.ndarray = field(init=False, repr=False, compare=False)
+    _encoded_set: tuple = field(init=False, repr=False, compare=False)
     _last_forward: dict[bytes, tuple[_ForwardPass, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -111,6 +117,10 @@ class TrainingProblem:
         object.__setattr__(
             self, "hamiltonians", compile_hamiltonians(h for _, h in pairs)
         )
+        encoded = _input_rows(self.network, _bond_lengths(self))
+        encoded.setflags(write=False)
+        object.__setattr__(self, "encoded", encoded)
+        object.__setattr__(self, "_encoded_set", pairs)
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,10 @@ def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.n
     found = memo.get(key)
     if found is None:
         memo.clear()
-        forward_pass = _forward_pass(problem.network, _bond_lengths(problem), vec)
+        # ``encoded`` holds for the training set it was built from; one
+        # set in its place later has its bond lengths encoded afresh.
+        encoded = problem.encoded if problem.training_set is problem._encoded_set else None
+        forward_pass = _forward_pass(problem.network, _bond_lengths(problem), vec, encoded)
         products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.rows)
         products.setflags(write=False)
         found = memo[key] = (forward_pass, products)

@@ -409,14 +409,14 @@ class TestScoring:
         assert (out / "manifest.txt").read_text().count("sum_test_error=0.0\n") == 2
 
 
-def _cli_subprocess(argv, **env):
-    """Run ``python -m hqcnn.cli`` on the package sources in a fresh
+def _cli_subprocess(argv, module="hqcnn.cli", **env):
+    """Run ``python -m <module>`` on the package sources in a fresh
     interpreter, so that import-time behaviour is covered too."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     environment = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
     return subprocess.run(
-        [sys.executable, "-m", "hqcnn.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=environment,
@@ -657,6 +657,34 @@ class TestMain:
         assert "Traceback" not in err
         assert "wrote" not in out
         assert not data.exists()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (["0.5", "0.5"], "--bond-lengths must be distinct, got 0.5 twice"),
+            (["0.5", "nan"], "--bond-lengths must be finite, got nan"),
+        ],
+    )
+    def test_diag_rejects_repeated_or_non_finite_bond_length(
+        self, values, message, tfim2_dir, tmp_path, capsys
+    ):
+        output = tmp_path / "energies.csv"
+        argv = ["diag", "--dataset-dir", str(tfim2_dir), "--output", str(output)]
+        assert main(argv + ["--bond-lengths", *values]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error: {message}")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not output.exists()
+
+    def test_python_dash_m_runs_the_command_line(self, tmp_path):
+        # ``python -m hqcnn`` on the sources, no install: the exit code
+        # and message are those of cli.main.
+        argv = ["diag", "--dataset-dir", str(tmp_path), "--bond-lengths", "0.5", "0.5"]
+        result = _cli_subprocess(argv, module="hqcnn")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: --bond-lengths must be distinct")
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_negative_seed_flag_exit_1(self, command, tfim2_dir, tmp_path, capsys):

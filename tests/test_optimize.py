@@ -253,13 +253,46 @@ class TestAdjointGradient:
             minus_iy = -1j * ref.pauli_matrix("I" * q + "Y" + "I" * (n - q - 1))
             for b in range(batch):
                 want[b, q] = (adjoints[b] @ minus_iy @ states[b]).real
-        got = network._y_overlaps(stacked, n)
+        pair = np.asarray(np.stack([states.T, adjoints.T]), order=order)
+        got = network._y_overlaps(pair, n, per_row=True)
         assert got.shape == (batch, n)
         assert np.max(np.abs(got - want)) < 1e-12
         k = min(n, 4)
         table = network._tile_y_signs(k)
         assert table.shape == (4**k, k)
         assert not table.flags.writeable
+
+    @pytest.mark.parametrize("batch", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_summed_layer_overlaps_match_dense_reference(self, rng, n, batch):
+        # What the sweep reads per trainable layer: the overlaps summed
+        # over the batch columns, one Gram product per tile.
+        states = rng.normal(size=(batch, 1 << n))
+        adjoints = rng.normal(size=(batch, 1 << n))
+        want = np.zeros(n)
+        for q in range(n):
+            minus_iy = -1j * ref.pauli_matrix("I" * q + "Y" + "I" * (n - q - 1))
+            for b in range(batch):
+                want[q] += (adjoints[b] @ minus_iy @ states[b]).real
+        got = network._y_overlaps(np.stack([states.T, adjoints.T]), n, per_row=False)
+        assert got.shape == (1, n)
+        assert np.max(np.abs(got[0] - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_undo_tiles_inverts_the_forward_tiles(self, rng, n):
+        # The sweep undoes a layer's tiles on the column pair; the forward
+        # applied them to the rows.
+        batch = 3
+        rows = np.asfortranarray(rng.normal(size=(2 * batch, 1 << n)))
+        tiles = network._ry_tiles(*network._angle_factors(rng.normal(0, 1.5, n)), n)
+        layer = [tile[0] for tile in tiles]
+        rotated = network._tile_rows(rows, layer)
+        pair = np.stack([rotated[:batch].T, rotated[batch:].T])
+        undone = network._undo_tiles(pair, layer)
+        assert undone.shape == pair.shape
+        assert undone.flags["C_CONTIGUOUS"]
+        assert np.max(np.abs(undone[0].T - rows[:batch])) < 1e-14
+        assert np.max(np.abs(undone[1].T - rows[batch:])) < 1e-14
 
 
 class TestForwardMemo:
@@ -377,6 +410,38 @@ class TestForwardMemo:
         # has just scored; only the line search's rejected points and the
         # start point run a pass of their own.
         assert calls["passes"] == calls["cost"] - 1
+
+
+class TestEncodedInputs:
+    """A problem encodes its bond lengths once, when it is built; every
+    pass of cost and gradient starts from those rows."""
+
+    @pytest.mark.parametrize(
+        "variant, encodings",
+        [(Variant.WITHOUT_MEASUREMENTS, 0), (Variant.WITH_MEASUREMENTS, 1)],
+    )
+    def test_inputs_are_encoded_once(self, variant, encodings, monkeypatch):
+        fields = (0.4, 1.0, 1.6)
+        problem = _tfim_problem(3, fields, variant)
+        assert not problem.encoded.flags.writeable
+        calls = []
+        encode = network._encoded_rows
+
+        def spy(angles):
+            calls.append(angles.shape)
+            return encode(angles)
+
+        monkeypatch.setattr(network, "_encoded_rows", spy)
+        params = init_params(problem.network.n_params, 0)
+        cost(params, problem)
+        gradient(params, problem)
+        # Only the measured variant's re-encoding of its readout remains.
+        assert len(calls) == encodings
+        # The kept rows score bitwise as the central-difference path, which
+        # encodes the bond lengths itself.
+        rows = network._forward_rows(problem.network, np.array(fields), params)
+        want = optimize._expectation_rows(problem.hamiltonians, rows)
+        assert energies(params, problem).tobytes() == want.tobytes()
 
 
 class TestInitParams:
