@@ -41,10 +41,10 @@ curve and compare score a trained model on the training pass: the
 predicted energies of a split are one batched real forward pass over its
 points, scored against its Hamiltonians, compiled once per variant. The
 train energies are those of the pass training ended on, so per seed they
-sum exactly (numpy's sum, in row order) to the final cost.
+sum exactly (numpy's sum, in point order) to the final cost.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 numerical failure.
+3 numerical failure, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -766,6 +766,9 @@ def main(argv=None) -> int:
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,37 +19,34 @@ Parameter vectors are plain 1-D float arrays (radians). Block j of a
 trainable block reads angles ``params[offset + i + n*j]`` for qubit i.
 
 All public functions are pure. The training workload runs through
-``_run_blocks``, by way of ``_forward_pass`` (one shared parameter
-vector, kept for the adjoint sweep) or ``_forward_rows`` (a shared vector
-or one vector per row): one row per input, float64 amplitudes (H, Ry and
-CNOT are real gates), the encoding built in closed form as a product
-state, each CNOT ladder one cached gather permutation, each layer's n
-Ry's a few Kronecker tiles of up to four qubits, and all qubits read out
-at once. The rows of the first encoding depend on the inputs only, so a
-caller that runs many passes on the same inputs builds them once
-(``_input_rows``) and passes them in. The tiles of a whole parameter
-vector are built once per pass (``statevector._ry_tiles``), and each is
-one matmul that writes Fortran-ordered rows (``statevector._tile_rows``),
-so the rows of every path keep that layout. The public single-state
-functions run the same kernels on complex rows.
+``_run_blocks``, by way of ``_forward_pass`` (kept for the adjoint sweep)
+or ``_forward_rows``. Every array of a pass is a C-ordered (2**n, points)
+array of float64 amplitude-major columns, one per input (H, Ry and CNOT
+are real gates): the encodings, built in closed form as product states;
+each CNOT ladder, one gather through a cached permutation; each layer's
+n Ry's, a few Kronecker tiles of up to four qubits, each one BLAS product
+across all columns; and the readout of all qubits, one BLAS product. The
+columns of the first encoding depend on the inputs only, so a caller
+that runs many passes on the same inputs builds them once
+(``_input_rows``) and passes them in. The tiles of a parameter vector
+are built once per pass (``statevector._ry_tiles``). The public
+single-state functions run the same kernels on one complex column.
 
 ``_adjoint_gradient`` differentiates a summed energy exactly by reverse
 mode: given the ``_forward_pass`` that scored the energy, it runs a
 backward sweep of the states and their adjoints through every block
-(Jones & Gacon, arXiv:2009.02823). The sweep keeps them as one C-ordered
-(2, 2**n, batch) pair of amplitude-major columns, the transpose of the
-forward's Fortran-ordered rows, so that its products are BLAS matmuls
-across all batch columns. All gates are orthogonal, so each is undone by
-its transpose instead of being stored: the Ry tiles that the forward pass
-kept are applied transposed, one matmul per tile, and the CNOT ladder by
-one gather along the amplitude axis. The Ry derivatives are read on the
-same tiles, from each tile's Gram matrix of adjoint and state
-(``_y_overlaps``): for a trainable layer one product per tile, summed
-over the batch, and per column for the re-encoding. The readout is an
-exact expectation, so it has an exact derivative. Besides the tiles, the
-cached (2**n, n) sign table of the readout and the O(k 4**k) sign tables
-of the tile sizes k, memory is a fixed number of (batch, 2**n) arrays,
-however many angles the network has.
+(Jones & Gacon, arXiv:2009.02823), stacked as one C-ordered
+(2, 2**n, points) pair of columns. All gates are orthogonal, so each is
+undone by its transpose instead of being stored: the Ry tiles that the
+forward pass kept are applied transposed, one BLAS product per tile, and
+the CNOT ladder by one gather along the amplitude axis. The Ry
+derivatives are read on the same tiles, from each tile's Gram matrix of
+adjoint and state (``_y_overlaps``): for a trainable layer one product
+per tile, summed over the points, and per column for the re-encoding.
+The readout is an exact expectation, so it has an exact derivative.
+Besides the tiles, the cached (2**n, n) sign table of the readout and the
+O(k 4**k) sign tables of the tile sizes k, memory is a fixed number of
+(2**n, points) arrays, however many angles the network has.
 """
 
 from __future__ import annotations
@@ -68,7 +65,6 @@ import numpy as np
 # perfbench/layers.py hooks them by name.
 from .statevector import (  # noqa: F401
     MAX_QUBITS,
-    _INV_SQRT2,
     _TILE_QUBITS,
     StateVector,
     _angle_factors,
@@ -76,6 +72,7 @@ from .statevector import (  # noqa: F401
     _cnot_rows,
     _expect_z_rows,
     _h_rows,
+    _half_angles,
     _product_rows,
     _ry_rows,
     _ry_tiles,
@@ -191,19 +188,23 @@ def entangler_pattern(n_qubits: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels: rows is a (batch, 2**n) amplitude array
+# batched kernels: cols is a C-ordered (2**n, points) amplitude array
 # ---------------------------------------------------------------------------
 
 
+_ENCODING_PHASES = np.array([[math.pi / 4], [-math.pi / 4]])
+
+
 def _encoded_rows(angles: np.ndarray) -> np.ndarray:
-    """H then Ry(angles[b, q]) on each qubit q of |0...0>, one row per b.
+    """H then Ry(angles[b, q]) on each qubit q of |0...0>, one column per b.
 
     Built in closed form as a product state: H|0> = (|0> + |1>)/sqrt(2), so
     qubit q ends in ((c - s)|0> + (c + s)|1>)/sqrt(2), with c and s the
-    cosine and sine of half its angle.
+    cosine and sine of half its angle t, that is in
+    cos(t + pi/4)|0> + cos(t - pi/4)|1>.
     """
-    c, s = _angle_factors(angles)
-    return _product_rows(np.stack([c - s, c + s], axis=-1) * _INV_SQRT2)
+    half = _half_angles(angles.T)
+    return _product_rows(np.cos(half[:, None, :] + _ENCODING_PHASES))
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -222,26 +223,26 @@ def _ladder_inverse(n_qubits: int) -> np.ndarray:
     return inverse
 
 
-def _pqc_block(rows: np.ndarray, spec: PqcSpec, tiles) -> np.ndarray:
-    """Run one trainable block and return the new, Fortran-ordered rows;
-    like every kernel, it leaves ``rows`` itself unchanged.
+def _pqc_block(cols: np.ndarray, spec: PqcSpec, tiles) -> np.ndarray:
+    """Run one trainable block and return the new columns; like every
+    kernel, it leaves ``cols`` itself unchanged.
 
-    ``tiles`` are the ``_ry_tiles`` of the block's own angles, layer
-    first: ``tiles[t][j]`` is tile t of layer j. Each layer is its CNOT
-    ladder, one gather, then its n Ry's as those tiles, one matmul each.
+    ``tiles`` are the ``_ry_tiles`` of the block's own angles: ``tiles[j]``
+    are the tiles of layer j. Each layer is its CNOT ladder, one gather,
+    then its n Ry's as those tiles, one matmul each.
     """
     perm = _ladder_permutation(spec.n_qubits)
-    for j in range(spec.n_layers):
-        rows = _cnot_rows(rows, perm)
-        rows = _tile_rows(rows, [tile[j] for tile in tiles])
-    return rows
+    for layer in tiles:
+        cols = _cnot_rows(cols, perm)
+        cols = _tile_rows(cols, layer)
+    return cols
 
 
 def _block_tiles(tiles, spec: PqcSpec):
     """The layers of ``spec`` out of the tiles of a whole parameter
     vector, whose blocks start on layer boundaries."""
     first = spec.param_offset // spec.n_qubits
-    return [tile[first : first + spec.n_layers] for tile in tiles]
+    return tiles[first : first + spec.n_layers]
 
 
 @lru_cache(maxsize=_TILE_QUBITS)
@@ -261,15 +262,15 @@ def _tile_y_signs(k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# backward sweep: ``pair`` is a (2, 2**n, batch) array of amplitude-major
-# columns, the states in pair[0] and their adjoints in pair[1]
+# backward sweep: ``pair`` is a C-ordered (2, 2**n, points) array of
+# amplitude-major columns, the states in pair[0] and their adjoints in pair[1]
 # ---------------------------------------------------------------------------
 
 
 def _y_overlaps(pair: np.ndarray, n_qubits: int, per_row: bool) -> np.ndarray:
-    """adjoint . (-iY)_q state for every qubit q, summed over the batch
-    columns of ``pair`` into a (1, n) array, or (batch, n), one row per
-    column, when ``per_row``.
+    """adjoint . (-iY)_q state for every qubit q, summed over the columns
+    of ``pair`` into a (1, n) array, or (points, n), one row per column,
+    when ``per_row``.
 
     Ry(t) = exp(t/2 (-iY)), so half of this is the derivative of the
     energy by an Ry angle on qubit q that acted last on the state.
@@ -278,43 +279,39 @@ def _y_overlaps(pair: np.ndarray, n_qubits: int, per_row: bool) -> np.ndarray:
     tile's (2**k, 2**k) Gram matrix of adjoint and state, summed over every
     bit outside the tile: per tile, one matmul on a copy of the columns
     with the tile's bits in front, and one product with ``_tile_y_signs``.
-    Summed, the batch is one more axis outside the tile, so each Gram
+    Summed, the points are one more axis outside the tile, so each Gram
     matrix is one BLAS product, and the first tile needs no copy.
     """
     rows = pair.shape[-1] if per_row else 1
-    overlaps = []
+    overlaps = np.empty((rows, n_qubits))
     for q0 in range(0, n_qubits, _TILE_QUBITS):
         k = min(_TILE_QUBITS, n_qubits - q0)
         tile = pair.reshape(2, 1 << q0, 1 << k, -1, rows).transpose(0, 4, 2, 1, 3)
         tile = tile.reshape(2, rows, 1 << k, -1)
         gram = np.matmul(tile[1], tile[0].swapaxes(1, 2))
-        overlaps.append(gram.reshape(rows, -1) @ _tile_y_signs(k))
-    return np.concatenate(overlaps, axis=1)
+        np.matmul(gram.reshape(rows, -1), _tile_y_signs(k), out=overlaps[:, q0 : q0 + k])
+    return overlaps
 
 
 def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
-    """Undo one layer's Ry tiles, as ``_ry_tiles`` builds them for one
-    layer index, on the states and adjoints of ``pair``: tile t, on the
-    qubits from ``_TILE_QUBITS * t`` on, is one matmul by its transpose on
-    the (2 * 2**q0, 2**k, rest) view of the columns, whose trailing
-    (2**k, rest) matrices are C-ordered, so each is a BLAS product across
-    all batch columns. Returns a fresh, C-ordered pair."""
-    for t, tile in enumerate(tiles):
-        shape = (2 << (_TILE_QUBITS * t), tile.shape[-1], -1)
-        pair = np.matmul(tile.T, pair.reshape(shape)).reshape(pair.shape)
-    return pair
+    """Undo one layer's Ry tiles, as ``_ry_tiles`` builds them, on the
+    states and adjoints of ``pair``: each tile's transpose is one BLAS
+    product across both (``_tile_rows``). Returns a fresh pair."""
+    return _tile_rows(pair, [tile.T for tile in tiles])
 
 
-def _pqc_block_adjoint(pair: np.ndarray, spec: PqcSpec, tiles, grad) -> np.ndarray:
+def _pqc_block_adjoint(pair: np.ndarray, spec: PqcSpec, tiles, grad, first: bool):
     """Undo one trainable block on ``pair`` and return the pair at its
     input; writes the derivative by each of the block's angles into
-    ``grad``, summed over the batch.
+    ``grad``, summed over the points. The ``first`` block ends the sweep:
+    its first layer's derivatives are read, it is not undone, and None
+    is returned.
 
-    ``tiles`` are the block's shared tiles, as for ``_pqc_block``. The
-    Ry's of one layer act on distinct qubits and commute, so all their
+    ``tiles`` are the block's tiles, as for ``_pqc_block``. The Ry's of
+    one layer act on distinct qubits and commute, so all their
     derivatives are read at the end of the layer, before any is undone,
     tile by tile on the split the tiles use (``_y_overlaps``), already
-    summed over the batch. The transposed tiles (``_undo_tiles``) and the
+    summed over the points. The transposed tiles (``_undo_tiles``) and the
     inverse ladder permutation, one gather along the amplitude axis, undo
     the layer: every tile is a product of rotations and so orthogonal,
     and every gate acts on adjoints as on states.
@@ -323,63 +320,62 @@ def _pqc_block_adjoint(pair: np.ndarray, spec: PqcSpec, tiles, grad) -> np.ndarr
     inverse = _ladder_inverse(n)
     for j in reversed(range(spec.n_layers)):
         grad[n * j : n * (j + 1)] = 0.5 * _y_overlaps(pair, n, per_row=False)[0]
-        pair = _undo_tiles(pair, [tile[j] for tile in tiles])
-        pair = pair.take(inverse, axis=1)
+        if first and j == 0:
+            return None
+        pair = _undo_tiles(pair, tiles[j])
+        pair = _cnot_rows(pair, inverse)
     return pair
 
 
 class _ForwardPass(NamedTuple):
-    """What one forward pass on a shared parameter vector leaves for the
-    backward sweep, all read-only: the ``_ry_tiles`` of the whole vector,
-    built once and undone by their transposes, the final rows and the
-    rows each readout block measured."""
+    """What one forward pass on a parameter vector leaves for the backward
+    sweep, all read-only: the ``_ry_tiles`` of the whole vector, built
+    once and undone by their transposes, the final columns and the columns
+    each readout block measured."""
 
-    tiles: tuple[np.ndarray, ...]
-    rows: np.ndarray
+    tiles: tuple[tuple[np.ndarray, ...], ...]
+    cols: np.ndarray
     measured: tuple[np.ndarray, ...]
 
 
 def _input_rows(net: NetworkSpec, inputs) -> np.ndarray:
-    """The rows of the network's first block, which loads input b on
-    every qubit of row b; Fortran-ordered, like every row of a pass."""
+    """The columns of the network's first block, which loads input b on
+    every qubit of column b."""
     values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], net.n_qubits, axis=1)
     return _encoded_rows(net.blocks()[0].scale * values)
 
 
 def _run_blocks(net: NetworkSpec, inputs: np.ndarray, tiles, encoded=None):
-    """Run every block on one row per input; returns the final rows and
-    the list of rows each readout block measured.
+    """Run every block on one column per input; returns the final columns
+    and the list of columns each readout block measured.
 
-    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector, shared
-    or one vector per row. ``encoded`` are the ``_input_rows`` of
-    ``inputs`` when the caller keeps them; without them the inputs are
-    encoded here. Every later encoding block starts from a fresh register,
-    so the readout block only has to capture its values; the collapsed
-    state is dropped.
+    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector.
+    ``encoded`` are the ``_input_rows`` of ``inputs`` when the caller keeps
+    them; without them the inputs are encoded here. Every later encoding
+    block starts from a fresh register, so the readout block only has to
+    capture its values; the collapsed state is dropped.
     """
     n = net.n_qubits
-    rows = _input_rows(net, inputs) if encoded is None else encoded
+    cols = _input_rows(net, inputs) if encoded is None else encoded
     measured = []
     for block in net.blocks()[1:]:
         if isinstance(block, EncodingSpec):
-            rows = _encoded_rows(block.scale * values)
+            cols = _encoded_rows(block.scale * values)
         elif isinstance(block, PqcSpec):
-            rows = _pqc_block(rows, block, _block_tiles(tiles, block))
+            cols = _pqc_block(cols, block, _block_tiles(tiles, block))
         else:
-            measured.append(rows)
-            values = _expect_z_rows(rows, n)
-    return rows, measured
+            measured.append(cols)
+            values = _expect_z_rows(cols, n)
+    return cols, measured
 
 
 def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """One forward pass per row: row b encodes the bond length inputs[b]
-    and runs on the angles ``params``, one vector shared by every row, or
-    params[b] when ``params`` is 2-D. Returns the final float64 amplitude
-    rows, shape (batch, 2**n).
+    """One forward pass per input on the 1-D parameter vector ``params``:
+    column b encodes the bond length inputs[b]. Returns the final float64
+    amplitude columns, C-ordered, shape (2**n, points).
 
-    Every gate is real, so the rows stay real. The angles are validated
-    and turned into Ry tiles once, here: (2**k, 2**k) tiles for a shared
-    vector, (batch, 1, 2**k, 2**k) tiles for one vector per row.
+    Every gate is real, so the columns stay real. The angles are validated
+    and turned into Ry tiles once, here.
     """
     c, s = _angle_factors(params)
     return _run_blocks(net, inputs, _ry_tiles(c, s, net.n_qubits))[0]
@@ -388,52 +384,56 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
 def _forward_pass(
     net: NetworkSpec, inputs: np.ndarray, params: np.ndarray, encoded=None
 ) -> _ForwardPass:
-    """One forward pass per input on the one parameter vector ``params``,
-    kept whole for ``_adjoint_gradient``; ``rows`` are the rows that
+    """One forward pass per input on the parameter vector ``params``, kept
+    whole for ``_adjoint_gradient``; ``cols`` are the columns that
     ``_forward_rows`` returns for the same arguments. ``encoded`` are the
     kept ``_input_rows`` of ``inputs``, if any, as for ``_run_blocks``."""
     tiles = _ry_tiles(*_angle_factors(params), net.n_qubits)
-    rows, measured = _run_blocks(net, inputs, tiles, encoded)
-    for array in (rows, *measured):
+    cols, measured = _run_blocks(net, inputs, tiles, encoded)
+    for array in (cols, *measured):
         array.setflags(write=False)
-    return _ForwardPass(tiles, rows, tuple(measured))
+    return _ForwardPass(tiles, cols, tuple(measured))
 
 
 def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
-    """Exact gradient by the parameters of E = sum_b e_b(rows[b]), where
+    """Exact gradient by the parameters of E = sum_b e_b(cols[:, b]), where
     ``forward`` is the ``_forward_pass`` of those parameters on the
     inputs, which this function takes rather than runs, so that a caller
-    that already scored the rows reuses them; ``seed`` is the
-    (batch, 2**n) array of de_b/drows[b] that starts the backward sweep.
+    that already scored the columns reuses them; ``seed`` is the
+    (2**n, points) array of de_b/dcols[:, b] that starts the backward sweep.
 
-    The sweep walks the blocks backwards on one pair of amplitude-major
-    columns, the transposed rows of the states and of their adjoints, so
-    each gate undoes both with one kernel call:
+    The sweep walks the blocks backwards on one stacked pair of the
+    states and their adjoints, so each gate undoes both with one kernel
+    call:
 
     * a trainable block yields its angle derivatives (``_pqc_block_adjoint``);
     * a re-encoding Ry(scale * v_q) yields dE/dv_q = scale/2 *
       adjoint . (-iY)_q state, per column;
     * a readout v_q = <psi|Z_q|psi> turns those into the adjoint
-      2 psi * sum_q dE/dv_q z_q of the measured rows psi, which the
+      2 psi * sum_q dE/dv_q z_q of the measured columns psi, which the
       forward pass kept, and the sweep continues from psi.
 
     The first block loads the inputs, which are not trained, so the sweep
-    stops there. ``forward`` and ``seed`` are only read.
+    ends at the first trainable layer. ``forward`` and ``seed`` are only
+    read.
     """
     n = net.n_qubits
-    tiles, rows, measured = forward
+    tiles, cols, measured = forward
     measured = list(measured)
-    pair = np.stack([rows.T, seed.T])
+    pair = np.array([cols, seed])
     grad = np.empty(net.n_params)
-    for block in reversed(net.blocks()[1:]):
+    blocks = net.blocks()
+    for block in reversed(blocks[1:]):
         if isinstance(block, PqcSpec):
             window = slice(block.param_offset, block.param_offset + block.n_params)
-            pair = _pqc_block_adjoint(pair, block, _block_tiles(tiles, block), grad[window])
+            block_tiles = _block_tiles(tiles, block)
+            first = block is blocks[1]
+            pair = _pqc_block_adjoint(pair, block, block_tiles, grad[window], first)
         elif isinstance(block, EncodingSpec):
             value_grad = 0.5 * block.scale * _y_overlaps(pair, n, per_row=True)
         else:
-            psi = measured.pop().T
-            pair = np.stack([psi, 2.0 * psi * (_z_signs(n) @ value_grad.T)])
+            psi = measured.pop()
+            pair = np.array([psi, 2.0 * psi * (_z_signs(n) @ value_grad.T)])
     return grad
 
 
@@ -452,8 +452,8 @@ def apply_encoding(spec: EncodingSpec, inputs) -> StateVector:
         raise ValueError("inputs must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(vals)):
         raise ValueError("inputs must be finite")
-    rows = _encoded_rows(spec.scale * vals[None, :])
-    return StateVector(int(vals.size), rows[0])
+    cols = _encoded_rows(spec.scale * vals[None, :])
+    return StateVector(int(vals.size), cols[:, 0])
 
 
 def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
@@ -473,13 +473,13 @@ def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
         )
     c, s = _angle_factors(vec[spec.param_offset : end])
     tiles = _ry_tiles(c, s, spec.n_qubits)
-    rows = _pqc_block(psi.amplitudes.reshape(1, -1), spec, tiles)
-    return StateVector(psi.n_qubits, rows[0])
+    cols = _pqc_block(psi.amplitudes[:, None], spec, tiles)
+    return StateVector(psi.n_qubits, cols[:, 0])
 
 
 def measure_layer(psi: StateVector) -> np.ndarray:
     """Per-qubit <sigma_z>, exact from the amplitudes (no sampling)."""
-    return _expect_z_rows(psi.amplitudes.reshape(1, -1), psi.n_qubits)[0]
+    return _expect_z_rows(psi.amplitudes[:, None], psi.n_qubits)[0]
 
 
 def forward(net: NetworkSpec, bond_length: float, params) -> StateVector:
@@ -492,5 +492,5 @@ def forward(net: NetworkSpec, bond_length: float, params) -> StateVector:
             f"expected {net.n_params} parameters for n_qubits={net.n_qubits}, "
             f"got {vec.ndim}-D input of size {vec.size}"
         )
-    rows = _forward_rows(net, np.array([float(bond_length)]), vec)
-    return StateVector(net.n_qubits, rows[0])
+    cols = _forward_rows(net, np.array([float(bond_length)]), vec)
+    return StateVector(net.n_qubits, cols[:, 0])

@@ -8,7 +8,7 @@ so minimizing f pushes each predicted energy toward the ground energy of
 its Hamiltonian (variational bound: each term is >= lambda_min(H_j)).
 
 ``energies`` gives the per-point energies on the network's real batched
-path: one forward row per training point, scored against the training
+path: one forward column per training point, scored against the training
 Hamiltonians. ``TrainingProblem`` compiles those once, and encodes the
 bond lengths once. ``cost`` is their sum. A trained model's predictions
 are ``energies`` too: on its training points they come from the pass
@@ -18,13 +18,13 @@ cost; other points are scored as the training set of a
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
 expectation, so the model is smooth and reverse mode applies: one forward
-pass keeps the rows each block needs, then adjoint sweeps back through
+pass keeps the columns each block needs, then adjoint sweeps back through
 the second block, the readout and the first block give every derivative
 (``network._adjoint_gradient``). That is about three passes over one row
 per point, where central differences need 2k forward passes for k
 angles. ``gradient`` reuses the forward pass of ``cost`` at the same
 point: a ``TrainingProblem`` keeps its last forward pass and the product
-H phi of its final rows, keyed by the bytes of the parameter vector, and
+H phi of its final columns, keyed by the bytes of the parameter vector, and
 BFGS asks for the gradient exactly at the points whose cost it has just
 accepted, so there ``gradient`` runs only the backward sweeps. Central
 differences, the paper's method, stay as the independent reference
@@ -82,12 +82,12 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class TrainingProblem:
     """A network plus the ordered (bond_length, Hamiltonian) training pairs;
-    ``hamiltonians`` is their compiled form and ``encoded`` the rows of the
-    network's first encoding of their bond lengths (``network._input_rows``,
+    ``hamiltonians`` is their compiled form and ``encoded`` the columns of
+    the network's first encoding of their bond lengths (``network._input_rows``,
     read-only), both built once here.
 
     ``_last_forward`` holds at most one forward pass over the training
-    points and the product H phi of its final rows, keyed by the bytes of
+    points and the product H phi of its final columns, keyed by the bytes of
     its parameter vector, for ``cost`` and ``gradient`` to share; each
     problem has its own.
     """
@@ -170,8 +170,8 @@ def _bond_lengths(problem: TrainingProblem) -> np.ndarray:
 
 
 def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.ndarray]:
-    """The forward pass of ``params`` over the training points, one row per
-    point, and H applied to its final rows (read-only): the problem's
+    """The forward pass of ``params`` over the training points, one column
+    per point, and H applied to its final columns (read-only): the problem's
     kept pair when it was run on the same bytes, else a new one, which
     replaces it."""
     vec = _check_params(params, problem)
@@ -184,7 +184,7 @@ def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.n
         # set in its place later has its bond lengths encoded afresh.
         encoded = problem.encoded if problem.training_set is problem._encoded_set else None
         forward_pass = _forward_pass(problem.network, _bond_lengths(problem), vec, encoded)
-        products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.rows)
+        products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
         products.setflags(write=False)
         found = memo[key] = (forward_pass, products)
     return found
@@ -194,20 +194,20 @@ def energies(params, problem: TrainingProblem) -> np.ndarray:
     """Per-point energies <phi_j|H_j|phi_j>, in training-set order, from the
     problem's kept forward pass of ``params`` (or a new one)."""
     forward_pass, products = _training_pass(params, problem)
-    return np.einsum("bi,bi->b", forward_pass.rows, products)
+    return np.einsum("ib,ib->b", forward_pass.cols, products)
 
 
 def cost(params, problem: TrainingProblem) -> float:
     """Summed energy expectation over the training points, evaluated as one
-    batch with a row per point."""
-    return float(np.sum(energies(params, problem)))
+    batch with a column per point."""
+    return float(energies(params, problem).sum())
 
 
 def gradient(params, problem: TrainingProblem) -> np.ndarray:
     """Exact gradient of :func:`cost`, by adjoint sweeps over one batch
-    with a row per training point, from the forward pass of ``cost`` when
+    with a column per training point, from the forward pass of ``cost`` when
     it was just called on the same vector. The seed of the sweep is
-    d<phi|H|phi>/dphi = 2 Re(H) phi on the real final rows."""
+    d<phi|H|phi>/dphi = 2 Re(H) phi on the real final columns."""
     forward_pass, products = _training_pass(params, problem)
     return _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
 
@@ -225,8 +225,8 @@ def finite_difference_gradient(
     inputs = _bond_lengths(problem)
 
     def f(w: np.ndarray) -> float:
-        rows = _forward_rows(problem.network, inputs, w)
-        return float(np.sum(_expectation_rows(problem.hamiltonians, rows)))
+        cols = _forward_rows(problem.network, inputs, w)
+        return float(np.sum(_expectation_rows(problem.hamiltonians, cols)))
 
     grad = np.empty(vec.size)
     shifted = vec.copy()

@@ -86,8 +86,7 @@ def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
     dtype = np.float64 if real else np.complex128
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(v, dtype=dtype).reshape(1, dim)
-        return _apply_hamiltonian_rows(compiled, rows)[0]
+        return _apply_hamiltonian_rows(compiled, np.asarray(v, dtype=dtype).reshape(dim, 1))[:, 0]
 
     op = scipy.sparse.linalg.LinearOperator(shape=(dim, dim), matvec=matvec, dtype=dtype)
     if dim == 2:

@@ -8,10 +8,12 @@ factor, matching :mod:`hqcnn.statevector`.
 Hamiltonians are evaluated matrix-free from a compiled form
 (:func:`compile_hamiltonians`): the terms are grouped by the basis-state
 flip they cause, so H v is one gather and one multiply per group, with
-a weight vector that folds every term's coefficient and sign. The same
-form gives H|psi> for the Lanczos oracle, and <psi|H|psi> and its
-gradient 2 Re(H) psi for training; on the network's real states, strings
-with an odd number of Y factors contribute exactly zero and are left out.
+a weight vector that folds every term's coefficient and sign, stored
+amplitude-major like the (2**n, points) columns of :mod:`hqcnn.statevector`.
+The same form gives H|psi> for the Lanczos oracle, on one (2**n, 1)
+column, and <psi|H|psi> and its gradient 2 Re(H) psi for training; on the
+network's real states, strings with an odd number of Y factors
+contribute exactly zero and are left out.
 ``to_dense`` materializes the full matrix only for small registers, as
 ground truth for tests and the dense diagonalization oracle. It is built
 independently of the compiled form, term by term as a Kronecker product
@@ -233,10 +235,10 @@ class CompiledHamiltonian:
     where the mask m holds the bits of its X and Y factors. Summing the
     strings that share a mask gives (H v)[i] = sum_m w_m[i] v[i ^ m], one
     weight vector per mask and Hamiltonian. Each group is a pair (index
-    i ^ m, weights of shape (count, 2**n)); the diagonal group (m = 0) has
-    index None. ``groups`` is the full operator; its weights are complex
+    i ^ m, weights of shape (2**n, count, 1)); the diagonal group (m = 0)
+    has index None. ``groups`` is the full operator; its weights are complex
     only where a string has an odd number of Y factors. ``real_groups``
-    holds their real parts for real rows, leaving out groups whose real
+    holds their real parts for real columns, leaving out groups whose real
     part vanishes: an odd-Y string is imaginary and antisymmetric, so its
     quadratic form on a real vector is exactly zero.
     """
@@ -279,10 +281,10 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
                 parity ^= source >> (n - 1 - q)
             sign = 1.0 - 2.0 * (parity & 1)
             phase = -1.0 if n_y % 4 >= 2 else 1.0
-            weights = parts[n_y % 2].setdefault(mask, np.zeros((len(hs), index.size)))
-            weights[j] += term.coefficient * phase * sign
+            weights = parts[n_y % 2].setdefault(mask, np.zeros((index.size, len(hs), 1)))
+            weights[:, j, 0] += term.coefficient * phase * sign
     real_parts, imag_parts = parts
-    zeros = np.zeros((len(hs), index.size))
+    zeros = np.zeros((index.size, len(hs), 1))
     groups = []
     real_groups = []
     for mask in sorted(real_parts.keys() | imag_parts.keys()):
@@ -295,30 +297,30 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
     return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups))
 
 
-def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
-    """H applied to each row of a (batch, 2**n) array, in the rows' dtype;
-    the rows form ``hamiltonians.count`` equal consecutive blocks, block j
-    for Hamiltonian j.
+def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np.ndarray:
+    """H applied to each column of a (2**n, points) array, in the columns'
+    dtype; the columns form ``hamiltonians.count`` equal consecutive
+    blocks, block j for Hamiltonian j.
 
-    Complex rows read the full ``groups``. Real rows read ``real_groups``,
-    that is Re(H): equal to H when H is real, and in any case symmetric
-    with the same quadratic form as H on real rows, so 2 Re(H) v is the
-    gradient of <v|H|v> by a real v.
+    Complex columns read the full ``groups``. Real columns read
+    ``real_groups``, that is Re(H): equal to H when H is real, and in any
+    case symmetric with the same quadratic form as H on real columns, so
+    2 Re(H) v is the gradient of <v|H|v> by a real v.
     """
-    groups = hamiltonians.groups if rows.dtype.kind == "c" else hamiltonians.real_groups
-    blocks = rows.reshape(hamiltonians.count, -1, rows.shape[1])
-    out = np.zeros(blocks.shape, dtype=rows.dtype)
+    groups = hamiltonians.groups if cols.dtype.kind == "c" else hamiltonians.real_groups
+    blocks = cols.reshape(cols.shape[0], hamiltonians.count, -1)
+    out = np.zeros(blocks.shape, dtype=cols.dtype)
     for flip, weights in groups:
-        partner = blocks if flip is None else blocks[..., flip]
-        out += partner * weights[:, None, :]
-    return out.reshape(rows.shape)
+        partner = blocks if flip is None else blocks.take(flip, axis=0)
+        out += partner * weights
+    return out.reshape(cols.shape)
 
 
-def _expectation_rows(hamiltonians: CompiledHamiltonian, rows: np.ndarray) -> np.ndarray:
-    """Per-row real <row|H|row>, rows in blocks as for
+def _expectation_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np.ndarray:
+    """Per-column real <col|H|col>, columns in blocks as for
     :func:`_apply_hamiltonian_rows`."""
-    products = _apply_hamiltonian_rows(hamiltonians, rows)
-    return np.einsum("bi,bi->b", rows.conj(), products).real
+    products = _apply_hamiltonian_rows(hamiltonians, cols)
+    return np.einsum("ib,ib->b", cols.conj(), products).real
 
 
 def apply_term(term: PauliTerm, psi: StateVector) -> StateVector:
@@ -328,8 +330,8 @@ def apply_term(term: PauliTerm, psi: StateVector) -> StateVector:
             f"term acts on {len(term.axes)} qubits, state has {psi.n_qubits}"
         )
     compiled = compile_hamiltonians((PauliHamiltonian(psi.n_qubits, (term,)),))
-    rows = _apply_hamiltonian_rows(compiled, psi.amplitudes.reshape(1, -1))
-    return StateVector(psi.n_qubits, rows[0])
+    cols = _apply_hamiltonian_rows(compiled, psi.amplitudes[:, None])
+    return StateVector(psi.n_qubits, cols[:, 0])
 
 
 def expectation(h: PauliHamiltonian, psi: StateVector) -> float:
@@ -343,7 +345,7 @@ def expectation(h: PauliHamiltonian, psi: StateVector) -> float:
             f"Hamiltonian acts on {h.n_qubits} qubits, state has {psi.n_qubits}"
         )
     compiled = compile_hamiltonians((h,))
-    return float(_expectation_rows(compiled, psi.amplitudes.reshape(1, -1))[0])
+    return float(_expectation_rows(compiled, psi.amplitudes[:, None])[0])
 
 
 def to_dense(h: PauliHamiltonian) -> np.ndarray:

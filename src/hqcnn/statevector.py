@@ -7,28 +7,24 @@ built: one-qubit gates work on amplitude slices selected by bit strides,
 a CNOT, or a whole fixed sequence of CNOTs, is one gather through a
 precomputed index permutation, and a layer of Ry's on every qubit is
 applied as Kronecker tiles of up to ``_TILE_QUBITS`` qubits, each one
-matmul with a 2**k x 2**k matrix on a view of the rows.
+matmul with a 2**k x 2**k matrix on a view of the amplitudes.
 
 The public functions are value-semantic: they take and return complex
 ``StateVector`` instances and never mutate their argument. Internally
-every kernel works on a (batch, 2**n) array so that many independent
-circuits advance with a single numpy call. The kernels are dtype-generic:
-H, Ry and CNOT have real matrices, so the network's training path runs
-them on float64 rows, and the public API runs the same kernels on
-complex128 rows. The private ``_*_rows`` functions expose that batched
-path to the rest of the package. Every kernel returns fresh rows and
-never mutates its input.
-
-The layout of the rows is part of the contract, because the readout
-``_expect_z_rows`` is a BLAS product and the energy sums are einsums, and
-both round differently on C- and Fortran-ordered operands.
-``_product_rows``, the CNOT gather ``_cnot_rows`` and the Ry tiles
-``_tile_rows`` return Fortran-ordered rows, the batch index varying
-fastest, whatever their input: a tile's matmul writes into a
-Fortran-ordered array through its ``out`` view. The one-qubit kernels
-return rows in the layout of their input. So the rows of a forward pass
-are Fortran-ordered on every path, with shared or per-row angles, and
-round the same way.
+every kernel works on a C-ordered (2**n, points) array of amplitude-major
+columns, one per state, so that many circuits advance with one numpy call
+(the batched-register layout of Yao.jl, arXiv:1912.10877). A gate on
+qubit q sees them as a (2**q, 2, rest) view, a Ry tile on qubits q0 ..
+q0 + k - 1 as a (2**q0, 2**k, rest) view whose trailing matrices are
+C-ordered, so each tile is one BLAS product across all columns (Haener &
+Steiger, arXiv:1704.01127), and a CNOT sequence gathers whole amplitude
+rows; tiles and gathers also take leading axes, as the adjoint sweep
+stacks its states and adjoints. The kernels are dtype-generic: H, Ry and
+CNOT have real matrices, so the network's training path runs them on
+float64 columns, and the public API on the complex (2**n, 1) column of
+one state. The private ``_*_rows`` functions are that batched path (the
+names predate the column layout); each maps C-ordered columns to fresh
+C-ordered columns and never mutates its input.
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ def norm(psi: StateVector) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels, amplitudes of shape (batch, 2**n)
+# batched kernels, C-ordered amplitude columns of shape (2**n, points)
 # ---------------------------------------------------------------------------
 
 
@@ -91,13 +87,19 @@ def _check_qubit(n_qubits: int, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
 
 
-def _pairs(rows: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
-    """(batch, 2**q, 2, 2**(n-1-q)) view of the rows whose axis 2 is bit q:
-    ``[:, :, 0]`` holds the amplitudes where bit q is 0, ``[:, :, 1]``
-    those where it is 1, and ``[:, :, ::-1]`` swaps the two halves. A
-    kernel computing ``out`` from this view elementwise gets the layout of
-    ``rows`` in ``out.reshape(rows.shape)``."""
-    return rows.reshape(rows.shape[0], -1, 2, 1 << (n_qubits - 1 - q))
+def _pairs(cols: np.ndarray, q: int) -> np.ndarray:
+    """(2**q, 2, rest) view of the columns whose axis 1 is bit q: ``[:, 0]``
+    holds the amplitudes where bit q is 0, ``[:, 1]`` those where it is 1,
+    and ``[:, ::-1]`` swaps the two halves."""
+    return cols.reshape(1 << q, 2, -1)
+
+
+def _half_angles(theta) -> np.ndarray:
+    """Validated theta/2, elementwise, any shape."""
+    t = np.asarray(theta, dtype=np.float64)
+    if not np.isfinite(t).all():
+        raise ValueError("rotation angle must be finite")
+    return t / 2.0
 
 
 def _angle_factors(theta) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +108,7 @@ def _angle_factors(theta) -> tuple[np.ndarray, np.ndarray]:
     Rotation kernels take these factors rather than angles, so a caller
     that applies many rotations validates and evaluates them once.
     """
-    t = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("rotation angle must be finite")
-    t = t / 2.0
+    t = _half_angles(theta)
     return np.cos(t), np.sin(t)
 
 
@@ -119,39 +118,38 @@ _Y_SIGNS = np.array([[-1.0], [1.0]])
 _H_SIGNS = -_Y_SIGNS
 
 
-def _h_rows(rows: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
+def _h_rows(cols: np.ndarray, q: int) -> np.ndarray:
     """(lo, hi) -> ((lo + hi), (lo - hi)) / sqrt(2) on bit q."""
-    v = _pairs(rows, n_qubits, q)
+    v = _pairs(cols, q)
     out = _H_SIGNS * v
-    out += v[:, :, ::-1]
+    out += v[:, ::-1]
     out *= _INV_SQRT2
-    return out.reshape(rows.shape)
+    return out.reshape(cols.shape)
 
 
-# The rotation kernels take c, s = _angle_factors(theta), scalars or
-# arrays of shape (batch, 1, 1, 1) for one angle per row.
+# The rotation kernels take the scalars c, s = _angle_factors(theta).
 
 
-def _ry_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
+def _ry_rows(cols: np.ndarray, q: int, c, s) -> np.ndarray:
     """(lo, hi) -> (c lo - s hi, c hi + s lo) on bit q."""
-    v = _pairs(rows, n_qubits, q)
+    v = _pairs(cols, q)
     out = c * v
-    out += (s * _Y_SIGNS) * v[:, :, ::-1]
-    return out.reshape(rows.shape)
+    out += (s * _Y_SIGNS) * v[:, ::-1]
+    return out.reshape(cols.shape)
 
 
-def _rx_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
-    """(lo, hi) -> (c lo - i s hi, c hi - i s lo) on bit q; complex rows."""
-    v = _pairs(rows, n_qubits, q)
+def _rx_rows(cols: np.ndarray, q: int, c, s) -> np.ndarray:
+    """(lo, hi) -> (c lo - i s hi, c hi - i s lo) on bit q; complex columns."""
+    v = _pairs(cols, q)
     out = c * v
-    out += (-1j * s) * v[:, :, ::-1]
-    return out.reshape(rows.shape)
+    out += (-1j * s) * v[:, ::-1]
+    return out.reshape(cols.shape)
 
 
-def _rz_rows(rows: np.ndarray, n_qubits: int, q: int, c, s) -> np.ndarray:
-    """(lo, hi) -> ((c - i s) lo, (c + i s) hi) on bit q; complex rows."""
-    out = _pairs(rows, n_qubits, q) * (c + 1j * s * _Y_SIGNS)
-    return out.reshape(rows.shape)
+def _rz_rows(cols: np.ndarray, q: int, c, s) -> np.ndarray:
+    """(lo, hi) -> ((c - i s) lo, (c + i s) hi) on bit q; complex columns."""
+    out = _pairs(cols, q) * (c + 1j * s * _Y_SIGNS)
+    return out.reshape(cols.shape)
 
 
 # Ry layers are applied as Kronecker tiles of at most this many qubits: a
@@ -191,57 +189,46 @@ def _tile_entries(n_qubits: int) -> tuple[np.ndarray, ...]:
     return tuple(groups)
 
 
-def _ry_tiles(c: np.ndarray, s: np.ndarray, n_qubits: int) -> tuple[np.ndarray, ...]:
-    """Tile matrices of layers of n Ry's, one per qubit, from their angle
-    factors ``c, s = _angle_factors(theta)``, where theta[i + n*j] is the
-    angle of qubit i in layer j.
+def _ry_tiles(c: np.ndarray, s: np.ndarray, n_qubits: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Tile matrices of layers of n Ry's, one per qubit, from their 1-D
+    angle factors ``c, s = _angle_factors(theta)``, where theta[i + n*j]
+    is the angle of qubit i in layer j.
 
-    Tile t is the Kronecker product of the Ry's on qubits
-    ``_TILE_QUBITS * t`` up to the next tile or n; entry t of the result
-    holds it for every layer, layer first: shape (layers, 2**k, 2**k) for
-    1-D factors, and (layers, batch, 1, 2**k, 2**k) for (batch, n*layers)
-    factors, one angle vector per row. All tiles of one size are built
-    at once, by one gather and one product from the factors, and
-    returned read-only.
+    Entry j of the result holds the tiles of layer j: tile t is the
+    (2**k, 2**k) Kronecker product of the Ry's on qubits
+    ``_TILE_QUBITS * t`` up to the next tile or n. All tiles of one size
+    are built at once, by one gather of whole rows of the (3n, layers)
+    factor table and one product, and returned read-only.
     """
-    split = (*c.shape[:-1], -1, n_qubits)
-    factors = np.concatenate((c.reshape(split), s.reshape(split), -s.reshape(split)), axis=-1)
-    if c.ndim == 2:
-        factors = np.moveaxis(factors, 0, 1)[:, :, None]
+    c, s = c.reshape(-1, n_qubits).T, s.reshape(-1, n_qubits).T
+    factors = np.concatenate((c, s, -s))
+    layers = factors.shape[1]
     tiles = []
     for index in _tile_entries(n_qubits):
         size = 1 << index.shape[1]
-        entries = np.multiply.reduce(factors.take(index, axis=-1), axis=-2)
-        entries = entries.reshape(*entries.shape[:-1], size, size)
+        entries = np.multiply.reduce(factors.take(index, axis=0), axis=1)
+        entries = np.ascontiguousarray(entries.transpose(2, 0, 1)).reshape(layers, -1, size, size)
         entries.setflags(write=False)
-        tiles += [entries[..., t, :, :] for t in range(index.shape[0])]
-    return tuple(tiles)
+        tiles += [entries[:, t] for t in range(index.shape[0])]
+    return tuple(zip(*tiles))
 
 
-def _tile_rows(rows: np.ndarray, tiles) -> np.ndarray:
-    """Apply the tiles of one layer, as ``_ry_tiles`` builds them for one
-    layer index: tile t acts on the qubits from ``_TILE_QUBITS * t`` on.
-
-    Each tile is one matmul on the (batch, 2**q0, 2**k, 2**(n-q0-k)) view
-    of the rows whose axis 2 is the tile's bits, written into a
-    Fortran-ordered (batch, 2**n) array, so the rows come out
-    Fortran-ordered whatever their input. A tile of shape (batch, 1, 2**k,
-    2**k) applies one matrix per row through the same matmul. The tiles
-    are real, so the rows keep their dtype. Returns fresh rows; ``rows``
-    is unchanged.
-    """
-    batch = rows.shape[0]
+def _tile_rows(cols: np.ndarray, tiles) -> np.ndarray:
+    """Apply the tiles of one layer, as ``_ry_tiles`` builds them, to
+    (..., 2**n, points) columns: tile t, on the qubits from
+    ``_TILE_QUBITS * t`` on, is one matmul on the (-1, 2**k, rest) view
+    whose axis 1 is its bits, one BLAS product across all columns. The
+    tiles are real, so the columns keep their dtype."""
     for t, tile in enumerate(tiles):
-        shape = (batch, 1 << (_TILE_QUBITS * t), tile.shape[-1], -1)
-        out = np.empty(rows.shape, dtype=rows.dtype, order="F")
-        np.matmul(tile, rows.reshape(shape), out=out.reshape(shape))
-        rows = out
-    return rows
+        size = tile.shape[-1]
+        rest = (cols.shape[-2] >> (_TILE_QUBITS * t)) // size * cols.shape[-1]
+        cols = np.matmul(tile, cols.reshape(-1, size, rest)).reshape(cols.shape)
+    return cols
 
 
 def _cnot_permutation(n_qubits: int, pairs) -> np.ndarray:
     """Gather indices of the CNOT sequence ``pairs`` of (control, target),
-    applied in order: the sequence maps ``rows`` to ``rows[:, perm]``."""
+    applied in order: the sequence maps columns ``cols`` to ``cols[perm]``."""
     index = np.arange(1 << n_qubits)
     perm = index
     for control, target in pairs:
@@ -252,10 +239,10 @@ def _cnot_permutation(n_qubits: int, pairs) -> np.ndarray:
     return perm
 
 
-def _cnot_rows(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Apply a CNOT sequence given by its ``_cnot_permutation``; returns
-    new Fortran-ordered rows, gathered as whole columns of the batch."""
-    return rows.T.take(perm, axis=0).T
+def _cnot_rows(cols: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Apply a CNOT sequence given by its ``_cnot_permutation`` to
+    (..., 2**n, points) columns: one gather along the amplitude axis."""
+    return cols.take(perm, axis=-2)
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -269,28 +256,28 @@ def _z_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
-def _probabilities(rows: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(rows):
-        return rows.real**2 + rows.imag**2
-    return rows * rows
+def _probabilities(cols: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(cols):
+        return cols.real**2 + cols.imag**2
+    return cols * cols
 
 
-def _expect_z_rows(rows: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(batch, n) array of per-qubit <sigma_z> = P(bit q = 0) - P(bit q = 1)."""
-    return _probabilities(rows) @ _z_signs(n_qubits)
+def _expect_z_rows(cols: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(points, n) array of per-qubit <sigma_z> = P(bit q = 0) - P(bit q = 1)."""
+    return _probabilities(cols).T @ _z_signs(n_qubits)
 
 
 def _product_rows(factors: np.ndarray) -> np.ndarray:
     """Product states from per-qubit amplitude pairs.
 
-    ``factors`` has shape (batch, n, 2), the amplitudes of |0> and |1> of
-    each qubit; returns the Fortran-ordered (batch, 2**n) rows of their
-    tensor products, built transposed.
+    ``factors`` is a C-ordered (n, 2, points) array, the amplitudes of |0>
+    and |1> of each qubit; returns the columns of their tensor products
+    (for n = 1, a view of ``factors``).
     """
-    columns = factors[:, 0, :].T
-    for q in range(1, factors.shape[1]):
-        columns = (columns[:, None, :] * factors[:, q, :].T).reshape(-1, factors.shape[0])
-    return np.asfortranarray(columns.T)
+    cols = factors[0]
+    for pair in factors[1:]:
+        cols = (cols[:, None, :] * pair).reshape(-1, pair.shape[1])
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +286,8 @@ def _product_rows(factors: np.ndarray) -> np.ndarray:
 
 
 def _applied(psi: StateVector, kernel, *args) -> StateVector:
-    rows = kernel(psi.amplitudes.reshape(1, -1), psi.n_qubits, *args)
-    return StateVector(psi.n_qubits, rows[0])
+    cols = kernel(psi.amplitudes[:, None], *args)
+    return StateVector(psi.n_qubits, cols[:, 0])
 
 
 def apply_h(psi: StateVector, q: int) -> StateVector:
@@ -335,11 +322,11 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
     if control == target:
         raise ValueError("control and target must differ")
     perm = _cnot_permutation(psi.n_qubits, ((control, target),))
-    rows = _cnot_rows(psi.amplitudes.reshape(1, -1), perm)
-    return StateVector(psi.n_qubits, rows[0])
+    cols = _cnot_rows(psi.amplitudes[:, None], perm)
+    return StateVector(psi.n_qubits, cols[:, 0])
 
 
 def expect_z(psi: StateVector, q: int) -> float:
     """<sigma_z> on qubit q, in [-1, 1] for a normalized state."""
     _check_qubit(psi.n_qubits, q)
-    return float(_expect_z_rows(psi.amplitudes.reshape(1, -1), psi.n_qubits)[0, q])
+    return float(_expect_z_rows(psi.amplitudes[:, None], psi.n_qubits)[0, q])

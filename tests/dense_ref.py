@@ -8,7 +8,7 @@ Qubit 0 is the leftmost Kronecker factor (most significant index bit).
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -108,24 +108,35 @@ def encode(n: int, angles) -> np.ndarray:
     return kron_all([ry(angles[q]) @ H for q in range(n)]) @ zero(n)
 
 
-def pqc_matrix(n: int, n_layers: int, thetas) -> np.ndarray:
+@lru_cache(maxsize=None)
+def ladder_matrix(n: int) -> np.ndarray:
+    """One CNOT ladder as a dense unitary, the product of its CNOT
+    matrices (cached)."""
     u = np.eye(1 << n, dtype=np.complex128)
-    for j in range(n_layers):
-        for c, t in ladder(n):
-            u = cnot(c, t, n) @ u
-        for i in range(n):
-            u = lift(ry(thetas[i + n * j]), i, n) @ u
+    for c, t in ladder(n):
+        u = cnot(c, t, n) @ u
     return u
+
+
+def apply_pqc(n: int, n_layers: int, thetas, psi: np.ndarray) -> np.ndarray:
+    """The trainable block applied to psi, one dense layer at a time: the
+    ladder's unitary, then the Kronecker product of the layer's Ry's. A
+    layer is two matrix-vector products, so registers up to 9 qubits stay
+    cheap."""
+    for j in range(n_layers):
+        layer = kron_all([ry(thetas[i + n * j]) for i in range(n)])
+        psi = layer @ (ladder_matrix(n) @ psi)
+    return psi
 
 
 def forward(n: int, with_measurements: bool, a: float, params) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     assert params.size == 2 * n * n
     if not with_measurements:
-        return pqc_matrix(n, 2 * n, params) @ encode(n, [a] * n)
-    psi = pqc_matrix(n, n, params[: n * n]) @ encode(n, [a] * n)
+        return apply_pqc(n, 2 * n, params, encode(n, [a] * n))
+    psi = apply_pqc(n, n, params[: n * n], encode(n, [a] * n))
     b = [expect_z(psi, q, n) for q in range(n)]
-    return pqc_matrix(n, n, params[n * n :]) @ encode(n, [np.pi * v for v in b])
+    return apply_pqc(n, n, params[n * n :], encode(n, [np.pi * v for v in b]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Criterion 10 needs externally generated 4-qubit molecular .ham files and
 is skipped unless HQCNN_H2_DATASET points at a directory of them.
 """
 
+import json
 import os
 import time
 from pathlib import Path
@@ -228,6 +229,29 @@ def test_criterion_08_trainability_floor(ablation):
         f"criterion 8 PASS: {passing}/4 seeds have mean per-point training error "
         f"<= 2% of the spectral range (worst seed {100 * worst:.2f}%)"
     )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden_compare.json"
+
+
+def test_default_compare_matches_golden_file(ablation):
+    """The trained energies must not move: each seed's final cost within
+    1e-9 of the golden file's, and the means of compare.txt within 1e-6.
+    Iteration counts may move with rounding and are only printed."""
+    manifest, _, _ = ablation
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for section in manifest.sections:
+        want = golden[section.variant.value]
+        assert [o.seed for o in section.outcomes] == want["seeds"]
+        for outcome, final_cost in zip(section.outcomes, want["final_cost"]):
+            assert abs(outcome.final_cost - final_cost) <= 1e-9, outcome
+        assert abs(section.train_error_mean - want["train_error_mean"]) <= 1e-6
+        assert abs(section.test_error_mean - want["test_error_mean"]) <= 1e-6
+        iterations = [o.iterations for o in section.outcomes]
+        print(
+            f"golden {section.variant.value}: final costs within 1e-9, means within 1e-6; "
+            f"iterations {iterations} (golden {want['iterations']})"
+        )
 
 
 def test_criterion_09_byte_identical_reruns(tmp_path, monkeypatch):

@@ -517,6 +517,21 @@ class TestMain:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array", ""])
+    def test_out_of_memory_exit_4(self, tmp_path, monkeypatch, capsys, message):
+        # Stands in for an allocation that fails near the 20-qubit limit;
+        # nothing large is allocated.
+        def boom(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._COMMANDS, "diag", boom)
+        code = main(["diag", "--dataset-dir", str(tmp_path), "--bond-lengths"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
+
     def test_train_subcommand(self, tfim2_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(

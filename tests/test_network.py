@@ -218,32 +218,21 @@ class TestForward:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_real_rows_match_dense_reference(self, n, with_measurements, batch, seed):
-        # One bond length and one parameter vector per row, as cost and
-        # gradient stack them.
+        # One bond length per column and one parameter vector shared by
+        # all of them, as cost and gradient run them.
         variant = (
             Variant.WITH_MEASUREMENTS if with_measurements else Variant.WITHOUT_MEASUREMENTS
         )
         net = NetworkSpec(n, variant)
         rng = np.random.default_rng(seed)
-        params = rng.normal(0, 1.5, (batch, net.n_params))
+        params = rng.normal(0, 1.5, net.n_params)
         inputs = rng.uniform(-3, 3, batch)
-        rows = _forward_rows(net, inputs, params)
-        assert rows.dtype == np.float64
-        assert rows.shape == (batch, 1 << n)
+        cols = _forward_rows(net, inputs, params)
+        assert cols.dtype == np.float64
+        assert cols.shape == (1 << n, batch)
         for b in range(batch):
-            want = ref.forward(n, with_measurements, inputs[b], params[b])
-            assert np.max(np.abs(rows[b] - want)) < 1e-12
-
-    def test_shared_parameters_match_per_row_bitwise(self, rng):
-        # A shared vector runs on scalar factors; the rows equal those of
-        # the same vector repeated per row.
-        for n in (1, 4):
-            for variant in Variant:
-                net = NetworkSpec(n, variant)
-                params = rng.normal(0, 1.5, net.n_params)
-                inputs = rng.uniform(-3, 3, 5)
-                per_row = _forward_rows(net, inputs, np.tile(params, (5, 1)))
-                assert np.array_equal(_forward_rows(net, inputs, params), per_row)
+            want = ref.forward(n, with_measurements, inputs[b], params)
+            assert np.max(np.abs(cols[:, b] - want)) < 1e-12
 
     def test_final_norm(self, rng):
         for variant in Variant:
@@ -326,126 +315,126 @@ class TestNonlinearityWitness:
         assert max(residuals) > 1e-3
 
 
-def _fortran(rows):
-    return rows.flags["F_CONTIGUOUS"]
-
-
-class TestRowLayout:
-    """The readout is a BLAS product and the energy sums are einsums, and
-    both round differently on C- and Fortran-ordered rows, so the layout
-    of the rows decides the bits of every result. The network's rows are
-    Fortran-ordered, the layout the CNOT gather makes, on every path."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 6),
-        with_measurements=st.booleans(),
-        per_row=st.booleans(),
-        batch=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
+@pytest.mark.parametrize("n", range(1, 10))
+@settings(max_examples=4, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    batch=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
+    """Every array of a training pass is a C-ordered (2**n, points) array
+    of amplitude-major columns, the layout whose BLAS products and energy
+    sums the results round by. n = 1..9 covers every tile remainder and
+    both sides of the tile boundaries at 4 and 8 qubits."""
+    rng = np.random.default_rng(seed)
+    net = NetworkSpec(n, variant)
+    fields = rng.uniform(0.05, 2.5, batch)
+    problem = optimize.TrainingProblem(
+        net, tuple((a, transverse_field_ising(n, a)) for a in fields)
     )
-    def test_rows_are_fortran_ordered(self, n, with_measurements, per_row, batch, seed):
-        variant = (
-            Variant.WITH_MEASUREMENTS if with_measurements else Variant.WITHOUT_MEASUREMENTS
-        )
-        net = NetworkSpec(n, variant)
-        rng = np.random.default_rng(seed)
+    params = rng.normal(0, 1.5, net.n_params)
 
-        product = network._product_rows(rng.normal(size=(batch, n, 2)))
-        assert _fortran(product)
-        c_ordered = np.ascontiguousarray(product)
-        perm = network._ladder_permutation(n)
-        assert _fortran(network._cnot_rows(product, perm))
-        assert _fortran(network._cnot_rows(c_ordered, perm))
-        angles = rng.normal(size=(batch, 1, 1, 1)) if per_row else rng.normal()
-        c, s = np.cos(angles), np.sin(angles)
-        for q in range(n):
-            # A one-qubit kernel keeps the layout of its input.
-            assert _fortran(network._ry_rows(product, n, q, c, s))
-            assert network._ry_rows(c_ordered, n, q, c, s).flags["C_CONTIGUOUS"]
+    def columns(array):
+        return array.shape == (1 << n, batch) and array.flags["C_CONTIGUOUS"]
 
-        inputs = rng.uniform(-3, 3, batch)
-        shape = (batch, net.n_params) if per_row else net.n_params
-        params = rng.normal(0, 1.5, shape)
-        with mock.patch.object(
-            network, "_expect_z_rows", wraps=network._expect_z_rows
-        ) as readout:
-            rows = _forward_rows(net, inputs, params)
-        assert _fortran(rows)
-        assert readout.call_count == int(with_measurements)
-        for call in readout.call_args_list:
-            assert _fortran(call.args[0])
+    blocks = []
+
+    def kept(fn):
+        def spy(*args):
+            out = fn(*args)
+            blocks.append(out)
+            return out
+
+        return spy
+
+    assert columns(problem.encoded)
+    with (
+        mock.patch.object(network, "_encoded_rows", kept(network._encoded_rows)),
+        mock.patch.object(network, "_pqc_block", kept(network._pqc_block)),
+    ):
+        forward_pass, products = optimize._training_pass(params, problem)
+    # The measured variant re-encodes its readout between its blocks.
+    with_measurements = variant is Variant.WITH_MEASUREMENTS
+    assert len(blocks) == (3 if with_measurements else 1)
+    assert all(columns(cols) for cols in blocks)
+    assert len(forward_pass.measured) == int(with_measurements)
+    assert all(columns(cols) for cols in forward_pass.measured)
+    assert forward_pass.cols is blocks[-1]
+    assert columns(products)
+
+    got = optimize.energies(params, problem)
+    for b, (a, h) in enumerate(problem.training_set):
+        psi = ref.forward(n, with_measurements, a, params)
+        dense = ref.hamiltonian_matrix([(t.coefficient, t.axis_string) for t in h.terms], n)
+        assert abs(got[b] - (psi.conj() @ dense @ psi).real) < 1e-12
 
 
-def _per_gate_block(rows, n, layers, c, s):
+def _per_gate_block(cols, n, layers, c, s):
     """The trainable block as a chain of one-qubit kernels: per layer, the
     CNOT ladder, then Ry on qubits 0 .. n-1 in order."""
     perm = network._ladder_permutation(n)
     for j in range(layers):
-        rows = network._cnot_rows(rows, perm)
+        cols = network._cnot_rows(cols, perm)
         for i in range(n):
-            rows = network._ry_rows(rows, n, i, c[i + n * j], s[i + n * j])
-    return rows
+            cols = network._ry_rows(cols, i, c[i + n * j], s[i + n * j])
+    return cols
 
 
-def _random_rows(rng, batch, n, complex_rows):
-    rows = rng.normal(size=(batch, 1 << n))
-    if complex_rows:
-        rows = rows + 1j * rng.normal(size=rows.shape)
-    return np.asfortranarray(rows)
+def _random_cols(rng, stacked, n, complex_cols):
+    """C-ordered (2**n, 3) columns, or a stacked (2, 2**n, 3) pair of
+    them, as the adjoint sweep keeps its states and adjoints."""
+    shape = (2, 1 << n, 3) if stacked else (1 << n, 3)
+    cols = rng.normal(size=shape)
+    if complex_cols:
+        cols = cols + 1j * rng.normal(size=shape)
+    return cols
 
 
 class TestRyTiles:
     """Each layer's Ry's run as Kronecker tiles of up to four qubits: one
-    matmul per tile instead of one kernel per gate. n = 1..9 covers tiles
-    of every remainder size (1 to 3 qubits) and the boundaries at 4, 5, 8
-    and 9 qubits."""
+    matmul per tile instead of one kernel per gate, on columns or on a
+    stacked pair of them. n = 1..9 covers tiles of every remainder size
+    (1 to 3 qubits) and the boundaries at 4, 5, 8 and 9 qubits."""
 
     @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("complex_rows", [False, True])
-    @pytest.mark.parametrize("per_row", [False, True])
-    def test_block_matches_per_gate_kernels(self, rng, n, complex_rows, per_row):
-        batch, layers = 3, 2
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_block_matches_per_gate_kernels(self, rng, n, complex_rows, stacked):
+        layers = 2
         spec = PqcSpec(n, layers, 0)
-        rows = _random_rows(rng, batch, n, complex_rows)
-        shape = (batch, n * layers) if per_row else n * layers
-        c, s = network._angle_factors(rng.normal(0, 1.5, shape))
+        cols = _random_cols(rng, stacked, n, complex_rows)
+        c, s = network._angle_factors(rng.normal(0, 1.5, n * layers))
         tiles = network._ry_tiles(c, s, n)
-        assert len(tiles) == -(-n // 4)
-        got = network._pqc_block(rows, spec, tiles)
-        if per_row:
-            c = np.ascontiguousarray(c.T)[:, :, None, None, None]
-            s = np.ascontiguousarray(s.T)[:, :, None, None, None]
-        want = _per_gate_block(rows, n, layers, c, s)
+        assert [len(layer) for layer in tiles] == [-(-n // 4)] * layers
+        got = network._pqc_block(cols, spec, tiles)
+        want = np.array([_per_gate_block(part, n, layers, c, s) for part in cols.reshape(-1, *cols.shape[-2:])])
         assert got.dtype == want.dtype
-        assert np.max(np.abs(got - want)) < 1e-14
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.max(np.abs(got - want.reshape(cols.shape))) < 1e-14
 
     @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("complex_rows", [False, True])
-    @pytest.mark.parametrize("per_row", [False, True])
-    def test_transposed_tiles_restore_the_rows(self, rng, n, complex_rows, per_row):
-        batch = 3
-        rows = _random_rows(rng, batch, n, complex_rows)
-        shape = (batch, n) if per_row else n
-        tiles = network._ry_tiles(*network._angle_factors(rng.normal(0, 1.5, shape)), n)
-        layer = [tile[0] for tile in tiles]
-        rotated = network._tile_rows(rows, layer)
-        assert np.max(np.abs(rotated - rows)) > 1e-3
-        undone = network._tile_rows(rotated, [np.swapaxes(t, -1, -2) for t in layer])
-        assert np.max(np.abs(undone - rows)) < 1e-14
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_transposed_tiles_restore_the_rows(self, rng, n, complex_rows, stacked):
+        cols = _random_cols(rng, stacked, n, complex_rows)
+        (layer,) = network._ry_tiles(*network._angle_factors(rng.normal(0, 1.5, n)), n)
+        rotated = network._tile_rows(cols, layer)
+        assert np.max(np.abs(rotated - cols)) > 1e-3
+        undone = network._tile_rows(rotated, [tile.T for tile in layer])
+        assert np.max(np.abs(undone - cols)) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 3, 4, 6])
-    def test_tiles_are_read_only_and_rows_fresh_and_fortran(self, rng, n):
-        tiles = network._ry_tiles(*network._angle_factors(rng.normal(size=n)), n)
-        assert all(not tile.flags.writeable for tile in tiles)
-        layer = [tile[0] for tile in tiles]
-        f_rows = _random_rows(rng, 4, n, False)
-        for rows in (f_rows, np.ascontiguousarray(f_rows)):
-            before = rows.copy()
-            out = network._tile_rows(rows, layer)
-            assert _fortran(out)
-            assert not np.shares_memory(out, rows)
-            assert np.array_equal(rows, before)
+    def test_tiles_are_read_only_and_columns_fresh_and_c_ordered(self, rng, n):
+        (layer,) = network._ry_tiles(*network._angle_factors(rng.normal(size=n)), n)
+        assert all(not tile.flags.writeable for tile in layer)
+        c_cols = _random_cols(rng, False, n, False)
+        for cols in (c_cols, np.asfortranarray(c_cols)):
+            before = cols.copy()
+            out = network._tile_rows(cols, layer)
+            assert out.flags["C_CONTIGUOUS"]
+            assert not np.shares_memory(out, cols)
+            assert np.array_equal(cols, before)
 
     def test_tile_entries_are_kronecker_products(self, rng):
         for n in (3, 4, 6):
@@ -453,11 +442,11 @@ class TestRyTiles:
             tiles = network._ry_tiles(*network._angle_factors(theta), n)
             for j in range(2):
                 gates = [ref.ry(theta[i + n * j]).real for i in range(n)]
-                for t, tile in enumerate(tiles):
+                for t, tile in enumerate(tiles[j]):
                     want = np.array([[1.0]])
                     for gate in gates[4 * t : 4 * t + 4]:
                         want = np.kron(want, gate)
-                    assert np.max(np.abs(tile[j] - want)) < 1e-15
+                    assert np.max(np.abs(tile - want)) < 1e-15
 
     def test_training_and_public_paths_make_no_per_gate_ry_call(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):

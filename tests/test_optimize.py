@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -278,21 +280,34 @@ class TestAdjointGradient:
         assert got.shape == (1, n)
         assert np.max(np.abs(got[0] - want)) < 1e-12
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_sweep_ends_at_the_first_trainable_layer(self, variant):
+        # Both variants have 8 trainable layers at n = 4. The sweep undoes
+        # each of them after reading its derivatives, except the first
+        # layer of the first block, whose input is the encoded bond
+        # lengths: 7 undos per gradient.
+        problem = _tfim_problem(4, (0.4, 1.0, 1.6), variant)
+        params = init_params(problem.network.n_params, 0)
+        cost(params, problem)
+        with mock.patch.object(network, "_undo_tiles", wraps=network._undo_tiles) as undo:
+            g = gradient(params, problem)
+        assert undo.call_count == 7
+        assert np.max(np.abs(g - finite_difference_gradient(params, problem))) < 1e-7
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_undo_tiles_inverts_the_forward_tiles(self, rng, n):
-        # The sweep undoes a layer's tiles on the column pair; the forward
-        # applied them to the rows.
+        # The sweep undoes a layer's tiles on the stacked column pair; the
+        # forward applied them to the columns.
         batch = 3
-        rows = np.asfortranarray(rng.normal(size=(2 * batch, 1 << n)))
-        tiles = network._ry_tiles(*network._angle_factors(rng.normal(0, 1.5, n)), n)
-        layer = [tile[0] for tile in tiles]
-        rotated = network._tile_rows(rows, layer)
-        pair = np.stack([rotated[:batch].T, rotated[batch:].T])
+        cols = rng.normal(size=(1 << n, 2 * batch))
+        (layer,) = network._ry_tiles(*network._angle_factors(rng.normal(0, 1.5, n)), n)
+        rotated = network._tile_rows(cols, layer)
+        pair = np.array([rotated[:, :batch], rotated[:, batch:]])
         undone = network._undo_tiles(pair, layer)
         assert undone.shape == pair.shape
         assert undone.flags["C_CONTIGUOUS"]
-        assert np.max(np.abs(undone[0].T - rows[:batch])) < 1e-14
-        assert np.max(np.abs(undone[1].T - rows[batch:])) < 1e-14
+        assert np.max(np.abs(undone[0] - cols[:, :batch])) < 1e-14
+        assert np.max(np.abs(undone[1] - cols[:, batch:])) < 1e-14
 
 
 class TestForwardMemo:

@@ -236,9 +236,9 @@ class TestCompiled:
         n, sums = case
         compiled = compile_hamiltonians(_ham(terms, n) for terms in sums)
         rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((len(sums) * rows_per, 1 << n))
-        got = _expectation_rows(compiled, rows)
-        for b, v in enumerate(rows):
+        cols = rng.standard_normal((1 << n, len(sums) * rows_per))
+        got = _expectation_rows(compiled, cols)
+        for b, v in enumerate(cols.T):
             dense = ref.hamiltonian_matrix(sums[b // rows_per], n)
             assert got[b] == pytest.approx(float((v @ dense @ v).real), abs=1e-10)
 
@@ -249,17 +249,18 @@ class TestCompiled:
         hams = [_ham(terms, n) for terms in sums]
         compiled = compile_hamiltonians(hams)
         rng = np.random.default_rng(seed)
-        rows = np.stack([ref.random_state(rng, n) for _ in hams])
-        got = _apply_hamiltonian_rows(compiled, rows)
-        for h, v, out in zip(hams, rows, got):
+        cols = np.stack([ref.random_state(rng, n) for _ in hams], axis=1)
+        got = _apply_hamiltonian_rows(compiled, cols)
+        assert got.flags["C_CONTIGUOUS"]
+        for h, v, out in zip(hams, cols.T, got.T):
             assert np.max(np.abs(out - to_dense(h) @ v)) < 1e-12
 
     def test_odd_y_strings_drop_out_on_real_rows(self):
         compiled = compile_hamiltonians([_ham([(0.7, "YZ"), (-1.1, "YI")], 2)])
         assert compiled.real_groups == ()
         assert len(compiled.groups) == 1  # both strings flip qubit 0 only
-        rows = np.random.default_rng(3).standard_normal((4, 4))
-        assert np.array_equal(_expectation_rows(compiled, rows), np.zeros(4))
+        cols = np.random.default_rng(3).standard_normal((4, 4))
+        assert np.array_equal(_expectation_rows(compiled, cols), np.zeros(4))
 
 
 @st.composite

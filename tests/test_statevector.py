@@ -137,40 +137,39 @@ def test_gates_do_not_mutate_input(rng):
 
 
 def test_kernels_return_fresh_rows(rng):
+    # Every kernel maps C-ordered (2**n, points) columns to fresh C-ordered
+    # columns and leaves its input unchanged.
     for n in (1, 2, 4):
-        rows = np.asfortranarray(
-            np.stack([ref.random_state(rng, n) for _ in range(3)])
-        )
-        before = rows.copy()
+        cols = np.stack([ref.random_state(rng, n) for _ in range(3)], axis=1)
+        before = cols.copy()
         c, s = _angle_factors(0.7)
         perm = _cnot_permutation(n, ((0, n - 1),) if n > 1 else ())
         for q in range(n):
             for out in (
-                _h_rows(rows, n, q),
-                _rx_rows(rows, n, q, c, s),
-                _ry_rows(rows, n, q, c, s),
-                _rz_rows(rows, n, q, c, s),
-                _cnot_rows(rows, perm),
+                _h_rows(cols, q),
+                _rx_rows(cols, q, c, s),
+                _ry_rows(cols, q, c, s),
+                _rz_rows(cols, q, c, s),
+                _cnot_rows(cols, perm),
             ):
-                assert out.shape == rows.shape
-                assert not np.shares_memory(out, rows)
-        assert np.array_equal(rows, before)
+                assert out.shape == cols.shape
+                assert out.flags["C_CONTIGUOUS"]
+                assert not np.shares_memory(out, cols)
+        assert np.array_equal(cols, before)
 
 
 def test_ry_kernel_rounds_as_the_two_by_two_formula(rng):
     # (lo, hi) -> (c lo - s hi, c hi + s lo), each product and sum rounded
-    # once, for shared and per-row factors.
+    # once.
     for n in (1, 3, 5):
-        rows = rng.normal(size=(4, 1 << n))
-        for angles in (rng.normal(), rng.normal(size=(4, 1, 1, 1))):
-            c, s = _angle_factors(angles)
-            for q in range(n):
-                v = rows.reshape(4, -1, 2, 1 << (n - 1 - q))
-                lo, hi = v[:, :, 0], v[:, :, 1]
-                cc, ss = (c, s) if np.ndim(c) == 0 else (c[..., 0], s[..., 0])
-                want = np.stack([cc * lo - ss * hi, cc * hi + ss * lo], axis=2)
-                got = _ry_rows(rows, n, q, c, s)
-                assert np.array_equal(got, want.reshape(rows.shape))
+        cols = rng.normal(size=(1 << n, 4))
+        c, s = _angle_factors(rng.normal())
+        for q in range(n):
+            v = cols.reshape(1 << q, 2, -1)
+            lo, hi = v[:, 0], v[:, 1]
+            want = np.stack([c * lo - s * hi, c * hi + s * lo], axis=1)
+            got = _ry_rows(cols, q, c, s)
+            assert np.array_equal(got, want.reshape(cols.shape))
 
 
 def _random_gate(rng, n):
