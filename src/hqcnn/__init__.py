@@ -23,7 +23,6 @@ from .optimize import (
     TrainingProblem,
     bfgs_minimize,
     cost,
-    evaluate,
     finite_difference_gradient,
     gradient,
     init_params,
@@ -79,7 +78,6 @@ __all__ = [
     "bfgs_minimize",
     "cost",
     "entangler_pattern",
-    "evaluate",
     "expect_z",
     "expectation",
     "finite_difference_gradient",

@@ -42,7 +42,8 @@ forward pass kept are applied transposed, one BLAS product per tile, and
 the CNOT ladder by one gather along the amplitude axis. The Ry
 derivatives are read on the same tiles, from each tile's Gram matrix of
 adjoint and state (``_y_overlaps``): for a trainable layer one product
-per tile, summed over the points, and per column for the re-encoding.
+per tile, summed over the points, and per column for the re-encoding;
+a cached sign table turns each into the derivatives by the tile's angles.
 The readout is an exact expectation, so it has an exact derivative.
 Besides the tiles, the cached (2**n, n) sign table of the readout and the
 O(k 4**k) sign tables of the tile sizes k, memory is a fixed number of
@@ -248,14 +249,14 @@ def _block_tiles(tiles, spec: PqcSpec):
 @lru_cache(maxsize=_TILE_QUBITS)
 def _tile_y_signs(k: int) -> np.ndarray:
     """(4**k, k) table that turns the flattened Gram matrix
-    G[I, J] = adjoint[I] . state[J] of a k-qubit tile into its k overlaps
-    adjoint . (-iY)_m state: entry (I * 2**k + J, m) is -z_m(I) where J is
-    I with bit m flipped, bit 0 the most significant, and 0 elsewhere
-    (read-only, cached)."""
+    G[I, J] = adjoint[I] . state[J] of a k-qubit tile into half its k
+    overlaps adjoint . (-iY)_m state, exactly, as 1/2 is a power of two:
+    entry (I * 2**k + J, m) is -z_m(I) / 2 where J is I with bit m
+    flipped, bit 0 the most significant, and 0 elsewhere (read-only, cached)."""
     index = np.arange(1 << k)[:, None]
     flipped = index ^ (1 << (k - 1 - np.arange(k)))
     table = np.zeros((1 << k, 1 << k, k))
-    table[index, flipped, np.arange(k)] = -_z_signs(k)
+    table[index, flipped, np.arange(k)] = -0.5 * _z_signs(k)
     table = table.reshape(-1, k)
     table.setflags(write=False)
     return table
@@ -267,36 +268,41 @@ def _tile_y_signs(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _y_overlaps(pair: np.ndarray, n_qubits: int, per_row: bool) -> np.ndarray:
-    """adjoint . (-iY)_q state for every qubit q, summed over the columns
-    of ``pair`` into a (1, n) array, or (points, n), one row per column,
-    when ``per_row``.
+def _y_overlaps(pair: np.ndarray, n_qubits: int, per_row: bool, out=None) -> np.ndarray:
+    """Half of adjoint . (-iY)_q state for every qubit q, summed over the
+    columns of ``pair`` into an (n,) array, or (points, n), one row per
+    column, when ``per_row``; written into ``out`` when given.
 
-    Ry(t) = exp(t/2 (-iY)), so half of this is the derivative of the
-    energy by an Ry angle on qubit q that acted last on the state.
+    Ry(t) = exp(t/2 (-iY)), so this is the derivative of the energy by an
+    Ry angle on qubit q that acted last on the state.
     ((-iY)_q v)[i] = -z_q(i) v[i ^ bit q], with z_q the sigma_z signs, so
     the overlaps of the qubits of one Ry tile are fixed sums over the
     tile's (2**k, 2**k) Gram matrix of adjoint and state, summed over every
-    bit outside the tile: per tile, one matmul on a copy of the columns
-    with the tile's bits in front, and one product with ``_tile_y_signs``.
-    Summed, the points are one more axis outside the tile, so each Gram
-    matrix is one BLAS product, and the first tile needs no copy.
+    bit outside the tile: one product with ``_tile_y_signs``. Summed, the
+    points are one more axis outside the tile, so the leading tile's Gram
+    matrix is one 2-D ``adjoint @ state.T`` on the (2, 2**k, rest) view;
+    any other takes one matmul on a copy with the tile's bits in front.
     """
     rows = pair.shape[-1] if per_row else 1
-    overlaps = np.empty((rows, n_qubits))
-    for q0 in range(0, n_qubits, _TILE_QUBITS):
+    out = np.empty((rows, n_qubits) if per_row else n_qubits) if out is None else out
+    start = 0 if per_row else min(_TILE_QUBITS, n_qubits)
+    if start:
+        tile = pair.reshape(2, 1 << start, -1)
+        np.matmul((tile[1] @ tile[0].T).reshape(-1), _tile_y_signs(start), out=out[:start])
+    for q0 in range(start, n_qubits, _TILE_QUBITS):
         k = min(_TILE_QUBITS, n_qubits - q0)
         tile = pair.reshape(2, 1 << q0, 1 << k, -1, rows).transpose(0, 4, 2, 1, 3)
         tile = tile.reshape(2, rows, 1 << k, -1)
-        gram = np.matmul(tile[1], tile[0].swapaxes(1, 2))
-        np.matmul(gram.reshape(rows, -1), _tile_y_signs(k), out=overlaps[:, q0 : q0 + k])
-    return overlaps
+        gram = np.matmul(tile[1], tile[0].swapaxes(1, 2)).reshape(rows, -1)
+        np.matmul(gram if per_row else gram[0], _tile_y_signs(k), out=out[..., q0 : q0 + k])
+    return out
 
 
 def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
     """Undo one layer's Ry tiles, as ``_ry_tiles`` builds them, on the
     states and adjoints of ``pair``: each tile's transpose is one BLAS
-    product across both (``_tile_rows``). Returns a fresh pair."""
+    product across both (``_tile_rows``), at n <= 4 on the pair itself.
+    Returns a fresh pair."""
     return _tile_rows(pair, [tile.T for tile in tiles])
 
 
@@ -310,16 +316,16 @@ def _pqc_block_adjoint(pair: np.ndarray, spec: PqcSpec, tiles, grad, first: bool
     ``tiles`` are the block's tiles, as for ``_pqc_block``. The Ry's of
     one layer act on distinct qubits and commute, so all their
     derivatives are read at the end of the layer, before any is undone,
-    tile by tile on the split the tiles use (``_y_overlaps``), already
-    summed over the points. The transposed tiles (``_undo_tiles``) and the
-    inverse ladder permutation, one gather along the amplitude axis, undo
-    the layer: every tile is a product of rotations and so orthogonal,
-    and every gate acts on adjoints as on states.
+    tile by tile on the split the tiles use (``_y_overlaps``), summed
+    over the points and written into ``grad``. The transposed tiles
+    (``_undo_tiles``) and the inverse ladder permutation, one gather along
+    the amplitude axis, undo the layer: every tile is a product of
+    rotations and so orthogonal, and every gate acts on adjoints as on states.
     """
     n = spec.n_qubits
     inverse = _ladder_inverse(n)
     for j in reversed(range(spec.n_layers)):
-        grad[n * j : n * (j + 1)] = 0.5 * _y_overlaps(pair, n, per_row=False)[0]
+        _y_overlaps(pair, n, per_row=False, out=grad[n * j : n * (j + 1)])
         if first and j == 0:
             return None
         pair = _undo_tiles(pair, tiles[j])
@@ -345,18 +351,16 @@ def _input_rows(net: NetworkSpec, inputs) -> np.ndarray:
     return _encoded_rows(net.blocks()[0].scale * values)
 
 
-def _run_blocks(net: NetworkSpec, inputs: np.ndarray, tiles, encoded=None):
-    """Run every block on one column per input; returns the final columns
-    and the list of columns each readout block measured.
+def _run_blocks(net: NetworkSpec, cols: np.ndarray, tiles):
+    """Run every block after the first on ``cols``, the columns of the
+    first, which are the ``_input_rows`` of the inputs; returns the final
+    columns and the list of columns each readout block measured.
 
-    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector.
-    ``encoded`` are the ``_input_rows`` of ``inputs`` when the caller keeps
-    them; without them the inputs are encoded here. Every later encoding
-    block starts from a fresh register, so the readout block only has to
-    capture its values; the collapsed state is dropped.
+    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector. Every
+    later encoding block starts from a fresh register, so the readout
+    block only has to capture its values; the collapsed state is dropped.
     """
     n = net.n_qubits
-    cols = _input_rows(net, inputs) if encoded is None else encoded
     measured = []
     for block in net.blocks()[1:]:
         if isinstance(block, EncodingSpec):
@@ -378,18 +382,16 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
     and turned into Ry tiles once, here.
     """
     c, s = _angle_factors(params)
-    return _run_blocks(net, inputs, _ry_tiles(c, s, net.n_qubits))[0]
+    return _run_blocks(net, _input_rows(net, inputs), _ry_tiles(c, s, net.n_qubits))[0]
 
 
-def _forward_pass(
-    net: NetworkSpec, inputs: np.ndarray, params: np.ndarray, encoded=None
-) -> _ForwardPass:
-    """One forward pass per input on the parameter vector ``params``, kept
+def _forward_pass(net: NetworkSpec, encoded: np.ndarray, params: np.ndarray) -> _ForwardPass:
+    """One forward pass per input on the parameter vector ``params``, from
+    the ``_input_rows`` of the inputs, which the caller keeps, and kept
     whole for ``_adjoint_gradient``; ``cols`` are the columns that
-    ``_forward_rows`` returns for the same arguments. ``encoded`` are the
-    kept ``_input_rows`` of ``inputs``, if any, as for ``_run_blocks``."""
+    ``_forward_rows`` returns on the same inputs and parameters."""
     tiles = _ry_tiles(*_angle_factors(params), net.n_qubits)
-    cols, measured = _run_blocks(net, inputs, tiles, encoded)
+    cols, measured = _run_blocks(net, encoded, tiles)
     for array in (cols, *measured):
         array.setflags(write=False)
     return _ForwardPass(tiles, cols, tuple(measured))
@@ -425,12 +427,11 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     blocks = net.blocks()
     for block in reversed(blocks[1:]):
         if isinstance(block, PqcSpec):
-            window = slice(block.param_offset, block.param_offset + block.n_params)
-            block_tiles = _block_tiles(tiles, block)
+            window = grad[block.param_offset : block.param_offset + block.n_params]
             first = block is blocks[1]
-            pair = _pqc_block_adjoint(pair, block, block_tiles, grad[window], first)
+            pair = _pqc_block_adjoint(pair, block, _block_tiles(tiles, block), window, first)
         elif isinstance(block, EncodingSpec):
-            value_grad = 0.5 * block.scale * _y_overlaps(pair, n, per_row=True)
+            value_grad = block.scale * _y_overlaps(pair, n, per_row=True)
         else:
             psi = measured.pop()
             pair = np.array([psi, 2.0 * psi * (_z_signs(n) @ value_grad.T)])
@@ -471,8 +472,7 @@ def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
             f"parameter vector of length {vec.size} too short: "
             f"block reads indices [{spec.param_offset}, {end})"
         )
-    c, s = _angle_factors(vec[spec.param_offset : end])
-    tiles = _ry_tiles(c, s, spec.n_qubits)
+    tiles = _ry_tiles(*_angle_factors(vec[spec.param_offset : end]), spec.n_qubits)
     cols = _pqc_block(psi.amplitudes[:, None], spec, tiles)
     return StateVector(psi.n_qubits, cols[:, 0])
 

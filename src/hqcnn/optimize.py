@@ -35,6 +35,8 @@ central-difference gradients; ``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
+Each trial point is built once and handed to the objective and then, for
+its slope, to the gradient; the accepted one is the next iterate.
 Defaults: at most 500 iterations, stop when the gradient infinity norm
 drops to 1e-5.
 
@@ -51,8 +53,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import oracle
 
 # forward and expectation are not called here: trained models are scored
 # with energies. They are imported so that perfbench/layers.py, which
@@ -182,8 +182,9 @@ def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.n
         memo.clear()
         # ``encoded`` holds for the training set it was built from; one
         # set in its place later has its bond lengths encoded afresh.
-        encoded = problem.encoded if problem.training_set is problem._encoded_set else None
-        forward_pass = _forward_pass(problem.network, _bond_lengths(problem), vec, encoded)
+        kept = problem.training_set is problem._encoded_set
+        encoded = problem.encoded if kept else _input_rows(problem.network, _bond_lengths(problem))
+        forward_pass = _forward_pass(problem.network, encoded, vec)
         products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
         products.setflags(write=False)
         found = memo[key] = (forward_pass, products)
@@ -328,14 +329,15 @@ def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, max_iter=
         # Reject steps outside or hugging the bracket edge.
         if a is None or not (lo + 0.1 * width <= a <= hi - 0.1 * width):
             a = 0.5 * (lo + hi)
-        f_a = _finite_or_raise(fun(x + a * p), f"in line search at step {a}")
+        x_a = x + a * p
+        f_a = _finite_or_raise(fun(x_a), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or f_a >= f_lo:
             a_hi, f_hi, d_hi = a, f_a, None
         else:
-            g_a = np.asarray(grad(x + a * p), dtype=np.float64)
+            g_a = np.asarray(grad(x_a), dtype=np.float64)
             d_a = float(g_a @ p)
             if abs(d_a) <= -_WOLFE_C2 * d0:
-                return a, f_a, g_a
+                return a, x_a, f_a, g_a
             if d_a * (a_hi - a_lo) >= 0.0:
                 a_hi, f_hi, d_hi = a_lo, f_lo, d_lo
             a_lo, f_lo, d_lo = a, f_a, d_a
@@ -345,20 +347,22 @@ def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, max_iter=
 
 
 def _strong_wolfe(fun, grad, x, p, f0, g0, max_steps=25):
-    """Find alpha with sufficient decrease and flattened slope; None on failure."""
+    """Find alpha with sufficient decrease and flattened slope; returns
+    (alpha, x + alpha p, f, g) there, None on failure."""
     d0 = float(g0 @ p)
     if d0 >= 0.0:
         return None
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
     for i in range(max_steps):
-        f_a = _finite_or_raise(fun(x + a * p), f"in line search at step {a}")
+        x_a = x + a * p
+        f_a = _finite_or_raise(fun(x_a), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or (i > 0 and f_a >= f_prev):
             return _zoom(fun, grad, x, p, f0, d0, a_prev, f_prev, d_prev, a, f_a, None)
-        g_a = np.asarray(grad(x + a * p), dtype=np.float64)
+        g_a = np.asarray(grad(x_a), dtype=np.float64)
         d_a = float(g_a @ p)
         if abs(d_a) <= -_WOLFE_C2 * d0:
-            return a, f_a, g_a
+            return a, x_a, f_a, g_a
         if d_a >= 0.0:
             return _zoom(fun, grad, x, p, f0, d0, a, f_a, d_a, a_prev, f_prev, d_prev)
         a_prev, f_prev, d_prev = a, f_a, d_a
@@ -382,7 +386,7 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
     first_update = True
     iterations = 0
     for _ in range(settings.max_iterations):
-        if float(np.max(np.abs(g))) <= settings.gradient_norm_tolerance:
+        if float(np.abs(g).max()) <= settings.gradient_norm_tolerance:
             return MinimizeResult(x, f, iterations, True)
         p = -(h_inv @ g)
         if float(p @ g) >= 0.0:
@@ -393,7 +397,7 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
         found = _strong_wolfe(objective, gradient_fn, x, p, f, g)
         if found is None:
             return MinimizeResult(x, f, iterations, False)
-        alpha, f_new, g_new = found
+        alpha, x_new, f_new, g_new = found
         s = alpha * p
         y = g_new - g
         sy = float(s @ y)
@@ -404,12 +408,12 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
                 first_update = False
             rho = 1.0 / sy
             hy = h_inv @ y
-            h_inv -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            h_inv += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
-        x = x + s
-        f, g = f_new, g_new
+            s_hy = s[:, None] * hy
+            h_inv -= rho * (s_hy + s_hy.T)
+            h_inv += (rho * rho * float(y @ hy) + rho) * (s[:, None] * s)
+        x, f, g = x_new, f_new, g_new
         iterations += 1
-    converged = float(np.max(np.abs(g))) <= settings.gradient_norm_tolerance
+    converged = float(np.abs(g).max()) <= settings.gradient_norm_tolerance
     return MinimizeResult(x, f, iterations, converged)
 
 
@@ -437,15 +441,3 @@ def train(
         iterations_used=result.iterations,
         converged=result.converged,
     )
-
-
-def evaluate(
-    model: TrainedModel, bond_length: float, h: PauliHamiltonian
-) -> tuple[float, float]:
-    """(predicted energy, absolute error vs the diagonalization oracle).
-
-    The energy is scored like a training point, on the real batched path:
-    ``energies`` of a one-point ``TrainingProblem``."""
-    problem = TrainingProblem(model.network, ((bond_length, h),))
-    energy = float(energies(model.parameters, problem)[0])
-    return energy, abs(energy - oracle.ground_energy(h))

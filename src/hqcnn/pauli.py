@@ -98,9 +98,9 @@ class PauliTerm:
 class PauliHamiltonian:
     """Sum of Pauli terms on a fixed number of qubits.
 
-    Duplicate axis strings are kept as-is to preserve input fidelity; use
-    :func:`merged` to fold them. ``bond_length`` (Angstrom) is optional
-    metadata used to pair Hamiltonians with network inputs.
+    Duplicate axis strings are kept as-is to preserve input fidelity.
+    ``bond_length`` (Angstrom) is optional metadata used to pair
+    Hamiltonians with network inputs.
     """
 
     n_qubits: int
@@ -118,18 +118,6 @@ class PauliHamiltonian:
                 )
         if self.bond_length is not None and not math.isfinite(self.bond_length):
             raise ValueError("bond_length must be finite")
-
-
-def merged(h: PauliHamiltonian) -> PauliHamiltonian:
-    """Fold duplicate axis strings by summing coefficients (first-seen order)."""
-    totals: dict[str, float] = {}
-    axes_of: dict[str, tuple[PauliAxis, ...]] = {}
-    for term in h.terms:
-        key = term.axis_string
-        totals[key] = totals.get(key, 0.0) + term.coefficient
-        axes_of.setdefault(key, term.axes)
-    out = tuple(PauliTerm(c, axes_of[k]) for k, c in totals.items())
-    return PauliHamiltonian(h.n_qubits, out, h.bond_length)
 
 
 # ---------------------------------------------------------------------------

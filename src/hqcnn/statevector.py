@@ -17,14 +17,15 @@ columns, one per state, so that many circuits advance with one numpy call
 qubit q sees them as a (2**q, 2, rest) view, a Ry tile on qubits q0 ..
 q0 + k - 1 as a (2**q0, 2**k, rest) view whose trailing matrices are
 C-ordered, so each tile is one BLAS product across all columns (Haener &
-Steiger, arXiv:1704.01127), and a CNOT sequence gathers whole amplitude
-rows; tiles and gathers also take leading axes, as the adjoint sweep
-stacks its states and adjoints. The kernels are dtype-generic: H, Ry and
-CNOT have real matrices, so the network's training path runs them on
-float64 columns, and the public API on the complex (2**n, 1) column of
-one state. The private ``_*_rows`` functions are that batched path (the
-names predate the column layout); each maps C-ordered columns to fresh
-C-ordered columns and never mutates its input.
+Steiger, arXiv:1704.01127), on the columns themselves when one tile spans
+every qubit, and a CNOT sequence gathers whole amplitude rows; tiles and
+gathers also take leading axes, as the adjoint sweep stacks its states
+and adjoints. The kernels are dtype-generic: H, Ry and CNOT have real
+matrices, so the network's training path runs them on float64 columns,
+and the public API on the complex (2**n, 1) column of one state. The
+private ``_*_rows`` functions are that batched path (the names predate
+the column layout); each maps C-ordered columns to fresh C-ordered
+columns and never mutates its input.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def _pairs(cols: np.ndarray, q: int) -> np.ndarray:
 def _half_angles(theta) -> np.ndarray:
     """Validated theta/2, elementwise, any shape."""
     t = np.asarray(theta, dtype=np.float64)
-    if not np.isfinite(t).all():
+    if np.count_nonzero(np.isfinite(t)) < t.size:
         raise ValueError("rotation angle must be finite")
     return t / 2.0
 
@@ -159,17 +160,19 @@ _TILE_QUBITS = 4
 
 
 @lru_cache(maxsize=MAX_QUBITS)
-def _tile_entries(n_qubits: int) -> tuple[np.ndarray, ...]:
-    """Where the entries of the Ry tiles of one layer come from, one
-    (tiles, k, 4**k) index array per tile size k (read-only, cached).
+def _tile_entries(n_qubits: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """How the entries of the Ry tiles of one layer are built, one pair of
+    read-only index arrays per tile size k (cached).
 
     The layer's one-qubit factors are laid out as the 3n values cos,
     then sin, then -sin of each qubit's half angle. Entry (I, J) of the
     tile on qubits q0 .. q0 + k - 1 is the product over m < k of the
-    factor that Ry on qubit q0 + m has at (bit m of I, bit m of J), bit 0
+    factor of type (bit m of I, bit m of J) of Ry on qubit q0 + m, bit 0
     the most significant: cos where the bits agree, sin at (1, 0) and
-    -sin at (0, 1). Row m of a tile's index array lists those factors
-    for all its entries, row-major.
+    -sin at (0, 1). So a tile has 3**k distinct products, one per
+    sequence of k types: the (tiles, k, 3**k) array lists their factors,
+    row m for qubit q0 + m, and the (4**k,) one the sequence of each
+    entry, row-major, qubit q0's type the most significant.
     """
     full = n_qubits - n_qubits % _TILE_QUBITS
     groups = []
@@ -180,12 +183,14 @@ def _tile_entries(n_qubits: int) -> tuple[np.ndarray, ...]:
         if not starts:
             continue
         shifts = np.arange(k - 1, -1, -1)[:, None]
+        types = np.arange(3**k) // 3**shifts % 3
+        factors = np.array(starts)[:, None, None] + np.arange(k)[:, None] + n_qubits * types
         row, col = np.divmod(np.arange(1 << (2 * k)), 1 << k)
         i, j = (row >> shifts) & 1, (col >> shifts) & 1
-        factor = np.arange(k)[:, None] + n_qubits * ((i > j) + 2 * (i < j))
-        index = np.array(starts)[:, None, None] + factor
-        index.setflags(write=False)
-        groups.append(index)
+        sequence = 3**shifts[:, 0] @ ((i > j) + 2 * (i < j))
+        factors.setflags(write=False)
+        sequence.setflags(write=False)
+        groups.append((factors, sequence))
     return tuple(groups)
 
 
@@ -197,17 +202,19 @@ def _ry_tiles(c: np.ndarray, s: np.ndarray, n_qubits: int) -> tuple[tuple[np.nda
     Entry j of the result holds the tiles of layer j: tile t is the
     (2**k, 2**k) Kronecker product of the Ry's on qubits
     ``_TILE_QUBITS * t`` up to the next tile or n. All tiles of one size
-    are built at once, by one gather of whole rows of the (3n, layers)
-    factor table and one product, and returned read-only.
+    are built at once (``_tile_entries``): one gather of whole rows of the
+    (3n, layers) factor table and one product give the 3**k products of
+    every tile and layer, multiplied in qubit order, and one gather
+    spreads them over the C-ordered, read-only entries.
     """
     c, s = c.reshape(-1, n_qubits).T, s.reshape(-1, n_qubits).T
     factors = np.concatenate((c, s, -s))
-    layers = factors.shape[1]
     tiles = []
-    for index in _tile_entries(n_qubits):
+    for index, sequence in _tile_entries(n_qubits):
         size = 1 << index.shape[1]
-        entries = np.multiply.reduce(factors.take(index, axis=0), axis=1)
-        entries = np.ascontiguousarray(entries.transpose(2, 0, 1)).reshape(layers, -1, size, size)
+        products = np.multiply.reduce(factors.take(index, axis=0), axis=1)
+        entries = products.transpose(2, 0, 1).take(sequence, axis=2)
+        entries = entries.reshape(*entries.shape[:2], size, size)
         entries.setflags(write=False)
         tiles += [entries[:, t] for t in range(index.shape[0])]
     return tuple(zip(*tiles))
@@ -217,8 +224,11 @@ def _tile_rows(cols: np.ndarray, tiles) -> np.ndarray:
     """Apply the tiles of one layer, as ``_ry_tiles`` builds them, to
     (..., 2**n, points) columns: tile t, on the qubits from
     ``_TILE_QUBITS * t`` on, is one matmul on the (-1, 2**k, rest) view
-    whose axis 1 is its bits, one BLAS product across all columns. The
-    tiles are real, so the columns keep their dtype."""
+    whose axis 1 is its bits, one BLAS product across all columns; a
+    single tile spans every qubit and is one product on the columns
+    themselves. The tiles are real, so the columns keep their dtype."""
+    if len(tiles) == 1:
+        return tiles[0] @ cols
     for t, tile in enumerate(tiles):
         size = tile.shape[-1]
         rest = (cols.shape[-2] >> (_TILE_QUBITS * t)) // size * cols.shape[-1]
@@ -257,7 +267,7 @@ def _z_signs(n_qubits: int) -> np.ndarray:
 
 
 def _probabilities(cols: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(cols):
+    if cols.dtype.kind == "c":
         return cols.real**2 + cols.imag**2
     return cols * cols
 
@@ -267,15 +277,27 @@ def _expect_z_rows(cols: np.ndarray, n_qubits: int) -> np.ndarray:
     return _probabilities(cols).T @ _z_signs(n_qubits)
 
 
+@lru_cache(maxsize=_TILE_QUBITS)
+def _product_index(k: int) -> np.ndarray:
+    """(k, 2**k) array: row m lists 2m + bit m of each amplitude index, bit
+    0 the most significant, a row of the (2k, points) factor table."""
+    index = 2 * np.arange(k)[:, None] + ((np.arange(1 << k) >> np.arange(k)[::-1, None]) & 1)
+    index.setflags(write=False)
+    return index
+
+
 def _product_rows(factors: np.ndarray) -> np.ndarray:
     """Product states from per-qubit amplitude pairs.
 
     ``factors`` is a C-ordered (n, 2, points) array, the amplitudes of |0>
-    and |1> of each qubit; returns the columns of their tensor products
-    (for n = 1, a view of ``factors``).
+    and |1> of each qubit; returns the fresh columns of their tensor
+    products, multiplied in qubit order: the first ``_TILE_QUBITS`` by one
+    gather and one product, each later qubit by one broadcast product.
     """
-    cols = factors[0]
-    for pair in factors[1:]:
+    k = min(len(factors), _TILE_QUBITS)
+    lead = factors[:k].reshape(2 * k, -1)
+    cols = np.multiply.reduce(lead.take(_product_index(k), axis=0), axis=0)
+    for pair in factors[k:]:
         cols = (cols[:, None, :] * pair).reshape(-1, pair.shape[1])
     return cols
 

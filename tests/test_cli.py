@@ -364,13 +364,25 @@ class TestScoring:
             events.append("trained")
             return model
 
-        run_blocks = network._run_blocks
+        # A pass runs on the encoded columns of its bond lengths; the
+        # encodings are kept, so each is traced back to its bond lengths.
+        bond_lengths = {}
+        input_rows, run_blocks = network._input_rows, network._run_blocks
 
-        def spy_blocks(net, inputs, *args):
-            events.append(tuple(float(a) for a in inputs))
-            return run_blocks(net, inputs, *args)
+        def spy_inputs(net, inputs):
+            encoded = input_rows(net, inputs)
+            bond_lengths[id(encoded)] = (encoded, tuple(float(a) for a in inputs))
+            return encoded
+
+        def spy_blocks(net, encoded, *args):
+            kept, inputs = bond_lengths[id(encoded)]
+            assert kept is encoded
+            events.append(inputs)
+            return run_blocks(net, encoded, *args)
 
         monkeypatch.setattr(cli, "train", spy_train)
+        monkeypatch.setattr(network, "_input_rows", spy_inputs)
+        monkeypatch.setattr(optimize, "_input_rows", spy_inputs)
         monkeypatch.setattr(network, "_run_blocks", spy_blocks)
         config = _fast_config(
             tfim2_dir,

@@ -436,17 +436,25 @@ class TestRyTiles:
             assert not np.shares_memory(out, cols)
             assert np.array_equal(cols, before)
 
-    def test_tile_entries_are_kronecker_products(self, rng):
-        for n in (3, 4, 6):
-            theta = rng.normal(size=2 * n)
-            tiles = network._ry_tiles(*network._angle_factors(theta), n)
-            for j in range(2):
-                gates = [ref.ry(theta[i + n * j]).real for i in range(n)]
-                for t, tile in enumerate(tiles[j]):
-                    want = np.array([[1.0]])
-                    for gate in gates[4 * t : 4 * t + 4]:
-                        want = np.kron(want, gate)
-                    assert np.max(np.abs(tile - want)) < 1e-15
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        theta=st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False), min_size=2 * 9, max_size=2 * 9
+        ),
+    )
+    def test_tile_entries_are_kronecker_products(self, n, theta):
+        # Bit for bit: the factors of each entry are multiplied in qubit
+        # order, as successive np.kron products multiply them.
+        theta = np.array(theta[: 2 * n])
+        tiles = network._ry_tiles(*network._angle_factors(theta), n)
+        for j in range(2):
+            gates = [ref.ry(theta[i + n * j]).real for i in range(n)]
+            for t, tile in enumerate(tiles[j]):
+                want = np.array([[1.0]])
+                for gate in gates[4 * t : 4 * t + 4]:
+                    want = np.kron(want, gate)
+                assert np.array_equal(tile, want)
 
     def test_training_and_public_paths_make_no_per_gate_ry_call(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):

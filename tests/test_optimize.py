@@ -20,7 +20,6 @@ from hqcnn.optimize import (
     bfgs_minimize,
     cost,
     energies,
-    evaluate,
     finite_difference_gradient,
     gradient,
     gradient_step_check,
@@ -245,8 +244,9 @@ class TestAdjointGradient:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", range(1, 10))
     def test_y_overlaps_match_dense_reference(self, rng, n, order):
-        # n = 1..9 covers every tile remainder and both sides of the
-        # tile boundaries at 4 and 8 qubits.
+        # Half of adjoint . (-iY)_q state, the derivative by an Ry angle on
+        # qubit q. n = 1..9 covers every tile remainder and both sides of
+        # the tile boundaries at 4 and 8 qubits.
         batch = 3
         stacked = np.asarray(rng.normal(size=(2 * batch, 1 << n)), order=order)
         states, adjoints = stacked[:batch], stacked[batch:]
@@ -254,7 +254,7 @@ class TestAdjointGradient:
         for q in range(n):
             minus_iy = -1j * ref.pauli_matrix("I" * q + "Y" + "I" * (n - q - 1))
             for b in range(batch):
-                want[b, q] = (adjoints[b] @ minus_iy @ states[b]).real
+                want[b, q] = 0.5 * (adjoints[b] @ minus_iy @ states[b]).real
         pair = np.asarray(np.stack([states.T, adjoints.T]), order=order)
         got = network._y_overlaps(pair, n, per_row=True)
         assert got.shape == (batch, n)
@@ -267,18 +267,19 @@ class TestAdjointGradient:
     @pytest.mark.parametrize("batch", range(1, 5))
     @pytest.mark.parametrize("n", range(1, 10))
     def test_summed_layer_overlaps_match_dense_reference(self, rng, n, batch):
-        # What the sweep reads per trainable layer: the overlaps summed
-        # over the batch columns, one Gram product per tile.
+        # What the sweep reads per trainable layer: the halved overlaps,
+        # the layer's angle derivatives, summed over the batch columns, one
+        # Gram product per tile.
         states = rng.normal(size=(batch, 1 << n))
         adjoints = rng.normal(size=(batch, 1 << n))
         want = np.zeros(n)
         for q in range(n):
             minus_iy = -1j * ref.pauli_matrix("I" * q + "Y" + "I" * (n - q - 1))
             for b in range(batch):
-                want[q] += (adjoints[b] @ minus_iy @ states[b]).real
+                want[q] += 0.5 * (adjoints[b] @ minus_iy @ states[b]).real
         got = network._y_overlaps(np.stack([states.T, adjoints.T]), n, per_row=False)
-        assert got.shape == (1, n)
-        assert np.max(np.abs(got[0] - want)) < 1e-12
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_sweep_ends_at_the_first_trainable_layer(self, variant):
@@ -510,6 +511,35 @@ class TestBfgs:
         assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
         assert res.fun <= f(np.array([-1.2, 1.0]))
 
+    def test_gradient_reuses_the_scored_point_and_counts_hold(self):
+        # Every gradient is asked for at the array the objective has just
+        # scored, as the same object, so that a caller keyed on that point
+        # (the training memo) serves it from the pass it kept. The counts
+        # pin the trajectory: 39 iterations, 69 objective and 50 gradient
+        # calls from the textbook start.
+        calls = []
+
+        def f(x):
+            calls.append(("f", x))
+            return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+        def g(x):
+            calls.append(("g", x))
+            return np.array(
+                [
+                    -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                    200 * (x[1] - x[0] ** 2),
+                ]
+            )
+
+        res = bfgs_minimize(f, g, np.array([-1.2, 1.0]), OptimizerSettings())
+        assert res.converged
+        for i, (kind, x) in enumerate(calls):
+            if kind == "g":
+                assert calls[i - 1][0] == "f" and calls[i - 1][1] is x
+        kinds = [kind for kind, _ in calls]
+        assert (res.iterations, kinds.count("f"), kinds.count("g")) == (39, 69, 50)
+
     def test_stationary_start(self):
         res = bfgs_minimize(
             lambda x: 1.0, lambda x: np.zeros(4), np.zeros(4), OptimizerSettings()
@@ -614,12 +644,21 @@ class TestTrain:
 
 
 class TestEvaluate:
+    """A trained model is scored like a training point: ``energies`` of a
+    one-point ``TrainingProblem``."""
+
+    @staticmethod
+    def _energy(model, bond_length, h):
+        problem = TrainingProblem(model.network, ((bond_length, h),))
+        return float(energies(model.parameters, problem)[0])
+
     def test_identity_hamiltonian_zero_error(self):
         problem, c = _identity_problem()
         model = train(problem, 0)
-        energy, error = evaluate(model, 0.7, problem.training_set[0][1])
+        h = problem.training_set[0][1]
+        energy = self._energy(model, 0.7, h)
         assert energy == pytest.approx(c, abs=1e-12)
-        assert error < 1e-12
+        assert abs(energy - ground_energy(h)) < 1e-12
 
     def test_variational_bound(self, rng):
         h = transverse_field_ising(2, 1.3)
@@ -627,27 +666,16 @@ class TestEvaluate:
         net = NetworkSpec(2, Variant.WITH_MEASUREMENTS)
         model = TrainedModel(net, rng.normal(0, 1, 8), 0.0, 0, False)
         for a in (0.3, 1.3, 2.2):
-            energy, error = evaluate(model, a, h)
-            assert energy >= exact - 1e-9
-            assert error == pytest.approx(abs(energy - exact), abs=1e-15)
+            assert self._energy(model, a, h) >= exact - 1e-9
 
-    def test_scores_on_the_batched_training_path(self, rng, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("evaluate ran the single-state path")
-
+    def test_scores_on_the_batched_training_path(self, rng):
+        # The one-point batch agrees with the complex single-state path.
         h = transverse_field_ising(3, 0.9)
         for variant in Variant:
             net = NetworkSpec(3, variant)
             model = TrainedModel(net, rng.normal(0, 1, net.n_params), 0.0, 0, False)
             want = expectation(h, forward(net, 0.9, model.parameters))
-            with monkeypatch.context() as patched:
-                patched.setattr(optimize, "forward", forbidden)
-                patched.setattr(optimize, "expectation", forbidden)
-                energy, error = evaluate(model, 0.9, h)
-            assert energy == pytest.approx(want, abs=1e-12)
-            problem = TrainingProblem(net, ((0.9, h),))
-            assert energy == float(energies(model.parameters, problem)[0])
-            assert error == abs(energy - ground_energy(h))
+            assert self._energy(model, 0.9, h) == pytest.approx(want, abs=1e-12)
 
     def test_trained_single_point_has_small_error(self):
         h = transverse_field_ising(2, 1.0)
@@ -655,5 +683,4 @@ class TestEvaluate:
             NetworkSpec(2, Variant.WITH_MEASUREMENTS), ((1.0, h),)
         )
         model = train(problem, 0)
-        _, error = evaluate(model, 1.0, h)
-        assert error < 1e-3
+        assert abs(self._energy(model, 1.0, h) - ground_energy(h)) < 1e-3

@@ -17,7 +17,6 @@ from hqcnn.pauli import (
     apply_term,
     expectation,
     format_hamiltonian,
-    merged,
     parse_hamiltonian,
     to_dense,
 )
@@ -184,9 +183,8 @@ class TestEvaluation:
         t2 = ref.random_terms(rng, n, 4)
         alpha, beta = 0.7, -1.3
         psi = StateVector(n, ref.random_state(rng, n))
-        combined = merged(
-            _ham([(alpha * c, a) for c, a in t1] + [(beta * c, a) for c, a in t2], n)
-        )
+        # One Hamiltonian holding both term lists, duplicates and all.
+        combined = _ham([(alpha * c, a) for c, a in t1] + [(beta * c, a) for c, a in t2], n)
         assert expectation(combined, psi) == pytest.approx(
             alpha * expectation(_ham(t1, n), psi)
             + beta * expectation(_ham(t2, n), psi),
@@ -319,10 +317,3 @@ class TestConstruction:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             PauliHamiltonian(2, (PauliTerm.from_string(1.0, "Z"),))
-
-    def test_merged_combines_duplicates(self):
-        h = _ham([(1.0, "ZZ"), (0.5, "XX"), (2.0, "ZZ")], 2)
-        m = merged(h)
-        assert len(m.terms) == 2
-        by_axes = {t.axis_string: t.coefficient for t in m.terms}
-        assert by_axes == {"ZZ": 3.0, "XX": 0.5}

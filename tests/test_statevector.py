@@ -10,6 +10,7 @@ from hqcnn.statevector import (
     _cnot_permutation,
     _cnot_rows,
     _h_rows,
+    _product_rows,
     _rx_rows,
     _ry_rows,
     _rz_rows,
@@ -170,6 +171,21 @@ def test_ry_kernel_rounds_as_the_two_by_two_formula(rng):
             want = np.stack([c * lo - s * hi, c * hi + s * lo], axis=1)
             got = _ry_rows(cols, q, c, s)
             assert np.array_equal(got, want.reshape(cols.shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), points=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_product_rows_multiply_in_qubit_order(n, points, seed):
+    # Bit for bit the successive Kronecker products of the qubits' pairs,
+    # qubit 0 first: each amplitude is ((f0 f1) f2) ... rounded in order.
+    factors = np.random.default_rng(seed).normal(size=(n, 2, points))
+    got = _product_rows(factors)
+    assert got.shape == (1 << n, points) and got.flags["C_CONTIGUOUS"]
+    for b in range(points):
+        want = np.ones(1)
+        for pair in factors[:, :, b]:
+            want = np.kron(want, pair)
+        assert np.array_equal(got[:, b], want)
 
 
 def _random_gate(rng, n):
