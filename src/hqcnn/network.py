@@ -15,27 +15,32 @@ probabilities and fed back in as angles. The ablation
 replacing steps 2-5 with a single trainable block of 2n layers, so both
 variants consume exactly 2 n^2 rotation angles.
 
-Parameter vectors are plain 1-D float arrays (radians). Block j of a
-trainable block reads angles ``params[offset + i + n*j]`` for qubit i.
+Parameter vectors are plain 1-D float arrays (radians). Both variants
+are 2n trainable layers, and layer j reads angles ``params[i + n*j]`` for
+qubit i; the measured variant reads out and re-encodes between layers
+n-1 and n. ``NetworkSpec.blocks()`` describes the same network as a
+sequence of blocks for the public single-state API below.
 
 All public functions are pure. The training workload runs through
 ``_run_blocks``, by way of ``_forward_pass`` (kept for the adjoint sweep)
-or ``_forward_rows``. Every array of a pass is a C-ordered (2**n, points)
-array of float64 amplitude-major columns, one per input (H, Ry and CNOT
-are real gates): the encodings, built in closed form as product states;
-each CNOT ladder, one gather through a cached permutation; each layer's
-n Ry's, a few Kronecker tiles of up to four qubits, each one BLAS product
-across all columns; and the readout of all qubits, one BLAS product. The
-columns of the first encoding depend on the inputs only, so a caller
-that runs many passes on the same inputs builds them once
-(``_input_rows``) and passes them in. The tiles of a parameter vector
-are built once per pass (``statevector._ry_tiles``). The public
-single-state functions run the same kernels on one complex column.
+or ``_forward_rows``: one loop over the 2n layers, with the readout and
+re-encoding between its halves in the measured variant. Every array of a
+pass is a C-ordered (2**n, points) array of float64 amplitude-major
+columns, one per input (H, Ry and CNOT are real gates): the encodings,
+built in closed form as product states; each CNOT ladder, one gather
+through a cached permutation; each layer's n Ry's, a few Kronecker tiles
+of up to four qubits, each one BLAS product across all columns; and the
+readout of all qubits, one BLAS product. The columns of the first
+encoding depend on the inputs only, so a caller that runs many passes on
+the same inputs builds them once (``_input_rows``) and passes them in.
+The tiles of a parameter vector are built once per pass
+(``statevector._ry_tiles``). The public single-state functions run the
+same kernels on one complex column.
 
 ``_adjoint_gradient`` differentiates a summed energy exactly by reverse
-mode: given the ``_forward_pass`` that scored the energy, it runs a
-backward sweep of the states and their adjoints through every block
-(Jones & Gacon, arXiv:2009.02823), stacked as one C-ordered
+mode: given the ``_forward_pass`` that scored the energy, it runs one
+backward sweep over the 2n layers, j = 2n-1 .. 0, of the states and their
+adjoints (Jones & Gacon, arXiv:2009.02823), stacked as one C-ordered
 (2, 2**n, points) pair of columns. All gates are orthogonal, so each is
 undone by its transpose instead of being stored: the Ry tiles that the
 forward pass kept are applied transposed, one BLAS product per tile, and
@@ -44,10 +49,12 @@ derivatives are read on the same tiles, from each tile's Gram matrix of
 adjoint and state (``_y_overlaps``): for a trainable layer one product
 per tile, summed over the points, and per column for the re-encoding;
 a cached sign table turns each into the derivatives by the tile's angles.
-The readout is an exact expectation, so it has an exact derivative.
-Besides the tiles, the cached (2**n, n) sign table of the readout and the
-O(k 4**k) sign tables of the tile sizes k, memory is a fixed number of
-(2**n, points) arrays, however many angles the network has.
+The readout is an exact expectation, so it has an exact derivative: at
+layer n of the measured variant the sweep turns the re-encoding's
+derivatives into the adjoint of the measured columns and restarts from
+them. Besides the tiles, the cached (2**n, n) sign table of the readout
+and the O(k 4**k) sign tables of the tile sizes k, memory is a fixed
+number of (2**n, points) arrays, however many angles the network has.
 """
 
 from __future__ import annotations
@@ -80,6 +87,11 @@ from .statevector import (  # noqa: F401
     _tile_rows,
     _z_signs,
 )
+
+
+# The re-encoding's scale, which maps readout values from [-1, 1] onto
+# [-pi, pi]; the inputs are loaded at scale 1.
+_READOUT_SCALE = math.pi
 
 
 class Variant(enum.Enum):
@@ -145,8 +157,8 @@ class NetworkSpec:
     variant: Variant
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant, got {self.variant!r}")
 
@@ -168,7 +180,7 @@ def _blocks(net: NetworkSpec) -> tuple[Block, ...]:
             EncodingSpec(1.0),
             PqcSpec(n, n, 0),
             MeasureSpec(),
-            EncodingSpec(math.pi),
+            EncodingSpec(_READOUT_SCALE),
             PqcSpec(n, n, n * n),
         )
     return (EncodingSpec(1.0), PqcSpec(n, 2 * n, 0))
@@ -224,26 +236,16 @@ def _ladder_inverse(n_qubits: int) -> np.ndarray:
     return inverse
 
 
-def _pqc_block(cols: np.ndarray, spec: PqcSpec, tiles) -> np.ndarray:
-    """Run one trainable block and return the new columns; like every
-    kernel, it leaves ``cols`` itself unchanged.
-
-    ``tiles`` are the ``_ry_tiles`` of the block's own angles: ``tiles[j]``
-    are the tiles of layer j. Each layer is its CNOT ladder, one gather,
-    then its n Ry's as those tiles, one matmul each.
-    """
-    perm = _ladder_permutation(spec.n_qubits)
+def _pqc_block(cols: np.ndarray, n_qubits: int, tiles) -> np.ndarray:
+    """Run the layers whose ``_ry_tiles`` are ``tiles`` on ``cols`` and
+    return the new columns; like every kernel, it leaves ``cols`` itself
+    unchanged. Each layer is its CNOT ladder, one gather, then its n Ry's
+    as its tiles, one matmul each."""
+    perm = _ladder_permutation(n_qubits)
     for layer in tiles:
         cols = _cnot_rows(cols, perm)
         cols = _tile_rows(cols, layer)
     return cols
-
-
-def _block_tiles(tiles, spec: PqcSpec):
-    """The layers of ``spec`` out of the tiles of a whole parameter
-    vector, whose blocks start on layer boundaries."""
-    first = spec.param_offset // spec.n_qubits
-    return tiles[first : first + spec.n_layers]
 
 
 @lru_cache(maxsize=_TILE_QUBITS)
@@ -306,95 +308,64 @@ def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
     return _tile_rows(pair, [tile.T for tile in tiles])
 
 
-def _pqc_block_adjoint(pair: np.ndarray, spec: PqcSpec, tiles, grad, first: bool):
-    """Undo one trainable block on ``pair`` and return the pair at its
-    input; writes the derivative by each of the block's angles into
-    ``grad``, summed over the points. The ``first`` block ends the sweep:
-    its first layer's derivatives are read, it is not undone, and None
-    is returned.
-
-    ``tiles`` are the block's tiles, as for ``_pqc_block``. The Ry's of
-    one layer act on distinct qubits and commute, so all their
-    derivatives are read at the end of the layer, before any is undone,
-    tile by tile on the split the tiles use (``_y_overlaps``), summed
-    over the points and written into ``grad``. The transposed tiles
-    (``_undo_tiles``) and the inverse ladder permutation, one gather along
-    the amplitude axis, undo the layer: every tile is a product of
-    rotations and so orthogonal, and every gate acts on adjoints as on states.
-    """
-    n = spec.n_qubits
-    inverse = _ladder_inverse(n)
-    for j in reversed(range(spec.n_layers)):
-        _y_overlaps(pair, n, per_row=False, out=grad[n * j : n * (j + 1)])
-        if first and j == 0:
-            return None
-        pair = _undo_tiles(pair, tiles[j])
-        pair = _cnot_rows(pair, inverse)
-    return pair
-
-
 class _ForwardPass(NamedTuple):
     """What one forward pass on a parameter vector leaves for the backward
-    sweep, all read-only: the ``_ry_tiles`` of the whole vector, built
-    once and undone by their transposes, the final columns and the columns
-    each readout block measured."""
+    sweep, all read-only: the ``_ry_tiles`` of the whole vector, one entry
+    per layer, built once and undone by their transposes; the final
+    columns; and, in the measured variant, the columns the readout
+    measured (None in the ablation)."""
 
     tiles: tuple[tuple[np.ndarray, ...], ...]
     cols: np.ndarray
-    measured: tuple[np.ndarray, ...]
+    measured: np.ndarray | None
 
 
 def _input_rows(net: NetworkSpec, inputs) -> np.ndarray:
-    """The columns of the network's first block, which loads input b on
+    """The columns of the network's first encoding, which loads input b on
     every qubit of column b."""
     values = np.repeat(np.asarray(inputs, dtype=np.float64)[:, None], net.n_qubits, axis=1)
-    return _encoded_rows(net.blocks()[0].scale * values)
+    return _encoded_rows(values)
 
 
 def _run_blocks(net: NetworkSpec, cols: np.ndarray, tiles):
-    """Run every block after the first on ``cols``, the columns of the
-    first, which are the ``_input_rows`` of the inputs; returns the final
-    columns and the list of columns each readout block measured.
+    """Run the network's 2n trainable layers on ``cols``, the
+    ``_input_rows`` of the inputs; returns the final columns and the
+    columns the readout measured, or None in the ablation.
 
-    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector. Every
-    later encoding block starts from a fresh register, so the readout
-    block only has to capture its values; the collapsed state is dropped.
+    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector, one
+    entry per layer. The ablation runs all 2n layers in a row. The
+    measured variant runs layers 0 .. n-1, reads out every qubit's <Z>
+    and re-encodes those values at ``_READOUT_SCALE`` on a fresh register,
+    then runs layers n .. 2n-1; the collapsed state is dropped.
     """
     n = net.n_qubits
-    measured = []
-    for block in net.blocks()[1:]:
-        if isinstance(block, EncodingSpec):
-            cols = _encoded_rows(block.scale * values)
-        elif isinstance(block, PqcSpec):
-            cols = _pqc_block(cols, block, _block_tiles(tiles, block))
-        else:
-            measured.append(cols)
-            values = _expect_z_rows(cols, n)
-    return cols, measured
+    if net.variant is Variant.WITHOUT_MEASUREMENTS:
+        return _pqc_block(cols, n, tiles), None
+    measured = _pqc_block(cols, n, tiles[:n])
+    cols = _encoded_rows(_READOUT_SCALE * _expect_z_rows(measured, n))
+    return _pqc_block(cols, n, tiles[n:]), measured
 
 
 def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> np.ndarray:
     """One forward pass per input on the 1-D parameter vector ``params``:
     column b encodes the bond length inputs[b]. Returns the final float64
-    amplitude columns, C-ordered, shape (2**n, points).
-
-    Every gate is real, so the columns stay real. The angles are validated
-    and turned into Ry tiles once, here.
-    """
-    c, s = _angle_factors(params)
-    return _run_blocks(net, _input_rows(net, inputs), _ry_tiles(c, s, net.n_qubits))[0]
+    amplitude columns, C-ordered and read-only, shape (2**n, points)."""
+    return _forward_pass(net, _input_rows(net, inputs), params).cols
 
 
 def _forward_pass(net: NetworkSpec, encoded: np.ndarray, params: np.ndarray) -> _ForwardPass:
     """One forward pass per input on the parameter vector ``params``, from
-    the ``_input_rows`` of the inputs, which the caller keeps, and kept
-    whole for ``_adjoint_gradient``; ``cols`` are the columns that
-    ``_forward_rows`` returns on the same inputs and parameters."""
+    the ``_input_rows`` of the inputs, kept whole for ``_adjoint_gradient``.
+
+    Every gate is real, so the columns stay real. The angles are validated
+    and turned into Ry tiles once, here.
+    """
     tiles = _ry_tiles(*_angle_factors(params), net.n_qubits)
     cols, measured = _run_blocks(net, encoded, tiles)
-    for array in (cols, *measured):
-        array.setflags(write=False)
-    return _ForwardPass(tiles, cols, tuple(measured))
+    for array in (cols, measured):
+        if array is not None:
+            array.setflags(write=False)
+    return _ForwardPass(tiles, cols, measured)
 
 
 def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
@@ -404,37 +375,42 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     that already scored the columns reuses them; ``seed`` is the
     (2**n, points) array of de_b/dcols[:, b] that starts the backward sweep.
 
-    The sweep walks the blocks backwards on one stacked pair of the
-    states and their adjoints, so each gate undoes both with one kernel
-    call:
+    The sweep walks the 2n layers backwards, j = 2n-1 .. 0, on one stacked
+    pair of the states and their adjoints, so each gate undoes both with
+    one kernel call. The Ry's of one layer act on distinct qubits and
+    commute, so step j first reads all of layer j's angle derivatives,
+    summed over the points, into ``grad[n*j : n*(j+1)]`` (``_y_overlaps``).
+    Layer 0's input is the encoded inputs, which are not trained, so the
+    sweep ends there. Any other layer is then undone: its transposed tiles
+    (``_undo_tiles``), then the inverse ladder permutation, one gather
+    along the amplitude axis; every tile is a product of rotations and so
+    orthogonal, and every gate acts on adjoints as on states.
 
-    * a trainable block yields its angle derivatives (``_pqc_block_adjoint``);
-    * a re-encoding Ry(scale * v_q) yields dE/dv_q = scale/2 *
-      adjoint . (-iY)_q state, per column;
-    * a readout v_q = <psi|Z_q|psi> turns those into the adjoint
+    In the measured variant, layer n's input is the re-encoding, so once
+    layer n is undone:
+
+    * the re-encoding Ry(_READOUT_SCALE * v_q) yields dE/dv_q =
+      _READOUT_SCALE/2 * adjoint . (-iY)_q state, per column;
+    * the readout v_q = <psi|Z_q|psi> turns those into the adjoint
       2 psi * sum_q dE/dv_q z_q of the measured columns psi, which the
-      forward pass kept, and the sweep continues from psi.
+      forward pass kept, and the pair restarts from psi.
 
-    The first block loads the inputs, which are not trained, so the sweep
-    ends at the first trainable layer. ``forward`` and ``seed`` are only
-    read.
+    ``forward`` and ``seed`` are only read.
     """
     n = net.n_qubits
     tiles, cols, measured = forward
-    measured = list(measured)
+    inverse = _ladder_inverse(n)
     pair = np.array([cols, seed])
     grad = np.empty(net.n_params)
-    blocks = net.blocks()
-    for block in reversed(blocks[1:]):
-        if isinstance(block, PqcSpec):
-            window = grad[block.param_offset : block.param_offset + block.n_params]
-            first = block is blocks[1]
-            pair = _pqc_block_adjoint(pair, block, _block_tiles(tiles, block), window, first)
-        elif isinstance(block, EncodingSpec):
-            value_grad = block.scale * _y_overlaps(pair, n, per_row=True)
-        else:
-            psi = measured.pop()
-            pair = np.array([psi, 2.0 * psi * (_z_signs(n) @ value_grad.T)])
+    for j in reversed(range(2 * n)):
+        _y_overlaps(pair, n, per_row=False, out=grad[n * j : n * (j + 1)])
+        if j == 0:
+            break
+        pair = _undo_tiles(pair, tiles[j])
+        pair = _cnot_rows(pair, inverse)
+        if j == n and measured is not None:
+            value_grad = _READOUT_SCALE * _y_overlaps(pair, n, per_row=True)
+            pair = np.array([measured, 2.0 * measured * (_z_signs(n) @ value_grad.T)])
     return grad
 
 
@@ -446,11 +422,13 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
 def apply_encoding(spec: EncodingSpec, inputs) -> StateVector:
     """Encode a vector of values, one per qubit, from the zero state.
 
-    The register size is the length of ``inputs``.
+    The register size is the length of ``inputs``, at most ``MAX_QUBITS``.
     """
     vals = np.asarray(inputs, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("inputs must be a non-empty 1-D sequence")
+    if vals.size > MAX_QUBITS:
+        raise ValueError(f"{vals.size} inputs, limit is {MAX_QUBITS} qubits")
     if not np.all(np.isfinite(vals)):
         raise ValueError("inputs must be finite")
     cols = _encoded_rows(spec.scale * vals[None, :])
@@ -473,7 +451,7 @@ def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
             f"block reads indices [{spec.param_offset}, {end})"
         )
     tiles = _ry_tiles(*_angle_factors(vec[spec.param_offset : end]), spec.n_qubits)
-    cols = _pqc_block(psi.amplitudes[:, None], spec, tiles)
+    cols = _pqc_block(psi.amplitudes[:, None], spec.n_qubits, tiles)
     return StateVector(psi.n_qubits, cols[:, 0])
 
 

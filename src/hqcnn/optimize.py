@@ -18,15 +18,16 @@ cost; other points are scored as the training set of a
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
 expectation, so the model is smooth and reverse mode applies: one forward
-pass keeps the columns each block needs, then adjoint sweeps back through
-the second block, the readout and the first block give every derivative
-(``network._adjoint_gradient``). That is about three passes over one row
-per point, where central differences need 2k forward passes for k
-angles. ``gradient`` reuses the forward pass of ``cost`` at the same
-point: a ``TrainingProblem`` keeps its last forward pass and the product
-H phi of its final columns, keyed by the bytes of the parameter vector, and
-BFGS asks for the gradient exactly at the points whose cost it has just
-accepted, so there ``gradient`` runs only the backward sweeps. Central
+pass keeps the columns the sweep needs, then one adjoint sweep back
+through the 2n layers, and the readout between them in the measured
+variant, gives every derivative (``network._adjoint_gradient``). That is
+about three passes over one row per point, where central differences
+need 2k forward passes for k angles. ``gradient`` reuses the forward
+pass of ``cost`` at the same point: a ``TrainingProblem`` keeps its last
+forward pass and the product H phi of its final columns, keyed by the
+bytes of the parameter vector, and BFGS asks for the gradient exactly at
+the points whose cost it has just accepted, so there ``gradient`` runs
+only the backward sweep. Central
 differences, the paper's method, stay as the independent reference
 (``finite_difference_gradient``): plain central differences of ``cost``,
 one coordinate at a time. ``gradient_deviations`` compares the adjoint
@@ -96,7 +97,6 @@ class TrainingProblem:
     training_set: tuple[tuple[float, PauliHamiltonian], ...]
     hamiltonians: CompiledHamiltonian = field(init=False, repr=False, compare=False)
     encoded: np.ndarray = field(init=False, repr=False, compare=False)
-    _encoded_set: tuple = field(init=False, repr=False, compare=False)
     _last_forward: dict[bytes, tuple[_ForwardPass, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -120,7 +120,6 @@ class TrainingProblem:
         encoded = _input_rows(self.network, _bond_lengths(self))
         encoded.setflags(write=False)
         object.__setattr__(self, "encoded", encoded)
-        object.__setattr__(self, "_encoded_set", pairs)
 
 
 @dataclass(frozen=True)
@@ -180,11 +179,7 @@ def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.n
     found = memo.get(key)
     if found is None:
         memo.clear()
-        # ``encoded`` holds for the training set it was built from; one
-        # set in its place later has its bond lengths encoded afresh.
-        kept = problem.training_set is problem._encoded_set
-        encoded = problem.encoded if kept else _input_rows(problem.network, _bond_lengths(problem))
-        forward_pass = _forward_pass(problem.network, encoded, vec)
+        forward_pass = _forward_pass(problem.network, problem.encoded, vec)
         products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
         products.setflags(write=False)
         found = memo[key] = (forward_pass, products)
@@ -205,7 +200,7 @@ def cost(params, problem: TrainingProblem) -> float:
 
 
 def gradient(params, problem: TrainingProblem) -> np.ndarray:
-    """Exact gradient of :func:`cost`, by adjoint sweeps over one batch
+    """Exact gradient of :func:`cost`, by one adjoint sweep over one batch
     with a column per training point, from the forward pass of ``cost`` when
     it was just called on the same vector. The seed of the sweep is
     d<phi|H|phi>/dphi = 2 Re(H) phi on the real final columns."""

@@ -105,6 +105,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             NetworkSpec(2, "with_measurements")
 
+    def test_network_above_the_qubit_limit_is_rejected(self):
+        limit = statevector.MAX_QUBITS
+        assert NetworkSpec(limit, Variant.WITH_MEASUREMENTS).n_qubits == limit
+        for variant in Variant:
+            with pytest.raises(ValueError, match="n_qubits must be in"):
+                NetworkSpec(limit + 1, variant)
+
 
 class TestEncoding:
     def test_zero_inputs_give_plus_states(self):
@@ -126,6 +133,14 @@ class TestEncoding:
             apply_encoding(EncodingSpec(1.0), [])
         with pytest.raises(ValueError):
             apply_encoding(EncodingSpec(1.0), [np.inf])
+
+    def test_register_above_the_qubit_limit_is_rejected_before_allocation(self):
+        def forbidden(*args):
+            raise AssertionError("state built past the qubit limit")
+
+        with mock.patch.object(network, "_encoded_rows", forbidden):
+            with pytest.raises(ValueError, match=f"limit is {statevector.MAX_QUBITS} qubits"):
+                apply_encoding(EncodingSpec(1.0), np.zeros(statevector.MAX_QUBITS + 1))
 
 
 class TestPqc:
@@ -233,6 +248,24 @@ class TestForward:
         for b in range(batch):
             want = ref.forward(n, with_measurements, inputs[b], params)
             assert np.max(np.abs(cols[:, b] - want)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_public_blocks_compose_to_forward(self, rng, n, variant):
+        # The training path runs the 2n layers without reading blocks();
+        # the public per-block API, composed over blocks(), must agree.
+        net = NetworkSpec(n, variant)
+        params = rng.normal(0, 1.5, net.n_params)
+        values = np.full(n, 0.9)
+        for block in net.blocks():
+            if isinstance(block, EncodingSpec):
+                psi = apply_encoding(block, values)
+            elif isinstance(block, PqcSpec):
+                psi = apply_pqc(psi, block, params)
+            else:
+                values = measure_layer(psi)
+        want = forward(net, 0.9, params).amplitudes
+        assert np.max(np.abs(psi.amplitudes - want)) < 1e-13
 
     def test_final_norm(self, rng):
         for variant in Variant:
@@ -354,12 +387,15 @@ def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
         mock.patch.object(network, "_pqc_block", kept(network._pqc_block)),
     ):
         forward_pass, products = optimize._training_pass(params, problem)
-    # The measured variant re-encodes its readout between its blocks.
+    # The measured variant re-encodes its readout between layers n - 1 and n.
     with_measurements = variant is Variant.WITH_MEASUREMENTS
     assert len(blocks) == (3 if with_measurements else 1)
     assert all(columns(cols) for cols in blocks)
-    assert len(forward_pass.measured) == int(with_measurements)
-    assert all(columns(cols) for cols in forward_pass.measured)
+    if with_measurements:
+        assert columns(forward_pass.measured)
+        assert not forward_pass.measured.flags.writeable
+    else:
+        assert forward_pass.measured is None
     assert forward_pass.cols is blocks[-1]
     assert columns(products)
 
@@ -402,12 +438,11 @@ class TestRyTiles:
     @pytest.mark.parametrize("stacked", [False, True])
     def test_block_matches_per_gate_kernels(self, rng, n, complex_rows, stacked):
         layers = 2
-        spec = PqcSpec(n, layers, 0)
         cols = _random_cols(rng, stacked, n, complex_rows)
         c, s = network._angle_factors(rng.normal(0, 1.5, n * layers))
         tiles = network._ry_tiles(c, s, n)
         assert [len(layer) for layer in tiles] == [-(-n // 4)] * layers
-        got = network._pqc_block(cols, spec, tiles)
+        got = network._pqc_block(cols, n, tiles)
         want = np.array([_per_gate_block(part, n, layers, c, s) for part in cols.reshape(-1, *cols.shape[-2:])])
         assert got.dtype == want.dtype
         assert got.flags["C_CONTIGUOUS"]
