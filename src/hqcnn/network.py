@@ -22,24 +22,27 @@ n-1 and n. ``NetworkSpec.blocks()`` describes the same network as a
 sequence of blocks for the public single-state API below.
 
 All public functions are pure. The training workload runs through
-``_run_blocks``, by way of ``_forward_pass`` (kept for the adjoint sweep)
-or ``_forward_rows``: one loop over the 2n layers, with the readout and
-re-encoding between its halves in the measured variant. Every array of a
-pass is a C-ordered (2**n, points) array of float64 amplitude-major
-columns, one per input (H, Ry and CNOT are real gates): the encodings,
-built in closed form as product states; each CNOT ladder, one gather
-through a cached permutation; each layer's n Ry's, a few Kronecker tiles
-of up to four qubits, each one BLAS product across all columns; and the
-readout of all qubits, one BLAS product. The columns of the first
-encoding depend on the inputs only, so a caller that runs many passes on
-the same inputs builds them once (``_input_rows``) and passes them in.
-The tiles of a parameter vector are built once per pass
-(``statevector._ry_tiles``). The public single-state functions run the
-same kernels on one complex column.
+``_forward_pass`` (kept for the gradient) or ``_forward_rows``. Every
+array of a pass is a C-ordered (2**n, points) array of float64
+amplitude-major columns, one per input (H, Ry and CNOT are real gates):
+the encodings, built in closed form as product states; the output of
+each half of the layers in the measured variant, and its readout of all
+qubits, one BLAS product; and the final columns. The columns of the
+first encoding depend on the inputs only, so a caller that runs many
+passes on the same inputs builds them once (``_input_rows``) and passes
+them in. The public single-state functions run the same kernels on one
+complex column. A pass takes one of two paths, split at
+``_TILE_QUBITS``, the largest register that one Ry tile spans; dense
+layers would need 4**n memory, so the path that scales stays above it.
 
-``_adjoint_gradient`` differentiates a summed energy exactly by reverse
-mode: given the ``_forward_pass`` that scored the energy, it runs one
-backward sweep over the 2n layers, j = 2n-1 .. 0, of the states and their
+From n = 5 on, ``_run_blocks`` is one loop over the 2n layers, with the
+readout and re-encoding between its halves in the measured variant: each
+CNOT ladder, one gather through a cached permutation; each layer's n
+Ry's, a few Kronecker tiles of up to four qubits, each one BLAS product
+across all columns. The tiles of a parameter vector are built once per
+pass (``statevector._ry_tiles``) and kept. ``_adjoint_sweep`` then
+differentiates a summed energy exactly by reverse mode: one backward
+sweep over the 2n layers, j = 2n-1 .. 0, of the states and their
 adjoints (Jones & Gacon, arXiv:2009.02823), stacked as one C-ordered
 (2, 2**n, points) pair of columns. All gates are orthogonal, so each is
 undone by its transpose instead of being stored: the Ry tiles that the
@@ -55,6 +58,19 @@ derivatives into the adjoint of the measured columns and restarts from
 them. Besides the tiles, the cached (2**n, n) sign table of the readout
 and the O(k 4**k) sign tables of the tile sizes k, memory is a fixed
 number of (2**n, points) arrays, however many angles the network has.
+
+Up to n = 4, ``_run_dense`` runs each layer as one dense orthogonal
+matrix L = T P, its Ry tile after its CNOT ladder, built by the tile's
+one gather with the ladder folded into the cached entry sequence
+(``_layer_entries``). The pass keeps the prefix products of each half of
+the layers in one (2, n, 2**n, 2**n) stack (``_prefix_products``) and
+runs each half as one product with its last prefix. ``_dense_gradient``
+needs no sweep: since every layer is orthogonal, the adjoint after layer
+j is F_j F^T a, with F_j the prefix up to layer j, F the half's last and
+a its final adjoint, so the Gram matrices of adjoint and state of all 2n
+layers come from two stacked products, and one product with the same
+sign table gives every derivative. The stack holds 2n 4**n floats, 16 KB
+at n = 4.
 """
 
 from __future__ import annotations
@@ -79,11 +95,14 @@ from .statevector import (  # noqa: F401
     _cnot_permutation,
     _cnot_rows,
     _expect_z_rows,
+    _gather_tiles,
     _h_rows,
     _half_angles,
     _product_rows,
+    _ry_factors,
     _ry_rows,
     _ry_tiles,
+    _tile_entries,
     _tile_rows,
     _z_signs,
 )
@@ -129,8 +148,8 @@ class PqcSpec:
     param_offset: int
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         if self.n_layers < 1:
             raise ValueError("n_layers must be positive")
         if self.param_offset < 0:
@@ -236,6 +255,34 @@ def _ladder_inverse(n_qubits: int) -> np.ndarray:
     return inverse
 
 
+@lru_cache(maxsize=_TILE_QUBITS)
+def _layer_entries(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_tile_entries`` of the one tile that spans n <= _TILE_QUBITS
+    qubits, with the CNOT ladder folded into its entry sequence: the ladder
+    P maps cols to cols[perm], so column b of T P is column inverse[b] of
+    the tile T (read-only, cached)."""
+    ((index, sequence),) = _tile_entries(n_qubits)
+    size = 1 << n_qubits
+    folded = sequence.reshape(size, size)[:, _ladder_inverse(n_qubits)].reshape(-1)
+    folded.setflags(write=False)
+    return index, folded
+
+
+def _prefix_products(c: np.ndarray, s: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The fresh (2, n, 2**n, 2**n) prefix products of the two halves of
+    the 2n layers whose 1-D angle factors are ``c, s``, at n <=
+    _TILE_QUBITS: entry [h, i] is L_(hn+i) ... L_(hn), where layer L_j =
+    T_j P is its Ry tile after the CNOT ladder, a dense orthogonal matrix
+    built by one gather (``_layer_entries``). Both halves advance together,
+    one stacked matmul per layer."""
+    index, sequence = _layer_entries(n_qubits)
+    layers = _gather_tiles(_ry_factors(c, s, n_qubits), index, sequence)
+    prefix = layers.reshape(2, n_qubits, 1 << n_qubits, 1 << n_qubits)
+    for i in range(1, n_qubits):
+        np.matmul(prefix[:, i], prefix[:, i - 1], out=prefix[:, i])
+    return prefix
+
+
 def _pqc_block(cols: np.ndarray, n_qubits: int, tiles) -> np.ndarray:
     """Run the layers whose ``_ry_tiles`` are ``tiles`` on ``cols`` and
     return the new columns; like every kernel, it leaves ``cols`` itself
@@ -303,21 +350,26 @@ def _y_overlaps(pair: np.ndarray, n_qubits: int, per_row: bool, out=None) -> np.
 def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
     """Undo one layer's Ry tiles, as ``_ry_tiles`` builds them, on the
     states and adjoints of ``pair``: each tile's transpose is one BLAS
-    product across both (``_tile_rows``), at n <= 4 on the pair itself.
-    Returns a fresh pair."""
+    product across both (``_tile_rows``). Returns a fresh pair."""
     return _tile_rows(pair, [tile.T for tile in tiles])
 
 
 class _ForwardPass(NamedTuple):
-    """What one forward pass on a parameter vector leaves for the backward
-    sweep, all read-only: the ``_ry_tiles`` of the whole vector, one entry
-    per layer, built once and undone by their transposes; the final
-    columns; and, in the measured variant, the columns the readout
-    measured (None in the ablation)."""
+    """What one forward pass on a parameter vector leaves for the
+    gradient, all read-only: ``layers``, at n <= _TILE_QUBITS the
+    (2, n, 2**n, 2**n) ``_prefix_products`` of the vector's layers, whose
+    entry [h, i] maps the columns that enter layer hn to layer hn+i's
+    output, except in the ablation, whose upper half maps the encoded
+    inputs (``_run_dense``), and otherwise the ``_ry_tiles`` of the
+    vector, one entry per layer; the encoded inputs; in the measured
+    variant the columns the readout measured and their re-encoding (both
+    None in the ablation); and the final columns."""
 
-    tiles: tuple[tuple[np.ndarray, ...], ...]
-    cols: np.ndarray
+    layers: np.ndarray | tuple[tuple[np.ndarray, ...], ...]
+    encoded: np.ndarray
     measured: np.ndarray | None
+    second: np.ndarray | None
+    cols: np.ndarray
 
 
 def _input_rows(net: NetworkSpec, inputs) -> np.ndarray:
@@ -327,23 +379,41 @@ def _input_rows(net: NetworkSpec, inputs) -> np.ndarray:
     return _encoded_rows(values)
 
 
-def _run_blocks(net: NetworkSpec, cols: np.ndarray, tiles):
-    """Run the network's 2n trainable layers on ``cols``, the
-    ``_input_rows`` of the inputs; returns the final columns and the
-    columns the readout measured, or None in the ablation.
+def _reencoded(measured: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Read out every qubit's <Z> of ``measured`` and re-encode those
+    values at ``_READOUT_SCALE`` on a fresh register; the collapsed state
+    is dropped."""
+    return _encoded_rows(_READOUT_SCALE * _expect_z_rows(measured, n_qubits))
 
-    ``tiles`` are the ``_ry_tiles`` of the whole parameter vector, one
-    entry per layer. The ablation runs all 2n layers in a row. The
-    measured variant runs layers 0 .. n-1, reads out every qubit's <Z>
-    and re-encodes those values at ``_READOUT_SCALE`` on a fresh register,
-    then runs layers n .. 2n-1; the collapsed state is dropped.
+
+def _run_blocks(net: NetworkSpec, encoded: np.ndarray, tiles) -> _ForwardPass:
+    """Run the network's 2n trainable layers on ``encoded``, the
+    ``_input_rows`` of the inputs, layer by layer, as ``tiles``, the
+    ``_ry_tiles`` of the whole parameter vector, one entry per layer.
+
+    The ablation runs all 2n layers in a row. The measured variant runs
+    layers 0 .. n-1, reads out and re-encodes (``_reencoded``), then runs
+    layers n .. 2n-1.
     """
     n = net.n_qubits
     if net.variant is Variant.WITHOUT_MEASUREMENTS:
-        return _pqc_block(cols, n, tiles), None
-    measured = _pqc_block(cols, n, tiles[:n])
-    cols = _encoded_rows(_READOUT_SCALE * _expect_z_rows(measured, n))
-    return _pqc_block(cols, n, tiles[n:]), measured
+        return _ForwardPass(tiles, encoded, None, None, _pqc_block(encoded, n, tiles))
+    measured = _pqc_block(encoded, n, tiles[:n])
+    second = _reencoded(measured, n)
+    return _ForwardPass(tiles, encoded, measured, second, _pqc_block(second, n, tiles[n:]))
+
+
+def _run_dense(net: NetworkSpec, encoded: np.ndarray, prefix: np.ndarray) -> _ForwardPass:
+    """``_run_blocks`` at n <= _TILE_QUBITS on the ``_prefix_products`` of
+    the parameter vector, whose last product of each half runs that half
+    in one matmul. The ablation first composes the upper half with the
+    lower half's last product, in place, one stacked matmul."""
+    if net.variant is Variant.WITHOUT_MEASUREMENTS:
+        np.matmul(prefix[1], prefix[0, -1], out=prefix[1])
+        return _ForwardPass(prefix, encoded, None, None, prefix[1, -1] @ encoded)
+    measured = prefix[0, -1] @ encoded
+    second = _reencoded(measured, net.n_qubits)
+    return _ForwardPass(prefix, encoded, measured, second, prefix[1, -1] @ second)
 
 
 def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -355,17 +425,23 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
 
 def _forward_pass(net: NetworkSpec, encoded: np.ndarray, params: np.ndarray) -> _ForwardPass:
     """One forward pass per input on the parameter vector ``params``, from
-    the ``_input_rows`` of the inputs, kept whole for ``_adjoint_gradient``.
+    the ``_input_rows`` of the inputs, kept whole for ``_adjoint_gradient``:
+    on dense layer matrices at n <= _TILE_QUBITS (``_run_dense``), where
+    one Ry tile spans the register, else on tiles (``_run_blocks``).
 
     Every gate is real, so the columns stay real. The angles are validated
-    and turned into Ry tiles once, here.
+    and turned into layers once, here.
     """
-    tiles = _ry_tiles(*_angle_factors(params), net.n_qubits)
-    cols, measured = _run_blocks(net, encoded, tiles)
-    for array in (cols, measured):
-        if array is not None:
+    n = net.n_qubits
+    c, s = _angle_factors(params)
+    if n <= _TILE_QUBITS:
+        forward = _run_dense(net, encoded, _prefix_products(c, s, n))
+    else:
+        forward = _run_blocks(net, encoded, _ry_tiles(c, s, n))
+    for array in (forward.layers, forward.measured, forward.second, forward.cols):
+        if isinstance(array, np.ndarray):
             array.setflags(write=False)
-    return _ForwardPass(tiles, cols, measured)
+    return forward
 
 
 def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
@@ -373,15 +449,67 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     ``forward`` is the ``_forward_pass`` of those parameters on the
     inputs, which this function takes rather than runs, so that a caller
     that already scored the columns reuses them; ``seed`` is the
-    (2**n, points) array of de_b/dcols[:, b] that starts the backward sweep.
+    (2**n, points) array of de_b/dcols[:, b]. At n <= _TILE_QUBITS it reads
+    every layer's derivatives from the kept prefix products
+    (``_dense_gradient``), else it sweeps back through the layers
+    (``_adjoint_sweep``). ``forward`` and ``seed`` are only read.
+    """
+    if net.n_qubits <= _TILE_QUBITS:
+        return _dense_gradient(net, forward, seed)
+    return _adjoint_sweep(net, forward, seed)
 
-    The sweep walks the 2n layers backwards, j = 2n-1 .. 0, on one stacked
-    pair of the states and their adjoints, so each gate undoes both with
-    one kernel call. The Ry's of one layer act on distinct qubits and
-    commute, so step j first reads all of layer j's angle derivatives,
-    summed over the points, into ``grad[n*j : n*(j+1)]`` (``_y_overlaps``).
-    Layer 0's input is the encoded inputs, which are not trained, so the
-    sweep ends there. Any other layer is then undone: its transposed tiles
+
+def _readout_adjoint(measured: np.ndarray, value_grad: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The adjoint of the measured columns psi from the (points, n) array
+    of dE/dv_q, the derivatives by each column's readout values: the
+    readout v_q = <psi|Z_q|psi> gives 2 psi * sum_q dE/dv_q z_q."""
+    return 2.0 * measured * (_z_signs(n_qubits) @ value_grad.T)
+
+
+def _dense_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
+    """``_adjoint_gradient`` at n <= _TILE_QUBITS, with no loop over the
+    layers.
+
+    Every layer is orthogonal, so with F_j the kept product that maps a
+    half's input x to layer j's output and F the half's last one, the
+    adjoint at layer j's output is F_j F^T a, for the half's final
+    adjoint a: layer j's Gram matrix of adjoint and state, summed over the
+    points as ``_y_overlaps`` reads it, is F_j (F^T a x^T) F_j^T. All 2n
+    are two stacked products, and one product with ``_tile_y_signs(n)``
+    turns them into the derivatives.
+
+    The ablation is one half from the encoded inputs, with a = ``seed``.
+    In the measured variant the upper half has a = ``seed`` and x the
+    re-encoding; F^T a is the adjoint of the re-encoding, whose per-column
+    outer products with it give the re-encoding's and so the readout's
+    derivatives, as in the sweep; and the lower half has, for a, the
+    adjoint of the measured columns, and x the encoded inputs.
+    """
+    n = net.n_qubits
+    prefix, encoded, measured, second, _ = forward
+    upper = prefix[1, -1].T @ seed
+    if measured is None:
+        core = upper @ encoded.T
+    else:
+        outer = (upper[:, None] * second).reshape(-1, second.shape[1])
+        value_grad = _READOUT_SCALE * (outer.T @ _tile_y_signs(n))
+        lower = prefix[0, -1].T @ _readout_adjoint(measured, value_grad, n)
+        core = np.array([[lower @ encoded.T], [upper @ second.T]])
+    grams = prefix @ core @ prefix.swapaxes(-1, -2)
+    return (grams.reshape(2 * n, -1) @ _tile_y_signs(n)).reshape(-1)
+
+
+def _adjoint_sweep(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
+    """``_adjoint_gradient`` by one backward sweep over the 2n layers of
+    the tile path (``_run_blocks``), j = 2n-1 .. 0, on one stacked pair of
+    the states and their adjoints, so each gate undoes both with one
+    kernel call (Jones & Gacon, arXiv:2009.02823).
+
+    The Ry's of one layer act on distinct qubits and commute, so step j
+    first reads all of layer j's angle derivatives, summed over the
+    points, into ``grad[n*j : n*(j+1)]`` (``_y_overlaps``). Layer 0's
+    input is the encoded inputs, which are not trained, so the sweep ends
+    there. Any other layer is then undone: its transposed tiles
     (``_undo_tiles``), then the inverse ladder permutation, one gather
     along the amplitude axis; every tile is a product of rotations and so
     orthogonal, and every gate acts on adjoints as on states.
@@ -391,14 +519,12 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
 
     * the re-encoding Ry(_READOUT_SCALE * v_q) yields dE/dv_q =
       _READOUT_SCALE/2 * adjoint . (-iY)_q state, per column;
-    * the readout v_q = <psi|Z_q|psi> turns those into the adjoint
-      2 psi * sum_q dE/dv_q z_q of the measured columns psi, which the
-      forward pass kept, and the pair restarts from psi.
-
-    ``forward`` and ``seed`` are only read.
+    * the readout v_q = <psi|Z_q|psi> turns those into the adjoint of the
+      measured columns psi (``_readout_adjoint``), which the forward pass
+      kept, and the pair restarts from psi.
     """
     n = net.n_qubits
-    tiles, cols, measured = forward
+    tiles, _, measured, _, cols = forward
     inverse = _ladder_inverse(n)
     pair = np.array([cols, seed])
     grad = np.empty(net.n_params)
@@ -410,7 +536,7 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
         pair = _cnot_rows(pair, inverse)
         if j == n and measured is not None:
             value_grad = _READOUT_SCALE * _y_overlaps(pair, n, per_row=True)
-            pair = np.array([measured, 2.0 * measured * (_z_signs(n) @ value_grad.T)])
+            pair = np.array([measured, _readout_adjoint(measured, value_grad, n)])
     return grad
 
 

@@ -17,17 +17,20 @@ cost; other points are scored as the training set of a
 ``TrainingProblem`` of their own.
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
-expectation, so the model is smooth and reverse mode applies: one forward
-pass keeps the columns the sweep needs, then one adjoint sweep back
-through the 2n layers, and the readout between them in the measured
-variant, gives every derivative (``network._adjoint_gradient``). That is
-about three passes over one row per point, where central differences
-need 2k forward passes for k angles. ``gradient`` reuses the forward
-pass of ``cost`` at the same point: a ``TrainingProblem`` keeps its last
+expectation, so the model is smooth and reverse mode applies
+(``network._adjoint_gradient``). From 5 qubits on, one forward pass keeps
+the tiles of its layers, and one adjoint sweep back through the 2n
+layers, and the readout between them in the measured variant, gives
+every derivative: about three passes over one column per point. Up to
+4 qubits the forward pass keeps the dense prefix products of its layers
+instead, and the derivatives of all 2n layers come from a few stacked
+products with no pass over the layers. Central differences need 2k
+forward passes for k angles. ``gradient`` reuses the forward pass of
+``cost`` at the same point: a ``TrainingProblem`` keeps its last
 forward pass and the product H phi of its final columns, keyed by the
 bytes of the parameter vector, and BFGS asks for the gradient exactly at
 the points whose cost it has just accepted, so there ``gradient`` runs
-only the backward sweep. Central
+only the backward part. Central
 differences, the paper's method, stay as the independent reference
 (``finite_difference_gradient``): plain central differences of ``cost``,
 one coordinate at a time. ``gradient_deviations`` compares the adjoint
@@ -200,10 +203,10 @@ def cost(params, problem: TrainingProblem) -> float:
 
 
 def gradient(params, problem: TrainingProblem) -> np.ndarray:
-    """Exact gradient of :func:`cost`, by one adjoint sweep over one batch
-    with a column per training point, from the forward pass of ``cost`` when
-    it was just called on the same vector. The seed of the sweep is
-    d<phi|H|phi>/dphi = 2 Re(H) phi on the real final columns."""
+    """Exact gradient of :func:`cost`, by reverse mode over one batch with
+    a column per training point (``network._adjoint_gradient``), from the
+    forward pass of ``cost`` when it was just called on the same vector.
+    Its seed is d<phi|H|phi>/dphi = 2 Re(H) phi on the real final columns."""
     forward_pass, products = _training_pass(params, problem)
     return _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
 

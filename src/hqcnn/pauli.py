@@ -13,7 +13,11 @@ amplitude-major like the (2**n, points) columns of :mod:`hqcnn.statevector`.
 The same form gives H|psi> for the Lanczos oracle, on one (2**n, 1)
 column, and <psi|H|psi> and its gradient 2 Re(H) psi for training; on the
 network's real states, strings with an odd number of Y factors
-contribute exactly zero and are left out.
+contribute exactly zero and are left out. On registers of at most
+``statevector._TILE_QUBITS`` qubits, the size of the network's dense
+layers, the compiled form also keeps Re(H) as one small dense matrix per
+Hamiltonian, built from the groups, and H v on real columns is one
+batched matmul.
 ``to_dense`` materializes the full matrix only for small registers, as
 ground truth for tests and the dense diagonalization oracle. It is built
 independently of the compiled form, term by term as a Kronecker product
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import StateVector
+from .statevector import _TILE_QUBITS, StateVector
 
 DENSE_MAX_QUBITS = 12
 
@@ -229,12 +233,19 @@ class CompiledHamiltonian:
     holds their real parts for real columns, leaving out groups whose real
     part vanishes: an odd-Y string is imaginary and antisymmetric, so its
     quadratic form on a real vector is exactly zero.
+
+    At n <= ``_TILE_QUBITS``, where the network's training pass runs on
+    dense layer matrices, ``real_dense`` is the (count, 2**n, 2**n) stack
+    of those real parts as matrices, built from ``real_groups`` (entry
+    [j, i, i ^ m] is w_m[i] of Hamiltonian j), so that H on real columns
+    is one batched matmul; above, it is None and H v reads the groups.
     """
 
     n_qubits: int
     count: int
     groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
     real_groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+    real_dense: np.ndarray | None
 
 
 def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
@@ -282,7 +293,13 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
         groups.append((flip, real + imag * 1j if np.any(imag) else real))
         if np.any(real):
             real_groups.append((flip, real))
-    return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups))
+    real_dense = None
+    if n <= _TILE_QUBITS:
+        real_dense = np.zeros((len(hs), index.size, index.size))
+        for flip, weights in real_groups:
+            real_dense[:, index, index if flip is None else flip] = weights[:, :, 0].T
+        real_dense.setflags(write=False)
+    return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups), real_dense)
 
 
 def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np.ndarray:
@@ -290,13 +307,23 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray)
     dtype; the columns form ``hamiltonians.count`` equal consecutive
     blocks, block j for Hamiltonian j.
 
-    Complex columns read the full ``groups``. Real columns read
-    ``real_groups``, that is Re(H): equal to H when H is real, and in any
-    case symmetric with the same quadratic form as H on real columns, so
-    2 Re(H) v is the gradient of <v|H|v> by a real v.
+    Complex columns read the full ``groups``. Real columns read Re(H):
+    equal to H when H is real, and in any case symmetric with the same
+    quadratic form as H on real columns, so 2 Re(H) v is the gradient of
+    <v|H|v> by a real v. That is one batched matmul with ``real_dense``
+    where there is one, else ``real_groups``.
     """
-    groups = hamiltonians.groups if cols.dtype.kind == "c" else hamiltonians.real_groups
     blocks = cols.reshape(cols.shape[0], hamiltonians.count, -1)
+    real = cols.dtype.kind != "c"
+    if real and hamiltonians.real_dense is not None:
+        out = np.empty(cols.shape, dtype=cols.dtype)
+        np.matmul(
+            hamiltonians.real_dense,
+            blocks.transpose(1, 0, 2),
+            out=out.reshape(blocks.shape).transpose(1, 0, 2),
+        )
+        return out
+    groups = hamiltonians.real_groups if real else hamiltonians.groups
     out = np.zeros(blocks.shape, dtype=cols.dtype)
     for flip, weights in groups:
         partner = blocks if flip is None else blocks.take(flip, axis=0)

@@ -17,15 +17,15 @@ columns, one per state, so that many circuits advance with one numpy call
 qubit q sees them as a (2**q, 2, rest) view, a Ry tile on qubits q0 ..
 q0 + k - 1 as a (2**q0, 2**k, rest) view whose trailing matrices are
 C-ordered, so each tile is one BLAS product across all columns (Haener &
-Steiger, arXiv:1704.01127), on the columns themselves when one tile spans
-every qubit, and a CNOT sequence gathers whole amplitude rows; tiles and
-gathers also take leading axes, as the adjoint sweep stacks its states
-and adjoints. The kernels are dtype-generic: H, Ry and CNOT have real
-matrices, so the network's training path runs them on float64 columns,
-and the public API on the complex (2**n, 1) column of one state. The
-private ``_*_rows`` functions are that batched path (the names predate
-the column layout); each maps C-ordered columns to fresh C-ordered
-columns and never mutates its input.
+Steiger, arXiv:1704.01127), and a CNOT sequence gathers whole amplitude
+rows; tiles and gathers also take leading axes, as the adjoint sweep
+stacks its states and adjoints. The kernels are dtype-generic: H, Ry and
+CNOT have real matrices, so the network's training path runs them on
+float64 columns at n > ``_TILE_QUBITS`` (below, it multiplies whole
+layer matrices built by the same tile gather), and the public API on the
+complex (2**n, 1) column of one state. The private ``_*_rows`` functions
+are that batched path (the names predate the column layout); each maps
+C-ordered columns to fresh C-ordered columns and never mutates its input.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError(
@@ -207,28 +209,39 @@ def _ry_tiles(c: np.ndarray, s: np.ndarray, n_qubits: int) -> tuple[tuple[np.nda
     every tile and layer, multiplied in qubit order, and one gather
     spreads them over the C-ordered, read-only entries.
     """
-    c, s = c.reshape(-1, n_qubits).T, s.reshape(-1, n_qubits).T
-    factors = np.concatenate((c, s, -s))
+    factors = _ry_factors(c, s, n_qubits)
     tiles = []
     for index, sequence in _tile_entries(n_qubits):
-        size = 1 << index.shape[1]
-        products = np.multiply.reduce(factors.take(index, axis=0), axis=1)
-        entries = products.transpose(2, 0, 1).take(sequence, axis=2)
-        entries = entries.reshape(*entries.shape[:2], size, size)
+        entries = _gather_tiles(factors, index, sequence)
         entries.setflags(write=False)
         tiles += [entries[:, t] for t in range(index.shape[0])]
     return tuple(zip(*tiles))
+
+
+def _ry_factors(c: np.ndarray, s: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The (3n, layers) factor table of ``_tile_entries`` from the 1-D
+    angle factors of layers of n Ry's: cos, then sin, then -sin."""
+    c, s = c.reshape(-1, n_qubits).T, s.reshape(-1, n_qubits).T
+    return np.concatenate((c, s, -s))
+
+
+def _gather_tiles(factors: np.ndarray, index: np.ndarray, sequence: np.ndarray) -> np.ndarray:
+    """The fresh (layers, tiles, 2**k, 2**k) entries of the tiles of one
+    size, from the ``_ry_factors`` table and that size's pair of
+    ``_tile_entries``: one gather of factors, one product in qubit order
+    and one gather along ``sequence``."""
+    size = 1 << index.shape[1]
+    products = np.multiply.reduce(factors.take(index, axis=0), axis=1)
+    entries = products.transpose(2, 0, 1).take(sequence, axis=2)
+    return entries.reshape(*entries.shape[:2], size, size)
 
 
 def _tile_rows(cols: np.ndarray, tiles) -> np.ndarray:
     """Apply the tiles of one layer, as ``_ry_tiles`` builds them, to
     (..., 2**n, points) columns: tile t, on the qubits from
     ``_TILE_QUBITS * t`` on, is one matmul on the (-1, 2**k, rest) view
-    whose axis 1 is its bits, one BLAS product across all columns; a
-    single tile spans every qubit and is one product on the columns
-    themselves. The tiles are real, so the columns keep their dtype."""
-    if len(tiles) == 1:
-        return tiles[0] @ cols
+    whose axis 1 is its bits, one BLAS product across all columns. The
+    tiles are real, so the columns keep their dtype."""
     for t, tile in enumerate(tiles):
         size = tile.shape[-1]
         rest = (cols.shape[-2] >> (_TILE_QUBITS * t)) // size * cols.shape[-1]

@@ -366,24 +366,26 @@ class TestScoring:
 
         # A pass runs on the encoded columns of its bond lengths; the
         # encodings are kept, so each is traced back to its bond lengths.
+        # Both the dense and the tile path run through _forward_pass.
         bond_lengths = {}
-        input_rows, run_blocks = network._input_rows, network._run_blocks
+        input_rows, forward_pass = network._input_rows, network._forward_pass
 
         def spy_inputs(net, inputs):
             encoded = input_rows(net, inputs)
             bond_lengths[id(encoded)] = (encoded, tuple(float(a) for a in inputs))
             return encoded
 
-        def spy_blocks(net, encoded, *args):
+        def spy_pass(net, encoded, *args):
             kept, inputs = bond_lengths[id(encoded)]
             assert kept is encoded
             events.append(inputs)
-            return run_blocks(net, encoded, *args)
+            return forward_pass(net, encoded, *args)
 
         monkeypatch.setattr(cli, "train", spy_train)
         monkeypatch.setattr(network, "_input_rows", spy_inputs)
         monkeypatch.setattr(optimize, "_input_rows", spy_inputs)
-        monkeypatch.setattr(network, "_run_blocks", spy_blocks)
+        monkeypatch.setattr(network, "_forward_pass", spy_pass)
+        monkeypatch.setattr(optimize, "_forward_pass", spy_pass)
         config = _fast_config(
             tfim2_dir,
             tmp_path / "o",

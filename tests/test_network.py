@@ -105,6 +105,12 @@ class TestSpecs:
         with pytest.raises(ValueError):
             NetworkSpec(2, "with_measurements")
 
+    def test_block_above_the_qubit_limit_is_rejected(self):
+        limit = statevector.MAX_QUBITS
+        assert PqcSpec(limit, 1, 0).n_qubits == limit
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            PqcSpec(limit + 1, 1, 0)
+
     def test_network_above_the_qubit_limit_is_rejected(self):
         limit = statevector.MAX_QUBITS
         assert NetworkSpec(limit, Variant.WITH_MEASUREMENTS).n_qubits == limit
@@ -358,8 +364,10 @@ class TestNonlinearityWitness:
 def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
     """Every array of a training pass is a C-ordered (2**n, points) array
     of amplitude-major columns, the layout whose BLAS products and energy
-    sums the results round by. n = 1..9 covers every tile remainder and
-    both sides of the tile boundaries at 4 and 8 qubits."""
+    sums the results round by. Up to 4 qubits the pass keeps its dense
+    prefix products, from 5 on the tiles of its layers. n = 1..9 covers
+    every tile remainder and both sides of the tile boundaries at 4 and 8
+    qubits."""
     rng = np.random.default_rng(seed)
     net = NetworkSpec(n, variant)
     fields = rng.uniform(0.05, 2.5, batch)
@@ -371,32 +379,46 @@ def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
     def columns(array):
         return array.shape == (1 << n, batch) and array.flags["C_CONTIGUOUS"]
 
-    blocks = []
+    made = {"_encoded_rows": [], "_pqc_block": []}
 
-    def kept(fn):
+    def kept(name):
+        fn = getattr(network, name)
+
         def spy(*args):
             out = fn(*args)
-            blocks.append(out)
+            made[name].append(out)
             return out
 
         return spy
 
     assert columns(problem.encoded)
     with (
-        mock.patch.object(network, "_encoded_rows", kept(network._encoded_rows)),
-        mock.patch.object(network, "_pqc_block", kept(network._pqc_block)),
+        mock.patch.object(network, "_encoded_rows", kept("_encoded_rows")),
+        mock.patch.object(network, "_pqc_block", kept("_pqc_block")),
     ):
         forward_pass, products = optimize._training_pass(params, problem)
+    assert all(columns(cols) for cols in made["_encoded_rows"] + made["_pqc_block"])
+    assert forward_pass.encoded is problem.encoded
     # The measured variant re-encodes its readout between layers n - 1 and n.
     with_measurements = variant is Variant.WITH_MEASUREMENTS
-    assert len(blocks) == (3 if with_measurements else 1)
-    assert all(columns(cols) for cols in blocks)
     if with_measurements:
-        assert columns(forward_pass.measured)
-        assert not forward_pass.measured.flags.writeable
+        assert made["_encoded_rows"] == [forward_pass.second]
+        outputs = [forward_pass.measured, forward_pass.second, forward_pass.cols]
     else:
-        assert forward_pass.measured is None
-    assert forward_pass.cols is blocks[-1]
+        assert made["_encoded_rows"] == []
+        assert forward_pass.measured is None and forward_pass.second is None
+        outputs = [forward_pass.cols]
+    assert all(columns(cols) and not cols.flags.writeable for cols in outputs)
+    if n <= 4:
+        assert made["_pqc_block"] == []
+        prefix = forward_pass.layers
+        assert prefix.shape == (2, n, 1 << n, 1 << n)
+        assert prefix.flags["C_CONTIGUOUS"] and not prefix.flags.writeable
+    else:
+        assert len(forward_pass.layers) == 2 * n
+        assert made["_pqc_block"][-1] is forward_pass.cols
+        if with_measurements:
+            assert made["_pqc_block"][0] is forward_pass.measured
     assert columns(products)
 
     got = optimize.energies(params, problem)
@@ -404,6 +426,42 @@ def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
         psi = ref.forward(n, with_measurements, a, params)
         dense = ref.hamiltonian_matrix([(t.coefficient, t.axis_string) for t in h.terms], n)
         assert abs(got[b] - (psi.conj() @ dense @ psi).real) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("points", [1, 3, 5])
+def test_dense_path_matches_the_tile_path(n, variant, points):
+    """Up to 4 qubits a training pass runs on dense layer matrices; the
+    tile path and its sweep, which serve n >= 5, give the same forward
+    columns, energies and gradient, relative to their largest entry."""
+    rng = np.random.default_rng(100 * n + points)
+    net = NetworkSpec(n, variant)
+    fields = rng.uniform(0.05, 2.5, points)
+    problem = optimize.TrainingProblem(
+        net, tuple((a, transverse_field_ising(n, a)) for a in fields)
+    )
+    params = rng.normal(0, 1.5, net.n_params)
+    dense = network._forward_pass(net, problem.encoded, params)
+    tiles = network._ry_tiles(*network._angle_factors(params), n)
+    tile = network._run_blocks(net, problem.encoded, tiles)
+    assert not isinstance(dense.layers, tuple) and tile.layers is tiles
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    fields_kept = ["cols"] + (["measured", "second"] if variant is Variant.WITH_MEASUREMENTS else [])
+    for name in fields_kept:
+        assert close(getattr(dense, name), getattr(tile, name))
+    hamiltonians = problem.hamiltonians
+    assert close(
+        optimize._expectation_rows(hamiltonians, dense.cols),
+        optimize._expectation_rows(hamiltonians, tile.cols),
+    )
+    seed = 2.0 * optimize._apply_hamiltonian_rows(hamiltonians, tile.cols)
+    want = network._adjoint_sweep(net, tile, seed)
+    assert close(network._adjoint_gradient(net, dense, seed), want)
+    assert close(optimize.gradient(params, problem), want)
 
 
 def _per_gate_block(cols, n, layers, c, s):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,41 @@ class TestCompiled:
         assert len(compiled.groups) == 1  # both strings flip qubit 0 only
         cols = np.random.default_rng(3).standard_normal((4, 4))
         assert np.array_equal(_expectation_rows(compiled, cols), np.zeros(4))
+
+
+class TestRealDense:
+    """Up to 4 qubits the compiled form also keeps Re(H) as a dense stack,
+    and H v on real columns is one batched matmul; it matches the group
+    form and ``to_dense``, also with Y factors in both parities."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        count=st.integers(1, 3),
+        rows_per=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_matvec_matches_groups_and_to_dense(self, n, count, rows_per, data, seed):
+        even_y = [(0.3, "YY" + "I" * (n - 2))] if n >= 2 else []
+        hams = [_ham(data.draw(pauli_sums(n)) + even_y, n) for _ in range(count)]
+        compiled = compile_hamiltonians(hams)
+        size = 1 << n
+        assert compiled.real_dense.shape == (count, size, size)
+        assert not compiled.real_dense.flags.writeable
+        cols = np.random.default_rng(seed).standard_normal((size, count * rows_per))
+        got = _apply_hamiltonian_rows(compiled, cols)
+        assert got.dtype == np.float64
+        assert got.flags["C_CONTIGUOUS"]
+        groups = _apply_hamiltonian_rows(dataclasses.replace(compiled, real_dense=None), cols)
+        assert np.max(np.abs(got - groups)) < 1e-12
+        for j, h in enumerate(hams):
+            block = slice(j * rows_per, (j + 1) * rows_per)
+            assert np.max(np.abs(got[:, block] - to_dense(h).real @ cols[:, block])) < 1e-12
+
+    def test_only_up_to_four_qubits(self):
+        assert compile_hamiltonians([_ham([(1.0, "ZZZZ")], 4)]).real_dense is not None
+        assert compile_hamiltonians([_ham([(1.0, "ZZZZZ")], 5)]).real_dense is None
 
 
 @st.composite

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import dense_ref as ref
 from hqcnn.statevector import (
+    MAX_QUBITS,
     StateVector,
     _angle_factors,
     _cnot_permutation,
@@ -40,6 +41,19 @@ def test_zero_state_range_guard(n):
 def test_statevector_validates_shape():
     with pytest.raises(ValueError):
         StateVector(2, np.zeros(3, dtype=complex))
+
+
+class _Unconvertible:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("amplitudes converted")
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1])
+def test_statevector_range_guard_runs_before_conversion(n):
+    # Nothing of size 2**n is built or converted: the register size is
+    # checked first.
+    with pytest.raises(ValueError, match="n_qubits must be in"):
+        StateVector(n, _Unconvertible())
 
 
 def test_hadamard_on_single_qubit():
