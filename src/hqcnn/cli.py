@@ -44,7 +44,8 @@ train energies are those of the pass training ended on, so per seed they
 sum exactly (numpy's sum, in point order) to the final cost.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 numerical failure, 4 out of memory.
+3 numerical failure (a non-finite objective or gradient, or an eigensolver
+failure), 4 out of memory.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from . import __version__
 from .network import NetworkSpec, Variant
 from .optimize import NumericalError, OptimizerSettings, TrainingProblem
 from .optimize import energies, gradient_deviations, init_params, train
-from .oracle import ground_energy
+from .oracle import EigensolverError, ground_energy
 from .pauli import (
     HamParseError,
     PauliHamiltonian,
@@ -763,7 +764,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, EigensolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

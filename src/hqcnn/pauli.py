@@ -380,15 +380,16 @@ def to_dense(h: PauliHamiltonian) -> np.ndarray:
     imag = None
     for term in h.terms:
         # The term's column map and values are the Kronecker combination of
-        # its factors' tables, qubit 0 first; a string with n_y Y factors
-        # carries the phase i**n_y on top, real for even n_y.
+        # its factors' tables, qubit 0 first, which for 1-D tables is the
+        # flattened outer product; a string with n_y Y factors carries the
+        # phase i**n_y on top, real for even n_y.
         columns = np.zeros(1, dtype=np.intp)
         values = np.full(1, term.coefficient)
         n_y = 0
         for axis in term.axes:
             c, v = _MONOMIALS[axis]
             columns = (2 * columns[:, None] + c).reshape(-1)
-            values = np.kron(values, v)
+            values = np.multiply.outer(values, v).reshape(-1)
             n_y += axis is PauliAxis.Y
         if n_y % 4 >= 2:
             values = -values

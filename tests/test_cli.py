@@ -759,6 +759,24 @@ class TestMain:
         assert f"{n} qubits, limit is {MAX_QUBITS}" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_diag_eigensolver_failure_exit_3(self, tmp_path, capsys):
+        # Two 1e308 ZZ terms overflow the dense matrix. A 3-qubit TFIM at
+        # field 1e308 has finite entries and the eigenvalue -3e308, which
+        # diag used to print as -inf with exit 0.
+        overflow = tmp_path / "overflow"
+        overflow.mkdir()
+        (overflow / "zz.ham").write_text(
+            "qubits: 2\nbond_length: 1.0\nterm: 1e308 ZZ\nterm: 1e308 ZZ\n"
+        )
+        field = tmp_path / "field"
+        gen_synthetic(field, 3, [1e308])
+        for data in (overflow, field):
+            assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("numerical failure:")
+            assert captured.err.count("\n") == 1
+
     def test_diag_without_values_reports_skipped_file_once(self, tmp_path, capsys):
         data = tmp_path / "d"
         gen_synthetic(data, 1, [0.5])

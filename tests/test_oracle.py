@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_ref as ref
 from hqcnn import oracle
 from hqcnn.cli import transverse_field_ising
 from hqcnn.oracle import (
+    EigensolverError,
     ground_energy,
     ground_energy_iterative,
     ground_state,
@@ -120,3 +124,161 @@ def test_odd_y_hamiltonian_stays_complex(monkeypatch):
     dtypes, energy = _lanczos_dtypes(h, monkeypatch)
     assert dtypes == {np.dtype(np.complex128)}
     assert energy == pytest.approx(ground_energy(h), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# symmetry sectors of the dense route
+# ---------------------------------------------------------------------------
+
+
+def _masks(axes: str) -> tuple[int, int]:
+    """(flip mask, Z mask) of an axis string, qubit 0 as the top bit."""
+    flips = z = 0
+    for a in axes:
+        flips = 2 * flips + (a in "XY")
+        z = 2 * z + (a in "ZY")
+    return flips, z
+
+
+def _axes(flips: int, z: int, n: int) -> str:
+    bits = [(flips >> (n - 1 - q) & 1, z >> (n - 1 - q) & 1) for q in range(n)]
+    return "".join("IZXY"[x * 2 + b] for x, b in bits)
+
+
+def _check_sectors(terms, n):
+    """The chosen string commutes with every term and the blocks hold H's
+    spectrum; ground_energy and spectrum_bounds match the full matrix."""
+    h = _ham(terms, n)
+    dense = to_dense(h)
+    full = np.linalg.eigvalsh(dense)
+    tol = 1e-10 * max(1.0, sum(abs(c) for c, _ in terms))
+    symmetry = oracle._symmetry(h)
+    blocks = oracle._sector_blocks(h)
+    if symmetry is None:
+        assert len(blocks) == 1
+    else:
+        flips, z = symmetry
+        assert (flips, z) != (0, 0)
+        assert (flips & z).bit_count() % 2 == 0
+        for _, axes in terms:
+            tf, tz = _masks(axes)
+            assert ((tz & flips) ^ (tf & z)).bit_count() % 2 == 0
+        s = ref.hamiltonian_matrix([(1.0, _axes(flips, z, n))], n)
+        assert np.allclose(s @ dense, dense @ s, rtol=0.0, atol=tol)
+        assert [b.shape for b in blocks] == [(1 << (n - 1),) * 2] * 2
+    for block in blocks:
+        assert block.dtype == dense.dtype
+    spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    np.testing.assert_allclose(spectra, full, rtol=0.0, atol=tol)
+    assert ground_energy(h) == pytest.approx(float(full[0]), abs=tol)
+    lo, hi = spectrum_bounds(h)
+    assert lo == pytest.approx(float(full[0]), abs=tol)
+    assert hi == pytest.approx(float(full[-1]), abs=tol)
+    return symmetry, blocks
+
+
+@st.composite
+def _term_sets(draw):
+    """1 to 8 terms on 1 to 6 qubits. An even set has an even number of Y
+    factors in every string (a real H); an odd set has at least one string
+    with an odd number (a complex H)."""
+    n = draw(st.integers(1, 6))
+    even = draw(st.booleans())
+    strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coefficients = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(st.lists(st.tuples(coefficients, strings), min_size=1, max_size=8))
+    if even:
+        # Turning the first Y of an odd string into an X makes its count even.
+        terms = [
+            (c, a.replace("Y", "X", 1) if a.count("Y") % 2 else a) for c, a in terms
+        ]
+    elif not any(a.count("Y") % 2 for _, a in terms):
+        c, a = terms[0]
+        terms[0] = (c, "Y" + a[1:] if a[0] != "Y" else "X" + a[1:])
+    return terms, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_sets())
+def test_sectors_hold_the_spectrum(case):
+    terms, n = case
+    _check_sectors(terms, n)
+
+
+def test_tfim_sectors_split_by_x_string():
+    terms = [(t.coefficient, t.axis_string) for t in transverse_field_ising(5, 0.9).terms]
+    symmetry, _ = _check_sectors(terms, 5)
+    assert symmetry == _masks("XXXXX")
+
+
+def test_all_z_hamiltonian_splits_by_diagonal_string():
+    terms = [(-1.0, "ZZI"), (0.4, "IZZ"), (0.7, "ZII"), (0.2, "ZIZ")]
+    symmetry, blocks = _check_sectors(terms, 3)
+    flips, z = symmetry
+    assert flips == 0 and z != 0
+    assert all(np.count_nonzero(b - np.diag(np.diag(b))) == 0 for b in blocks)
+
+
+def test_symmetry_with_a_yy_pair():
+    # XX, XZ and ZX commute with YY and with no other string but I.
+    terms = [(0.8, "XX"), (-0.5, "XZ"), (0.3, "ZX")]
+    symmetry, blocks = _check_sectors(terms, 2)
+    assert symmetry == _masks("YY")
+    assert all(b.dtype == np.float64 for b in blocks)
+
+
+def test_no_symmetry_falls_back_to_one_block():
+    terms = [(1.0, "X"), (1.0, "Z")]
+    symmetry, blocks = _check_sectors(terms, 1)
+    assert symmetry is None
+    assert len(blocks) == 1
+    assert ground_energy(_ham(terms, 1)) == pytest.approx(-np.sqrt(2.0), abs=1e-15)
+
+
+def test_ten_qubit_tfim_solves_two_half_blocks(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ground_energy(transverse_field_ising(10, 0.7))
+    assert shapes == [(512, 512), (512, 512)]
+
+
+# ---------------------------------------------------------------------------
+# eigensolver failures
+# ---------------------------------------------------------------------------
+
+
+def test_dense_routes_refuse_an_overflowing_matrix():
+    # Two 1e308 ZZ terms sum to an entry past the float range.
+    h = _ham([(1e308, "ZZ"), (1e308, "ZZ")], 2)
+    for solve in (ground_energy, spectrum_bounds, ground_state):
+        with pytest.raises(EigensolverError, match="dense diagonalization"):
+            solve(h)
+
+
+def test_dense_route_refuses_a_non_finite_eigenvalue():
+    # Every entry is finite, the lowest eigenvalue (-3e308) is not.
+    with pytest.raises(EigensolverError, match="non-finite eigenvalue"):
+        ground_energy(transverse_field_ising(3, 1e308))
+
+
+def test_lanczos_refuses_an_overflowing_coefficient_sum():
+    # ARPACK returned 0.0 here for an H whose lowest eigenvalue is -2e308.
+    for h in (_ham([(1e308, "ZZ"), (1e308, "ZZ")], 2), transverse_field_ising(2, 1e308)):
+        with pytest.raises(EigensolverError, match="finite sum"):
+            ground_energy_iterative(h)
+
+
+def test_lanczos_wraps_every_arpack_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(EigensolverError, match="Lanczos failed") as info:
+        ground_energy_iterative(transverse_field_ising(3, 0.5))
+    assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackError)
