@@ -11,7 +11,7 @@ gradcheck       adjoint gradient against central differences, and the
                 step-halving check of the central differences
 
 Config file grammar (flat key: value lines, '#' comments, unknown keys
-rejected)::
+rejected, numbers ASCII as in .ham files)::
 
     dataset_dir: data/tfim4
     output_dir: out/run1
@@ -69,6 +69,8 @@ from .pauli import (
     HamParseError,
     PauliHamiltonian,
     PauliTerm,
+    ascii_float,
+    ascii_int,
     format_hamiltonian,
     parse_hamiltonian,
 )
@@ -169,35 +171,24 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"config line {lineno}: empty value for {key!r}")
         seen[key] = value
 
-    def take(key: str) -> str | None:
-        return seen.pop(key, None)
-
-    dataset_dir = take("dataset_dir")
-    output_dir = take("output_dir")
+    dataset_dir = seen.pop("dataset_dir", None)
+    output_dir = seen.pop("output_dir", None)
     if dataset_dir is None or output_dir is None:
         raise ConfigError("config must set dataset_dir and output_dir")
     kwargs = {"dataset_dir": Path(dataset_dir), "output_dir": Path(output_dir)}
-    if (value := take("variant")) is not None:
-        kwargs["variant"] = value
-    if (value := take("label")) is not None:
-        kwargs["label"] = value
-    if (value := take("train_bond_lengths")) is not None:
-        kwargs["train_bond_lengths"] = _parse_float_list(value, "train_bond_lengths")
-    if (value := take("test_bond_lengths")) is not None:
-        kwargs["test_bond_lengths"] = _parse_float_list(value, "test_bond_lengths")
-    if (value := take("seeds")) is not None:
-        kwargs["seeds"] = _parse_int_list(value, "seeds")
     settings_kwargs = {}
-    if (value := take("max_iterations")) is not None:
-        settings_kwargs["max_iterations"] = _parse_int(value, "max_iterations")
-    if (value := take("gradient_norm_tolerance")) is not None:
-        settings_kwargs["gradient_norm_tolerance"] = _parse_float(
-            value, "gradient_norm_tolerance"
-        )
-    if (value := take("finite_difference_step")) is not None:
-        settings_kwargs["finite_difference_step"] = _parse_float(
-            value, "finite_difference_step"
-        )
+    for key, parse, target in (
+        ("variant", None, kwargs),
+        ("label", None, kwargs),
+        ("train_bond_lengths", _parse_float_list, kwargs),
+        ("test_bond_lengths", _parse_float_list, kwargs),
+        ("seeds", _parse_int_list, kwargs),
+        ("max_iterations", _parse_int, settings_kwargs),
+        ("gradient_norm_tolerance", _parse_float, settings_kwargs),
+        ("finite_difference_step", _parse_float, settings_kwargs),
+    ):
+        if (value := seen.pop(key, None)) is not None:
+            target[key] = value if parse is None else parse(value, key)
     if seen:
         raise ConfigError(f"unknown config keys: {sorted(seen)}")
     try:
@@ -217,7 +208,7 @@ def load_config(path: Path) -> ExperimentConfig:
 
 def _parse_float(token: str, key: str) -> float:
     try:
-        value = float(token)
+        value = ascii_float(token)
     except ValueError:
         raise ConfigError(f"{key}: invalid number {token!r}") from None
     if not math.isfinite(value):
@@ -227,7 +218,7 @@ def _parse_float(token: str, key: str) -> float:
 
 def _parse_int(token: str, key: str) -> int:
     try:
-        return int(token)
+        return ascii_int(token)
     except ValueError:
         raise ConfigError(f"{key}: invalid integer {token!r}") from None
 
@@ -384,7 +375,7 @@ def _run_timestamp() -> str:
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
     if pinned is not None:
         try:
-            moment = datetime.fromtimestamp(int(pinned), tz=timezone.utc)
+            moment = datetime.fromtimestamp(ascii_int(pinned), tz=timezone.utc)
         except (ValueError, OverflowError, OSError) as exc:
             raise ConfigError(f"bad SOURCE_DATE_EPOCH {pinned!r}: {exc}") from exc
     else:
@@ -546,8 +537,8 @@ def _run(config: ExperimentConfig, run: str, variants: tuple[Variant, ...]) -> R
     variant and compare.txt; both write manifest.txt."""
     timestamp = _run_timestamp()
     train_ds, test_ds = _load_splits(config)
-    exact_train = [ground_energy(h) for _, h in train_ds.entries]
-    exact_test = [ground_energy(h) for _, h in test_ds.entries]
+    exact_train = [_exact_energy(a, h) for a, h in train_ds.entries]
+    exact_test = [_exact_energy(a, h) for a, h in test_ds.entries]
     results = [
         _run_one_variant(variant, config, train_ds, test_ds, exact_train, exact_test)
         for variant in variants
@@ -590,11 +581,19 @@ def run_compare(config: ExperimentConfig) -> RunManifest:
     return _run(config, "compare", (Variant.WITH_MEASUREMENTS, Variant.WITHOUT_MEASUREMENTS))
 
 
+def _exact_energy(bond_length: float, h: PauliHamiltonian) -> float:
+    """``ground_energy`` of h; an eigensolver failure names ``bond_length``."""
+    try:
+        return ground_energy(h)
+    except EigensolverError as exc:
+        raise EigensolverError(f"bond length {bond_length!r}: {exc}") from exc
+
+
 def run_diag(dataset: CurveDataset) -> str:
     """CSV of exact ground energies, one row per dataset entry."""
     lines = ["bond_length,ground_energy"]
     for a, h in dataset.entries:
-        lines.append(f"{a!r},{ground_energy(h)!r}")
+        lines.append(f"{a!r},{_exact_energy(a, h)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -617,17 +616,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="write a transverse-field Ising .ham family")
     p.add_argument("--out-dir", required=True, type=Path)
-    p.add_argument("--n-qubits", required=True, type=int)
-    p.add_argument("--bond-lengths", required=True, type=float, nargs="+")
+    p.add_argument("--n-qubits", required=True, type=ascii_int)
+    p.add_argument("--bond-lengths", required=True, type=ascii_float, nargs="+")
 
     p = sub.add_parser("diag", help="exact ground energies as CSV")
     p.add_argument("--dataset-dir", required=True, type=Path)
-    p.add_argument("--bond-lengths", required=True, type=float, nargs="*")
+    p.add_argument("--bond-lengths", required=True, type=ascii_float, nargs="*")
     p.add_argument("--output", type=Path, help="CSV path (default: stdout)")
 
     p = sub.add_parser("train", help="fit one seed and print the outcome")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--seed", type=int, help="override (default: first config seed)")
+    p.add_argument("--seed", type=ascii_int, help="override (default: first config seed)")
     p.add_argument("--params-out", type=Path, help="write fitted angles, one per line")
 
     p = sub.add_parser("curve", help="train per seed and write results.csv + manifest.txt")
@@ -638,7 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="check the gradient against central differences")
     p.add_argument("--config", required=True, type=Path)
-    p.add_argument("--seed", type=int, help="override (default: first config seed)")
+    p.add_argument("--seed", type=ascii_int, help="override (default: first config seed)")
     return parser
 
 

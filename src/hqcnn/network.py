@@ -11,66 +11,50 @@ The full model (``Variant.WITH_MEASUREMENTS``) runs, for scalar input a:
 
 Step 3/4 is the network's nonlinearity: amplitudes are collapsed to
 probabilities and fed back in as angles. The ablation
-(``Variant.WITHOUT_MEASUREMENTS``) keeps the same parameter budget by
-replacing steps 2-5 with a single trainable block of 2n layers, so both
-variants consume exactly 2 n^2 rotation angles.
+(``Variant.WITHOUT_MEASUREMENTS``) drops only steps 3/4. So both variants
+are 2n trainable layers that consume exactly 2 n^2 rotation angles, two
+halves of n joined by a link between layers n-1 and n: the readout and
+its re-encoding in the full model, the identity in the ablation.
 
-Parameter vectors are plain 1-D float arrays (radians). Both variants
-are 2n trainable layers, and layer j reads angles ``params[i + n*j]`` for
-qubit i; the measured variant reads out and re-encodes between layers
-n-1 and n. ``NetworkSpec.blocks()`` describes the same network as a
-sequence of blocks for the public single-state API below.
+Parameter vectors are plain 1-D float arrays (radians); layer j reads
+angles ``params[i + n*j]`` for qubit i. ``NetworkSpec.blocks()``
+describes the same network as a sequence of blocks for the public
+single-state API below.
 
 All public functions are pure. The training workload runs through
 ``_forward_pass`` (kept for the gradient) or ``_forward_rows``. Every
 array of a pass is a C-ordered (2**n, points) array of float64
 amplitude-major columns, one per input (H, Ry and CNOT are real gates):
 the encodings, built in closed form as product states; the output of
-each half of the layers in the measured variant, and its readout of all
-qubits, one BLAS product; and the final columns. The columns of the
-first encoding depend on the inputs only, so a caller that runs many
-passes on the same inputs builds them once (``_input_rows``) and passes
-them in. The public single-state functions run the same kernels on one
-complex column. A pass takes one of two paths, split at
-``_TILE_QUBITS``, the largest register that one Ry tile spans; dense
-layers would need 4**n memory, so the path that scales stays above it.
+each half, and in the measured variant the readout of all qubits, one
+BLAS product; and the final columns. A caller that runs many passes on
+the same inputs builds the first encoding once (``_input_rows``) and
+passes it in. The public single-state functions run the same kernels on
+one complex column.
 
-From n = 5 on, ``_run_blocks`` is one loop over the 2n layers, with the
-readout and re-encoding between its halves in the measured variant: each
-CNOT ladder, one gather through a cached permutation; each layer's n
-Ry's, a few Kronecker tiles of up to four qubits, each one BLAS product
-across all columns. The tiles of a parameter vector are built once per
-pass (``statevector._ry_tiles``) and kept. ``_adjoint_sweep`` then
-differentiates a summed energy exactly by reverse mode: one backward
-sweep over the 2n layers, j = 2n-1 .. 0, of the states and their
-adjoints (Jones & Gacon, arXiv:2009.02823), stacked as one C-ordered
-(2, 2**n, points) pair of columns. All gates are orthogonal, so each is
-undone by its transpose instead of being stored: the Ry tiles that the
-forward pass kept are applied transposed, one BLAS product per tile, and
-the CNOT ladder by one gather along the amplitude axis. The Ry
-derivatives are read on the same tiles, from each tile's Gram matrix of
-adjoint and state (``_y_overlaps``): for a trainable layer one product
-per tile, summed over the points, and per column for the re-encoding;
-a cached sign table turns each into the derivatives by the tile's angles.
-The readout is an exact expectation, so it has an exact derivative: at
-layer n of the measured variant the sweep turns the re-encoding's
-derivatives into the adjoint of the measured columns and restarts from
-them. Besides the tiles, the cached (2**n, n) sign table of the readout
-and the O(k 4**k) sign tables of the tile sizes k, memory is a fixed
-number of (2**n, points) arrays, however many angles the network has.
+``_forward_pass`` is the one place that picks the form of the layers,
+split at ``_TILE_QUBITS``, the largest register that one Ry tile spans;
+dense layers would need 4**n memory, so the form that scales stays
+above it. ``_run_layers`` runs either form: lower half, link, upper
+half. ``_adjoint_gradient`` differentiates a summed energy exactly by
+reverse mode (Jones & Gacon, arXiv:2009.02823) on the same form; the
+readout is an exact expectation, so it has an exact derivative.
 
-Up to n = 4, ``_run_dense`` runs each layer as one dense orthogonal
-matrix L = T P, its Ry tile after its CNOT ladder, built by the tile's
-one gather with the ladder folded into the cached entry sequence
-(``_layer_entries``). The pass keeps the prefix products of each half of
-the layers in one (2, n, 2**n, 2**n) stack (``_prefix_products``) and
-runs each half as one product with its last prefix. ``_dense_gradient``
-needs no sweep: since every layer is orthogonal, the adjoint after layer
-j is F_j F^T a, with F_j the prefix up to layer j, F the half's last and
-a its final adjoint, so the Gram matrices of adjoint and state of all 2n
-layers come from two stacked products, and one product with the same
-sign table gives every derivative. The stack holds 2n 4**n floats, 16 KB
-at n = 4.
+* From n = 5 on, a layer is its CNOT ladder, one gather through a cached
+  permutation, then its n Ry's as a few Kronecker tiles of up to four
+  qubits (``statevector._ry_tiles``), each one BLAS product across all
+  columns. ``_adjoint_sweep`` undoes the layers from the last, on the
+  states and their adjoints stacked as one pair: every gate is
+  orthogonal, so each is undone by its transpose instead of being
+  stored. It reads each layer's derivatives on its tiles. Besides the
+  tiles and cached sign tables, memory is a fixed number of
+  (2**n, points) arrays, however many angles the network has.
+* Up to n = 4, a layer is one dense orthogonal matrix, its Ry tile after
+  its CNOT ladder (``_layer_entries``), and a pass keeps the prefix
+  products of each half in one (2, n, 2**n, 2**n) stack
+  (``_prefix_products``), 16 KB at n = 4. ``_dense_gradient`` reads the
+  derivatives of all 2n layers from it with a few stacked products and
+  no loop over the layers.
 """
 
 from __future__ import annotations
@@ -356,19 +340,16 @@ def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
 
 class _ForwardPass(NamedTuple):
     """What one forward pass on a parameter vector leaves for the
-    gradient, all read-only: ``layers``, at n <= _TILE_QUBITS the
-    (2, n, 2**n, 2**n) ``_prefix_products`` of the vector's layers, whose
-    entry [h, i] maps the columns that enter layer hn to layer hn+i's
-    output, except in the ablation, whose upper half maps the encoded
-    inputs (``_run_dense``), and otherwise the ``_ry_tiles`` of the
-    vector, one entry per layer; the encoded inputs; in the measured
-    variant the columns the readout measured and their re-encoding (both
-    None in the ablation); and the final columns."""
+    gradient, all read-only: ``layers``, the (2, n, 2**n, 2**n)
+    ``_prefix_products`` of the vector at n <= _TILE_QUBITS, else its
+    ``_ry_tiles``; the encoded inputs; the lower half's output,
+    ``measured``; the link's output, ``second``, which is ``measured``
+    itself in the ablation; and the final columns."""
 
     layers: np.ndarray | tuple[tuple[np.ndarray, ...], ...]
     encoded: np.ndarray
-    measured: np.ndarray | None
-    second: np.ndarray | None
+    measured: np.ndarray
+    second: np.ndarray
     cols: np.ndarray
 
 
@@ -386,34 +367,24 @@ def _reencoded(measured: np.ndarray, n_qubits: int) -> np.ndarray:
     return _encoded_rows(_READOUT_SCALE * _expect_z_rows(measured, n_qubits))
 
 
-def _run_blocks(net: NetworkSpec, encoded: np.ndarray, tiles) -> _ForwardPass:
-    """Run the network's 2n trainable layers on ``encoded``, the
-    ``_input_rows`` of the inputs, layer by layer, as ``tiles``, the
-    ``_ry_tiles`` of the whole parameter vector, one entry per layer.
-
-    The ablation runs all 2n layers in a row. The measured variant runs
-    layers 0 .. n-1, reads out and re-encodes (``_reencoded``), then runs
-    layers n .. 2n-1.
-    """
+def _run_layers(net: NetworkSpec, encoded: np.ndarray, layers) -> _ForwardPass:
+    """Run the 2n trainable layers on ``encoded``, the ``_input_rows`` of
+    the inputs, as two halves of n joined by a link: the lower half gives
+    ``measured``; the link is the readout and its re-encoding
+    (``_reencoded``) in the measured variant, the identity in the
+    ablation; the upper half runs on its output. A half is one matmul
+    with its last product on a ``_prefix_products`` stack, or
+    ``_pqc_block`` on its n entries of the ``_ry_tiles``."""
     n = net.n_qubits
-    if net.variant is Variant.WITHOUT_MEASUREMENTS:
-        return _ForwardPass(tiles, encoded, None, None, _pqc_block(encoded, n, tiles))
-    measured = _pqc_block(encoded, n, tiles[:n])
-    second = _reencoded(measured, n)
-    return _ForwardPass(tiles, encoded, measured, second, _pqc_block(second, n, tiles[n:]))
 
+    def half(h: int, cols: np.ndarray) -> np.ndarray:
+        if isinstance(layers, np.ndarray):
+            return layers[h, -1] @ cols
+        return _pqc_block(cols, n, layers[h * n : (h + 1) * n])
 
-def _run_dense(net: NetworkSpec, encoded: np.ndarray, prefix: np.ndarray) -> _ForwardPass:
-    """``_run_blocks`` at n <= _TILE_QUBITS on the ``_prefix_products`` of
-    the parameter vector, whose last product of each half runs that half
-    in one matmul. The ablation first composes the upper half with the
-    lower half's last product, in place, one stacked matmul."""
-    if net.variant is Variant.WITHOUT_MEASUREMENTS:
-        np.matmul(prefix[1], prefix[0, -1], out=prefix[1])
-        return _ForwardPass(prefix, encoded, None, None, prefix[1, -1] @ encoded)
-    measured = prefix[0, -1] @ encoded
-    second = _reencoded(measured, net.n_qubits)
-    return _ForwardPass(prefix, encoded, measured, second, prefix[1, -1] @ second)
+    measured = half(0, encoded)
+    second = _reencoded(measured, n) if net.variant is Variant.WITH_MEASUREMENTS else measured
+    return _ForwardPass(layers, encoded, measured, second, half(1, second))
 
 
 def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -425,19 +396,15 @@ def _forward_rows(net: NetworkSpec, inputs: np.ndarray, params: np.ndarray) -> n
 
 def _forward_pass(net: NetworkSpec, encoded: np.ndarray, params: np.ndarray) -> _ForwardPass:
     """One forward pass per input on the parameter vector ``params``, from
-    the ``_input_rows`` of the inputs, kept whole for ``_adjoint_gradient``:
-    on dense layer matrices at n <= _TILE_QUBITS (``_run_dense``), where
-    one Ry tile spans the register, else on tiles (``_run_blocks``).
-
-    Every gate is real, so the columns stay real. The angles are validated
-    and turned into layers once, here.
-    """
+    the ``_input_rows`` of the inputs, kept whole for ``_adjoint_gradient``.
+    The angles are validated and turned into layers once, here, the one
+    place that picks their form: dense ``_prefix_products`` at n <=
+    _TILE_QUBITS, where one Ry tile spans the register, else ``_ry_tiles``.
+    Every gate is real, so the columns stay real."""
     n = net.n_qubits
     c, s = _angle_factors(params)
-    if n <= _TILE_QUBITS:
-        forward = _run_dense(net, encoded, _prefix_products(c, s, n))
-    else:
-        forward = _run_blocks(net, encoded, _ry_tiles(c, s, n))
+    layers = _prefix_products(c, s, n) if n <= _TILE_QUBITS else _ry_tiles(c, s, n)
+    forward = _run_layers(net, encoded, layers)
     for array in (forward.layers, forward.measured, forward.second, forward.cols):
         if isinstance(array, np.ndarray):
             array.setflags(write=False)
@@ -449,12 +416,10 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
     ``forward`` is the ``_forward_pass`` of those parameters on the
     inputs, which this function takes rather than runs, so that a caller
     that already scored the columns reuses them; ``seed`` is the
-    (2**n, points) array of de_b/dcols[:, b]. At n <= _TILE_QUBITS it reads
-    every layer's derivatives from the kept prefix products
-    (``_dense_gradient``), else it sweeps back through the layers
-    (``_adjoint_sweep``). ``forward`` and ``seed`` are only read.
-    """
-    if net.n_qubits <= _TILE_QUBITS:
+    (2**n, points) array of de_b/dcols[:, b]. Both are only read. It
+    routes by the form of ``forward.layers``: ``_dense_gradient`` on
+    prefix products, ``_adjoint_sweep`` on tiles."""
+    if isinstance(forward.layers, np.ndarray):
         return _dense_gradient(net, forward, seed)
     return _adjoint_sweep(net, forward, seed)
 
@@ -467,7 +432,7 @@ def _readout_adjoint(measured: np.ndarray, value_grad: np.ndarray, n_qubits: int
 
 
 def _dense_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
-    """``_adjoint_gradient`` at n <= _TILE_QUBITS, with no loop over the
+    """``_adjoint_gradient`` on prefix products, with no loop over the
     layers.
 
     Every layer is orthogonal, so with F_j the kept product that maps a
@@ -478,32 +443,33 @@ def _dense_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -
     are two stacked products, and one product with ``_tile_y_signs(n)``
     turns them into the derivatives.
 
-    The ablation is one half from the encoded inputs, with a = ``seed``.
-    In the measured variant the upper half has a = ``seed`` and x the
-    re-encoding; F^T a is the adjoint of the re-encoding, whose per-column
-    outer products with it give the re-encoding's and so the readout's
-    derivatives, as in the sweep; and the lower half has, for a, the
-    adjoint of the measured columns, and x the encoded inputs.
+    The upper half has a = ``seed`` and x = ``second``, so F^T a is the
+    adjoint of the link's output. The lower half has x the encoded inputs
+    and a the link's adjoint: F^T a itself in the ablation; in the
+    measured variant, the adjoint of the measured columns
+    (``_readout_adjoint``), from the readout's derivatives, which the
+    re-encoding's per-column outer products with F^T a give, as in the
+    sweep.
     """
     n = net.n_qubits
     prefix, encoded, measured, second, _ = forward
     upper = prefix[1, -1].T @ seed
-    if measured is None:
-        core = upper @ encoded.T
-    else:
+    link = upper
+    if net.variant is Variant.WITH_MEASUREMENTS:
         outer = (upper[:, None] * second).reshape(-1, second.shape[1])
         value_grad = _READOUT_SCALE * (outer.T @ _tile_y_signs(n))
-        lower = prefix[0, -1].T @ _readout_adjoint(measured, value_grad, n)
-        core = np.array([[lower @ encoded.T], [upper @ second.T]])
+        link = _readout_adjoint(measured, value_grad, n)
+    core = np.empty((2, 1) + prefix.shape[2:])
+    np.matmul(prefix[0, -1].T @ link, encoded.T, out=core[0, 0])
+    np.matmul(upper, second.T, out=core[1, 0])
     grams = prefix @ core @ prefix.swapaxes(-1, -2)
     return (grams.reshape(2 * n, -1) @ _tile_y_signs(n)).reshape(-1)
 
 
 def _adjoint_sweep(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
-    """``_adjoint_gradient`` by one backward sweep over the 2n layers of
-    the tile path (``_run_blocks``), j = 2n-1 .. 0, on one stacked pair of
-    the states and their adjoints, so each gate undoes both with one
-    kernel call (Jones & Gacon, arXiv:2009.02823).
+    """``_adjoint_gradient`` on tiles, by one backward sweep over the 2n
+    layers, j = 2n-1 .. 0, on one stacked pair of the states and their
+    adjoints, so each gate undoes both with one kernel call.
 
     The Ry's of one layer act on distinct qubits and commute, so step j
     first reads all of layer j's angle derivatives, summed over the
@@ -514,8 +480,8 @@ def _adjoint_sweep(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) ->
     along the amplitude axis; every tile is a product of rotations and so
     orthogonal, and every gate acts on adjoints as on states.
 
-    In the measured variant, layer n's input is the re-encoding, so once
-    layer n is undone:
+    In the measured variant, the link's output is the input of layer n,
+    so once that layer is undone:
 
     * the re-encoding Ry(_READOUT_SCALE * v_q) yields dE/dv_q =
       _READOUT_SCALE/2 * adjoint . (-iY)_q state, per column;
@@ -534,7 +500,7 @@ def _adjoint_sweep(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) ->
             break
         pair = _undo_tiles(pair, tiles[j])
         pair = _cnot_rows(pair, inverse)
-        if j == n and measured is not None:
+        if j == n and net.variant is Variant.WITH_MEASUREMENTS:
             value_grad = _READOUT_SCALE * _y_overlaps(pair, n, per_row=True)
             pair = np.array([measured, _readout_adjoint(measured, value_grad, n)])
     return grad

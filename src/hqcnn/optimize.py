@@ -289,6 +289,9 @@ def init_params(k: int, seed: int) -> np.ndarray:
 
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
+# The most trial steps of the line search's bracketing and zoom phases.
+_BRACKET_STEPS = 25
+_ZOOM_STEPS = 30
 
 
 def _finite_or_raise(value: float, where: str) -> float:
@@ -318,9 +321,9 @@ def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     return a_hi - (a_hi - a_lo) * (d_hi + d2 - d1) / denom
 
 
-def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, max_iter=30):
+def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     """Narrow a bracket [a_lo, a_hi] known to contain a strong-Wolfe point."""
-    for _ in range(max_iter):
+    for _ in range(_ZOOM_STEPS):
         lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
         width = hi - lo
         a = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
@@ -344,7 +347,7 @@ def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi, max_iter=
     return None
 
 
-def _strong_wolfe(fun, grad, x, p, f0, g0, max_steps=25):
+def _strong_wolfe(fun, grad, x, p, f0, g0):
     """Find alpha with sufficient decrease and flattened slope; returns
     (alpha, x + alpha p, f, g) there, None on failure."""
     d0 = float(g0 @ p)
@@ -352,7 +355,7 @@ def _strong_wolfe(fun, grad, x, p, f0, g0, max_steps=25):
         return None
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
-    for i in range(max_steps):
+    for i in range(_BRACKET_STEPS):
         x_a = x + a * p
         f_a = _finite_or_raise(fun(x_a), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or (i > 0 and f_a >= f_prev):

@@ -42,6 +42,7 @@ non-finite or unconverged eigenvalue.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -50,6 +51,7 @@ from .pauli import (
     DENSE_MAX_QUBITS,
     PauliAxis,
     PauliHamiltonian,
+    PauliTerm,
     _apply_hamiltonian_rows,
     compile_hamiltonians,
     to_dense,
@@ -188,14 +190,13 @@ def spectrum_bounds(h: PauliHamiltonian) -> tuple[float, float]:
     return float(ends[:, 0].min()), float(ends[:, 1].max())
 
 
-def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
-    """Smallest eigenvalue via Lanczos on the matrix-free operator.
-
-    ``tol = 0`` requests machine precision. Raises
-    :class:`EigensolverError` if the coefficients' absolute sum overflows,
-    ARPACK fails, the iteration does not converge or the eigenvalue is not
-    finite, rather than returning a silently inaccurate value. Registers
-    above ``MAX_QUBITS`` are refused: their state vectors alone would need
+def ground_energy_iterative(h: PauliHamiltonian) -> float:
+    """Smallest eigenvalue via Lanczos on the matrix-free operator, to
+    machine precision (ARPACK's tol = 0). Raises :class:`EigensolverError`
+    if the coefficients' absolute sum overflows, ARPACK fails, the
+    iteration does not converge or the eigenvalue is not finite, rather
+    than returning a silently inaccurate value. Registers above
+    ``MAX_QUBITS`` are refused: their state vectors alone would need
     gigabytes.
     """
     # Imported on first use: importing scipy.sparse makes numpy's f2py parse
@@ -211,9 +212,14 @@ def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
     bound = sum(abs(term.coefficient) for term in h.terms)
     if not np.isfinite(bound):
         raise EigensolverError("Lanczos needs a finite sum of |coefficients|")
+    # Lanczos runs on H / 2**e, 2**(e-1) <= bound < 2**e, so that ARPACK
+    # stays in range (it returned NaN near 1e308); a power of two scales
+    # every coefficient, product and sum exactly, barring underflow.
+    exponent = math.frexp(bound)[1]
+    scaled = tuple(PauliTerm(math.ldexp(t.coefficient, -exponent), t.axes) for t in h.terms)
     dim = 1 << h.n_qubits
     with _solver_errors("Lanczos", scipy.sparse.linalg.ArpackError):
-        compiled = compile_hamiltonians((h,))
+        compiled = compile_hamiltonians((PauliHamiltonian(h.n_qubits, scaled),))
         # Real weights make a real symmetric operator, which eigsh solves by
         # the symmetric Lanczos instead of the complex Arnoldi route.
         real = not any(np.iscomplexobj(w) for _, w in compiled.groups)
@@ -234,7 +240,8 @@ def ground_energy_iterative(h: PauliHamiltonian, tol: float = 0.0) -> float:
             if not real:
                 v0 = v0 + 1j * rng.standard_normal(dim)
             values = scipy.sparse.linalg.eigsh(
-                op, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False
+                op, k=1, which="SA", tol=0.0, v0=v0, return_eigenvectors=False
             )
+        values = np.ldexp(values, exponent)
     _check_finite(values, "Lanczos")
     return float(values[0])

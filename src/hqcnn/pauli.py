@@ -33,14 +33,16 @@ The ``.ham`` text format (UTF-8, line oriented)::
     term: 0.1209 ZZII
 
 Exactly one ``qubits`` header must precede any term; ``bond_length`` is
-optional. Coefficients accept decimal or scientific notation; axis strings
-use only I, X, Y, Z and must match the declared qubit count.
+optional. Coefficients accept ASCII decimal or scientific notation
+(``ascii_float``); axis strings use only I, X, Y, Z and must match the
+declared qubit count.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +139,27 @@ class HamParseError(ValueError):
         self.line = line
 
 
+# The number grammar of .ham files, config values and flags: ASCII digits
+# only, no '_'. A real may also be a word float() reads as nan or inf,
+# which each caller rejects as non-finite with its own message.
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
+_REAL = re.compile(r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)", re.ASCII | re.I)
+
+
+def ascii_int(token: str) -> int:
+    """``token`` as an int if it matches ``_INTEGER``, else ValueError."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
+def ascii_float(token: str) -> float:
+    """``token`` as a float if it matches ``_REAL``, else ValueError."""
+    if _REAL.fullmatch(token) is None:
+        raise ValueError(f"invalid real number {token!r}")
+    return float(token)
+
+
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     """Parse a .ham document into a Hamiltonian, preserving term order."""
     n_qubits: int | None = None
@@ -155,7 +178,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
             if n_qubits is not None:
                 raise HamParseError(lineno, "duplicate 'qubits' header")
             try:
-                n_qubits = int(value)
+                n_qubits = ascii_int(value)
             except ValueError:
                 raise HamParseError(lineno, f"qubits must be an integer, got {value!r}") from None
             if n_qubits < 1:
@@ -193,7 +216,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
 
 def _parse_real(lineno: int, token: str, what: str) -> float:
     try:
-        value = float(token)
+        value = ascii_float(token)
     except ValueError:
         raise HamParseError(lineno, f"invalid {what} {token!r} (real number required)") from None
     if not math.isfinite(value):

@@ -100,6 +100,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("dataset_dir: d\noutput_dir: o\nseeds: x\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seeds: 0 \u0662", "seeds: invalid integer '\u0662'"),
+            ("max_iterations: 1_0", "max_iterations: invalid integer '1_0'"),
+            ("train_bond_lengths: 0.5 1_0", "train_bond_lengths: invalid number '1_0'"),
+            ("gradient_norm_tolerance: \u0661e-5", "gradient_norm_tolerance: invalid number"),
+        ],
+    )
+    def test_numbers_are_ascii(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"dataset_dir: d\noutput_dir: o\n{line}\n")
+
     def test_train_test_overlap_rejected(self):
         text = (
             "dataset_dir: d\noutput_dir: o\n"
@@ -734,6 +747,30 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert not params_file.exists() and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (
+                ["gen-synthetic", "--out-dir", "o", "--n-qubits", "\u0662", "--bond-lengths", "1"],
+                "--n-qubits",
+            ),
+            (
+                ["gen-synthetic", "--out-dir", "o", "--n-qubits", "2", "--bond-lengths", "1_0"],
+                "--bond-lengths",
+            ),
+            (["diag", "--dataset-dir", "o", "--bond-lengths", "0.5", "\u0661"], "--bond-lengths"),
+            (["train", "--config", "c.cfg", "--seed", "1_0"], "--seed"),
+        ],
+    )
+    def test_number_flags_are_ascii(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: argument {flag}: invalid")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_diag_reports_files_without_bond_length(self, tmp_path, capsys):
         data = tmp_path / "d"
         data.mkdir()
@@ -762,19 +799,21 @@ class TestMain:
     def test_diag_eigensolver_failure_exit_3(self, tmp_path, capsys):
         # Two 1e308 ZZ terms overflow the dense matrix. A 3-qubit TFIM at
         # field 1e308 has finite entries and the eigenvalue -3e308, which
-        # diag used to print as -inf with exit 0.
+        # diag used to print as -inf with exit 0. Each directory also holds
+        # a healthy file, solved first; the message names the failing one.
         overflow = tmp_path / "overflow"
         overflow.mkdir()
         (overflow / "zz.ham").write_text(
             "qubits: 2\nbond_length: 1.0\nterm: 1e308 ZZ\nterm: 1e308 ZZ\n"
         )
+        gen_synthetic(overflow, 2, [0.5])
         field = tmp_path / "field"
-        gen_synthetic(field, 3, [1e308])
-        for data in (overflow, field):
+        gen_synthetic(field, 3, [0.5, 1e308])
+        for data, failing in ((overflow, 1.0), (field, 1e308)):
             assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("numerical failure:")
+            assert captured.err.startswith(f"numerical failure: bond length {failing!r}: ")
             assert captured.err.count("\n") == 1
 
     def test_diag_without_values_reports_skipped_file_once(self, tmp_path, capsys):

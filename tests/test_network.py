@@ -399,15 +399,15 @@ def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
         forward_pass, products = optimize._training_pass(params, problem)
     assert all(columns(cols) for cols in made["_encoded_rows"] + made["_pqc_block"])
     assert forward_pass.encoded is problem.encoded
-    # The measured variant re-encodes its readout between layers n - 1 and n.
+    # The link between layers n - 1 and n: the measured variant re-encodes
+    # its readout, the ablation passes the lower half's output on as it is.
     with_measurements = variant is Variant.WITH_MEASUREMENTS
     if with_measurements:
         assert made["_encoded_rows"] == [forward_pass.second]
-        outputs = [forward_pass.measured, forward_pass.second, forward_pass.cols]
     else:
         assert made["_encoded_rows"] == []
-        assert forward_pass.measured is None and forward_pass.second is None
-        outputs = [forward_pass.cols]
+        assert forward_pass.second is forward_pass.measured
+    outputs = [forward_pass.measured, forward_pass.second, forward_pass.cols]
     assert all(columns(cols) and not cols.flags.writeable for cols in outputs)
     if n <= 4:
         assert made["_pqc_block"] == []
@@ -416,9 +416,7 @@ def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
         assert prefix.flags["C_CONTIGUOUS"] and not prefix.flags.writeable
     else:
         assert len(forward_pass.layers) == 2 * n
-        assert made["_pqc_block"][-1] is forward_pass.cols
-        if with_measurements:
-            assert made["_pqc_block"][0] is forward_pass.measured
+        assert made["_pqc_block"] == [forward_pass.measured, forward_pass.cols]
     assert columns(products)
 
     got = optimize.energies(params, problem)
@@ -433,8 +431,10 @@ def test_training_pass_runs_on_c_ordered_columns(n, variant, batch, seed):
 @pytest.mark.parametrize("points", [1, 3, 5])
 def test_dense_path_matches_the_tile_path(n, variant, points):
     """Up to 4 qubits a training pass runs on dense layer matrices; the
-    tile path and its sweep, which serve n >= 5, give the same forward
-    columns, energies and gradient, relative to their largest entry."""
+    tile path and its sweep, which serve n >= 5, run through the same
+    ``_run_layers`` and ``_adjoint_gradient`` and give the same lower-half
+    output, link output, final columns, energies and gradient, relative to
+    their largest entry."""
     rng = np.random.default_rng(100 * n + points)
     net = NetworkSpec(n, variant)
     fields = rng.uniform(0.05, 2.5, points)
@@ -444,14 +444,13 @@ def test_dense_path_matches_the_tile_path(n, variant, points):
     params = rng.normal(0, 1.5, net.n_params)
     dense = network._forward_pass(net, problem.encoded, params)
     tiles = network._ry_tiles(*network._angle_factors(params), n)
-    tile = network._run_blocks(net, problem.encoded, tiles)
+    tile = network._run_layers(net, problem.encoded, tiles)
     assert not isinstance(dense.layers, tuple) and tile.layers is tiles
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    fields_kept = ["cols"] + (["measured", "second"] if variant is Variant.WITH_MEASUREMENTS else [])
-    for name in fields_kept:
+    for name in ("measured", "second", "cols"):
         assert close(getattr(dense, name), getattr(tile, name))
     hamiltonians = problem.hamiltonians
     assert close(
@@ -459,7 +458,7 @@ def test_dense_path_matches_the_tile_path(n, variant, points):
         optimize._expectation_rows(hamiltonians, tile.cols),
     )
     seed = 2.0 * optimize._apply_hamiltonian_rows(hamiltonians, tile.cols)
-    want = network._adjoint_sweep(net, tile, seed)
+    want = network._adjoint_gradient(net, tile, seed)
     assert close(network._adjoint_gradient(net, dense, seed), want)
     assert close(optimize.gradient(params, problem), want)
 

@@ -274,6 +274,15 @@ def test_lanczos_refuses_an_overflowing_coefficient_sum():
             ground_energy_iterative(h)
 
 
+def test_lanczos_solves_where_the_dense_route_does():
+    # The coefficients sum to 1.2e308, still finite. On the unscaled
+    # operator ARPACK returned NaN here, while the dense route solves it.
+    h = transverse_field_ising(3, 4e307)
+    want = ground_energy(h)
+    assert want == pytest.approx(-1.2e308, rel=1e-12)
+    assert ground_energy_iterative(h) == pytest.approx(want, rel=1e-12)
+
+
 def test_lanczos_wraps_every_arpack_error(monkeypatch):
     def fail(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackError(-9999)

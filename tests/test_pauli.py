@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hqcnn.pauli import (
     PauliHamiltonian,
     PauliTerm,
     apply_term,
+    ascii_float,
+    ascii_int,
     expectation,
     format_hamiltonian,
     parse_hamiltonian,
@@ -99,6 +102,60 @@ class TestParsing:
     def test_scientific_notation(self):
         h = parse_hamiltonian("qubits: 1\nterm: -1.5e-3 X\n")
         assert h.terms[0].coefficient == pytest.approx(-1.5e-3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "qubits: \u0662\n",  # an Arabic-Indic two
+            "qubits: 1_0\n",
+            "qubits: 1\nterm: 1_0 Z\n",
+            "qubits: 1\nterm: \u0662 Z\n",
+            "qubits: 1\nbond_length: 1_0\n",
+            "qubits: 1\nbond_length: \uff11.5\n",  # a fullwidth one
+        ],
+    )
+    def test_numbers_are_ascii(self, text):
+        with pytest.raises(HamParseError, match="line "):
+            parse_hamiltonian(text)
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("token", ["0", "-7", "+12", "0012"])
+    def test_integers(self, token):
+        assert ascii_int(token) == int(token)
+
+    @pytest.mark.parametrize("token", ["", "+", "1_0", "\u0662", " 1", "1.0", "1e3", "0x10"])
+    def test_not_integers(self, token):
+        with pytest.raises(ValueError):
+            ascii_int(token)
+
+    @pytest.mark.parametrize(
+        "token", ["1", "-1.5e-3", ".5", "5.", "+1E+308", "1e-320", "1e999", "-inf", "Infinity"]
+    )
+    def test_reals(self, token):
+        assert ascii_float(token) == float(token)
+
+    def test_nan_parses_for_the_caller_to_reject(self):
+        assert math.isnan(ascii_float("nan"))
+
+    @pytest.mark.parametrize(
+        "token",
+        ["", ".", "e5", "1e", "1_0", "1.0_1", " 1", "1j", "0x1p3", "infinit",
+         "\u0662", "\u0661.\u0665"],
+    )
+    def test_not_reals(self, token):
+        with pytest.raises(ValueError):
+            ascii_float(token)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_real_grammar_is_a_strict_ascii_subset_of_float(self, token):
+        try:
+            value = ascii_float(token)
+        except ValueError:
+            return
+        assert token.isascii() and "_" not in token and token == token.strip()
+        assert value == float(token) or math.isnan(value)
 
 
 class TestRoundTrip:
