@@ -11,11 +11,8 @@ from .network import (
     NetworkSpec,
     PqcSpec,
     Variant,
-    apply_encoding,
-    apply_pqc,
     entangler_pattern,
     forward,
-    measure_layer,
 )
 from .optimize import (
     OptimizerSettings,
@@ -34,7 +31,6 @@ from .pauli import (
     PauliAxis,
     PauliHamiltonian,
     PauliTerm,
-    apply_term,
     expectation,
     format_hamiltonian,
     parse_hamiltonian,
@@ -68,13 +64,10 @@ __all__ = [
     "TrainingProblem",
     "Variant",
     "apply_cnot",
-    "apply_encoding",
     "apply_h",
-    "apply_pqc",
     "apply_rx",
     "apply_ry",
     "apply_rz",
-    "apply_term",
     "bfgs_minimize",
     "cost",
     "entangler_pattern",
@@ -88,7 +81,6 @@ __all__ = [
     "ground_energy_iterative",
     "ground_state",
     "init_params",
-    "measure_layer",
     "norm",
     "parse_hamiltonian",
     "spectrum_bounds",

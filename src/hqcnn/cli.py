@@ -69,6 +69,7 @@ from .pauli import (
     HamParseError,
     PauliHamiltonian,
     PauliTerm,
+    _NEGATIVE_REAL,
     ascii_float,
     ascii_int,
     format_hamiltonian,
@@ -281,8 +282,6 @@ def _match_dataset(available, bond_lengths, directory: Path) -> CurveDataset:
     """The dataset of the requested bond lengths, each matched to exactly
     one of the scanned files ``available`` of ``directory``."""
     requested = [float(a) for a in bond_lengths]
-    if (a := _repeated_bond_length(requested)) is not None:
-        raise DataError(f"bond length {a!r} requested twice")
     chosen: list[tuple[float, PauliHamiltonian]] = []
     for a in requested:
         matches = [
@@ -294,6 +293,9 @@ def _match_dataset(available, bond_lengths, directory: Path) -> CurveDataset:
             names = ", ".join(str(p.name) for _, _, p in matches)
             raise DataError(f"bond length {a!r} matches multiple files: {names}")
         chosen.append((matches[0][0], matches[0][1]))
+    # Checked after the matching, which reports near-equal files first.
+    if (a := _repeated_bond_length(requested)) is not None:
+        raise DataError(f"bond length {a!r} requested twice")
     if not chosen:
         return CurveDataset((), None)
     counts = {h.n_qubits for _, h in chosen}
@@ -603,6 +605,12 @@ def run_diag(dataset: CurveDataset) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A '-' token is a value, not an option, if it reads as a negative
+        # number: by the package's grammar, so -1e-3 is one.
+        self._negative_number_matcher = _NEGATIVE_REAL
+
     def error(self, message: str):  # route usage errors to exit code 1
         raise ConfigError(message)
 

@@ -18,19 +18,17 @@ its re-encoding in the full model, the identity in the ablation.
 
 Parameter vectors are plain 1-D float arrays (radians); layer j reads
 angles ``params[i + n*j]`` for qubit i. ``NetworkSpec.blocks()``
-describes the same network as a sequence of blocks for the public
-single-state API below.
+describes the same network as blocks; no pass reads them.
 
-All public functions are pure. The training workload runs through
-``_forward_pass`` (kept for the gradient) or ``_forward_rows``. Every
-array of a pass is a C-ordered (2**n, points) array of float64
-amplitude-major columns, one per input (H, Ry and CNOT are real gates):
-the encodings, built in closed form as product states; the output of
-each half, and in the measured variant the readout of all qubits, one
-BLAS product; and the final columns. A caller that runs many passes on
-the same inputs builds the first encoding once (``_input_rows``) and
-passes it in. The public single-state functions run the same kernels on
-one complex column.
+All public functions are pure. ``forward`` runs one input; it and the
+training workload run through ``_forward_pass`` (kept for the gradient)
+or ``_forward_rows``. Every array of a pass is a C-ordered
+(2**n, points) array of float64 amplitude-major columns, one per input
+(H, Ry and CNOT are real gates): the encodings, built in closed form as
+product states; the output of each half, and in the measured variant the
+readout of all qubits, one BLAS product; and the final columns. A caller
+that runs many passes on the same inputs builds the first encoding once
+(``_input_rows``) and passes it in.
 
 ``_forward_pass`` is the one place that picks the form of the layers,
 split at ``_TILE_QUBITS``, the largest register that one Ry tile spans;
@@ -171,22 +169,17 @@ class NetworkSpec:
         return 2 * self.n_qubits * self.n_qubits
 
     def blocks(self) -> tuple[Block, ...]:
-        """The block sequence, built once per spec (cached)."""
-        return _blocks(self)
-
-
-@lru_cache(maxsize=2 * MAX_QUBITS)
-def _blocks(net: NetworkSpec) -> tuple[Block, ...]:
-    n = net.n_qubits
-    if net.variant is Variant.WITH_MEASUREMENTS:
-        return (
-            EncodingSpec(1.0),
-            PqcSpec(n, n, 0),
-            MeasureSpec(),
-            EncodingSpec(_READOUT_SCALE),
-            PqcSpec(n, n, n * n),
-        )
-    return (EncodingSpec(1.0), PqcSpec(n, 2 * n, 0))
+        """The network as a block sequence, a description only."""
+        n = self.n_qubits
+        if self.variant is Variant.WITH_MEASUREMENTS:
+            return (
+                EncodingSpec(1.0),
+                PqcSpec(n, n, 0),
+                MeasureSpec(),
+                EncodingSpec(_READOUT_SCALE),
+                PqcSpec(n, n, n * n),
+            )
+        return (EncodingSpec(1.0), PqcSpec(n, 2 * n, 0))
 
 
 def entangler_pattern(n_qubits: int) -> list[tuple[int, int]]:
@@ -504,52 +497,6 @@ def _adjoint_sweep(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) ->
             value_grad = _READOUT_SCALE * _y_overlaps(pair, n, per_row=True)
             pair = np.array([measured, _readout_adjoint(measured, value_grad, n)])
     return grad
-
-
-# ---------------------------------------------------------------------------
-# public single-instance API
-# ---------------------------------------------------------------------------
-
-
-def apply_encoding(spec: EncodingSpec, inputs) -> StateVector:
-    """Encode a vector of values, one per qubit, from the zero state.
-
-    The register size is the length of ``inputs``, at most ``MAX_QUBITS``.
-    """
-    vals = np.asarray(inputs, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("inputs must be a non-empty 1-D sequence")
-    if vals.size > MAX_QUBITS:
-        raise ValueError(f"{vals.size} inputs, limit is {MAX_QUBITS} qubits")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("inputs must be finite")
-    cols = _encoded_rows(spec.scale * vals[None, :])
-    return StateVector(int(vals.size), cols[:, 0])
-
-
-def apply_pqc(psi: StateVector, spec: PqcSpec, params) -> StateVector:
-    """Run one trainable block on psi, reading the block's parameter window."""
-    if spec.n_qubits != psi.n_qubits:
-        raise ValueError(
-            f"block is for {spec.n_qubits} qubits, state has {psi.n_qubits}"
-        )
-    vec = np.asarray(params, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError("params must be a 1-D sequence")
-    end = spec.param_offset + spec.n_params
-    if vec.size < end:
-        raise ValueError(
-            f"parameter vector of length {vec.size} too short: "
-            f"block reads indices [{spec.param_offset}, {end})"
-        )
-    tiles = _ry_tiles(*_angle_factors(vec[spec.param_offset : end]), spec.n_qubits)
-    cols = _pqc_block(psi.amplitudes[:, None], spec.n_qubits, tiles)
-    return StateVector(psi.n_qubits, cols[:, 0])
-
-
-def measure_layer(psi: StateVector) -> np.ndarray:
-    """Per-qubit <sigma_z>, exact from the amplitudes (no sampling)."""
-    return _expect_z_rows(psi.amplitudes[:, None], psi.n_qubits)[0]
 
 
 def forward(net: NetworkSpec, bond_length: float, params) -> StateVector:

@@ -79,6 +79,9 @@ from .pauli import (  # noqa: F401
     expectation,
 )
 
+_FD_STEP = 1e-6  # the default step h of every central difference
+
+
 class NumericalError(RuntimeError):
     """Objective or gradient produced a non-finite value."""
 
@@ -129,7 +132,7 @@ class TrainingProblem:
 class OptimizerSettings:
     max_iterations: int = 500
     gradient_norm_tolerance: float = 1e-5
-    finite_difference_step: float = 1e-6
+    finite_difference_step: float = _FD_STEP
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -212,7 +215,7 @@ def gradient(params, problem: TrainingProblem) -> np.ndarray:
 
 
 def finite_difference_gradient(
-    params, problem: TrainingProblem, step: float = 1e-6
+    params, problem: TrainingProblem, step: float = _FD_STEP
 ) -> np.ndarray:
     """Central-difference gradient, (f(w + h e_i) - f(w - h e_i)) / 2h,
     one coordinate at a time. Each f is the value :func:`cost` returns,
@@ -255,7 +258,7 @@ def _step_halving(
 
 
 def gradient_deviations(
-    params, problem: TrainingProblem, step: float = 1e-6
+    params, problem: TrainingProblem, step: float = _FD_STEP
 ) -> tuple[float, float]:
     """(adjoint, step) deviations from one central-difference gradient at
     step h and one at h/2: the max deviation of :func:`gradient` from the
@@ -266,7 +269,7 @@ def gradient_deviations(
     return _relative_deviation(gradient(params, problem), at_h), step_deviation
 
 
-def gradient_step_check(params, problem: TrainingProblem, step: float = 1e-6) -> float:
+def gradient_step_check(params, problem: TrainingProblem, step: float = _FD_STEP) -> float:
     """Max deviation between central-difference gradients at h and h/2,
     relative to the gradient's infinity norm. Small values certify the
     step choice. Runs the two central-difference gradients only."""

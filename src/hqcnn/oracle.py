@@ -33,8 +33,8 @@ returns a full-register eigenvector and so stays on the full matrix.
 ``ground_energy`` takes the dense route up to ``DENSE_MAX_QUBITS`` and the
 Lanczos route above it.
 
-``spectrum_bounds`` returns (min, max) eigenvalues, used to express model
-errors as a fraction of the spectral range.
+``spectrum_bounds`` returns the (min, max) eigenvalues of the dense
+route; the dense ``ground_energy`` is its minimum.
 
 Either route raises :class:`EigensolverError` rather than return a
 non-finite or unconverged eigenvalue.

@@ -143,7 +143,9 @@ class HamParseError(ValueError):
 # only, no '_'. A real may also be a word float() reads as nan or inf,
 # which each caller rejects as non-finite with its own message.
 _INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
-_REAL = re.compile(r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)", re.ASCII | re.I)
+_UNSIGNED_REAL = r"((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)"
+_REAL = re.compile(r"[+-]?" + _UNSIGNED_REAL, re.ASCII | re.I)
+_NEGATIVE_REAL = re.compile("-" + _UNSIGNED_REAL + r"\Z", re.ASCII | re.I)
 
 
 def ascii_int(token: str) -> int:
@@ -359,17 +361,6 @@ def _expectation_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np
     :func:`_apply_hamiltonian_rows`."""
     products = _apply_hamiltonian_rows(hamiltonians, cols)
     return np.einsum("ib,ib->b", cols.conj(), products).real
-
-
-def apply_term(term: PauliTerm, psi: StateVector) -> StateVector:
-    """c_i P_i |psi> without building any matrix."""
-    if len(term.axes) != psi.n_qubits:
-        raise ValueError(
-            f"term acts on {len(term.axes)} qubits, state has {psi.n_qubits}"
-        )
-    compiled = compile_hamiltonians((PauliHamiltonian(psi.n_qubits, (term,)),))
-    cols = _apply_hamiltonian_rows(compiled, psi.amplitudes[:, None])
-    return StateVector(psi.n_qubits, cols[:, 0])
 
 
 def expectation(h: PauliHamiltonian, psi: StateVector) -> float:

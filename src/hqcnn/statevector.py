@@ -2,12 +2,13 @@
 
 A state on n qubits is stored as 2**n amplitudes. Qubit 0 is the leftmost
 tensor factor, i.e. the most significant bit of the amplitude index (the
-q0 (x) q1 (x) ... (x) q_{n-1} ordering). No 2**n x 2**n matrix is ever
-built: one-qubit gates work on amplitude slices selected by bit strides,
-a CNOT, or a whole fixed sequence of CNOTs, is one gather through a
-precomputed index permutation, and a layer of Ry's on every qubit is
-applied as Kronecker tiles of up to ``_TILE_QUBITS`` qubits, each one
-matmul with a 2**k x 2**k matrix on a view of the amplitudes.
+q0 (x) q1 (x) ... (x) q_{n-1} ordering). One-qubit gates work on amplitude
+slices selected by bit strides, a CNOT, or a whole fixed sequence of
+CNOTs, is one gather through a precomputed index permutation, and a layer
+of Ry's on every qubit is applied as Kronecker tiles of up to
+``_TILE_QUBITS`` qubits, each one matmul with a 2**k x 2**k matrix on a
+view of the amplitudes. A 2**n x 2**n matrix is only built as a tile that
+spans the register: the network's dense layers.
 
 The public functions are value-semantic: they take and return complex
 ``StateVector`` instances and never mutate their argument. Internally
@@ -61,9 +62,6 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes for "
                 f"{self.n_qubits} qubits, got shape {self.amplitudes.shape}"
             )
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
 def zero_state(n_qubits: int) -> StateVector:

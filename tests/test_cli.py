@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -167,7 +168,7 @@ class TestLoadDataset:
     def test_duplicate_file_match(self, tfim2_dir):
         extra = transverse_field_ising(2, 1.0)
         (tfim2_dir / "dup.ham").write_text(cli.format_hamiltonian(extra))
-        with pytest.raises(DataError, match="multiple"):
+        with pytest.raises(DataError, match=r"^bond length 1\.0 matches multiple files: "):
             load_dataset(tfim2_dir, [1.0])
 
     def test_mixed_qubit_counts(self, tfim2_dir):
@@ -176,7 +177,7 @@ class TestLoadDataset:
             load_dataset(tfim2_dir, [0.25, 0.5])
 
     def test_duplicate_request(self, tfim2_dir):
-        with pytest.raises(DataError, match="twice"):
+        with pytest.raises(DataError, match=r"^bond length 0\.5 requested twice$"):
             load_dataset(tfim2_dir, [0.5, 0.5])
 
     def test_missing_directory(self, tmp_path):
@@ -768,6 +769,39 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: argument {flag}: invalid")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_diag_of_every_file_names_near_equal_files(self, tmp_path, capsys):
+        # With no values diag requests each file's bond length once.
+        for name, a in (("a.ham", 0.5), ("b.ham", 0.5000000001)):
+            (tmp_path / name).write_text(cli.format_hamiltonian(transverse_field_ising(1, a)))
+        assert main(["diag", "--dataset-dir", str(tmp_path), "--bond-lengths"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "data error: bond length 0.5 matches multiple files: a.ham, b.ham\n"
+
+    def test_negative_bond_lengths_in_scientific_notation(self, tmp_path, capsys):
+        # _Parser sets this private attribute of argparse.
+        assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+        values = ["0.5", "-1e-3", "-.5E2"]
+        gen = ["gen-synthetic", "--out-dir", str(tmp_path), "--n-qubits", "2", "--bond-lengths"]
+        assert main(gen + values) == 0
+        assert len(list(tmp_path.glob("*.ham"))) == 3
+        capsys.readouterr()
+        assert main(["diag", "--dataset-dir", str(tmp_path), "--bond-lengths", *values]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [-50.0, -0.001, 0.5]
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("-x", "unrecognized arguments: -x"), ("-inf", "--bond-lengths must be finite")],
+    )
+    def test_dash_tokens_that_are_not_finite_numbers(self, token, message, tmp_path, capsys):
+        argv = ["gen-synthetic", "--out-dir", str(tmp_path / "o"), "--n-qubits", "2"]
+        assert main(argv + ["--bond-lengths", "0.5", token]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and message in captured.err
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hqcnn.cli import ConfigError, main, parse_config
 
 # "\u0662" is an Arabic-Indic two.
-FINITE = ["0.5", "-1", "1.0", ".5", "1e308", "-1e308", "1e-320"]
+FINITE = ["0.5", "-1", "1.0", ".5", "-1e-3", "1e308", "-1e308", "1e-320"]
 REALS = FINITE + ["nan", "inf", "-inf", "1e999", "1_0", "\u0662", ""]
 QUBITS = ["0", "1", "2", "3", "4", "21", "99", "", "\u0662", "1_0", "-1", "2.0"]
 ERROR_PREFIXES = ("config error: ", "data error: ", "numerical failure: ")

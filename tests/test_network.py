@@ -16,15 +16,12 @@ from hqcnn.network import (
     NetworkSpec,
     PqcSpec,
     Variant,
-    apply_encoding,
-    apply_pqc,
     entangler_pattern,
     forward,
-    measure_layer,
 )
 from hqcnn.pauli import expectation
 from hqcnn.cli import transverse_field_ising
-from hqcnn.statevector import StateVector, apply_cnot, apply_h, expect_z, norm, zero_state
+from hqcnn.statevector import StateVector, apply_cnot, apply_h, norm, zero_state
 
 
 class TestEntanglerPattern:
@@ -85,11 +82,11 @@ class TestSpecs:
                 )
                 assert consumed == spec.n_params
 
-    def test_blocks_built_once_per_spec(self):
+    def test_equal_specs_give_equal_blocks(self):
         for variant in Variant:
             spec = NetworkSpec(3, variant)
-            assert spec.blocks() is spec.blocks()
-            assert NetworkSpec(3, variant).blocks() is spec.blocks()
+            assert spec.blocks() == spec.blocks()
+            assert NetworkSpec(3, variant).blocks() == spec.blocks()
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -119,95 +116,73 @@ class TestSpecs:
                 NetworkSpec(limit + 1, variant)
 
 
+def _pqc_block(cols, n, params):
+    """The trainable block whose layers read ``params``, n angles per
+    layer, on ``cols``, as the tile path runs it."""
+    return network._pqc_block(cols, n, network._ry_tiles(*network._angle_factors(params), n))
+
+
 class TestEncoding:
     def test_zero_inputs_give_plus_states(self):
-        psi = apply_encoding(EncodingSpec(1.0), [0.0, 0.0, 0.0])
-        assert np.allclose(psi.amplitudes, np.full(8, 1 / np.sqrt(8)), atol=1e-12)
+        cols = network._encoded_rows(np.zeros((1, 3)))
+        assert np.allclose(cols[:, 0], np.full(8, 1 / np.sqrt(8)), atol=1e-12)
 
     def test_single_qubit_sigma_z_law(self):
-        for a in np.linspace(-np.pi, np.pi, 13):
-            psi = apply_encoding(EncodingSpec(1.0), [a])
-            assert expect_z(psi, 0) == pytest.approx(-np.sin(a), abs=1e-12)
+        grid = np.linspace(-np.pi, np.pi, 13)
+        z = network._expect_z_rows(network._encoded_rows(grid[:, None]), 1)[:, 0]
+        assert np.allclose(z, -np.sin(grid), rtol=0.0, atol=1e-12)
 
     def test_pi_scale_matches_direct_rotation(self):
-        got = apply_encoding(EncodingSpec(np.pi), [1.0, 1.0])
+        got = network._encoded_rows(network._READOUT_SCALE * np.ones((1, 2)))[:, 0]
         per_qubit = ref.ry(np.pi) @ ref.H @ np.array([1, 0], dtype=complex)
-        assert np.allclose(got.amplitudes, np.kron(per_qubit, per_qubit), atol=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            apply_encoding(EncodingSpec(1.0), [])
-        with pytest.raises(ValueError):
-            apply_encoding(EncodingSpec(1.0), [np.inf])
-
-    def test_register_above_the_qubit_limit_is_rejected_before_allocation(self):
-        def forbidden(*args):
-            raise AssertionError("state built past the qubit limit")
-
-        with mock.patch.object(network, "_encoded_rows", forbidden):
-            with pytest.raises(ValueError, match=f"limit is {statevector.MAX_QUBITS} qubits"):
-                apply_encoding(EncodingSpec(1.0), np.zeros(statevector.MAX_QUBITS + 1))
+        assert np.allclose(got, np.kron(per_qubit, per_qubit), atol=1e-12)
 
 
 class TestPqc:
     def test_zero_params_equal_pure_cnot_ladder(self, rng):
         v = ref.random_state(rng, 3)
-        got = apply_pqc(StateVector(3, v.copy()), PqcSpec(3, 2, 0), np.zeros(6))
+        got = _pqc_block(v[:, None], 3, np.zeros(6))[:, 0]
         want = StateVector(3, v.copy())
         for _ in range(2):
             for c, t in entangler_pattern(3):
                 want = apply_cnot(want, c, t)
-        assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-12)
+        assert np.allclose(got, want.amplitudes, atol=1e-12)
 
     def test_two_qubit_hand_trace(self):
-        psi = apply_pqc(zero_state(2), PqcSpec(2, 1, 0), [np.pi, 0.0])
-        assert np.allclose(psi.amplitudes, [0, 0, 1, 0], atol=1e-12)
+        got = _pqc_block(zero_state(2).amplitudes[:, None], 2, [np.pi, 0.0])[:, 0]
+        assert np.allclose(got, [0, 0, 1, 0], atol=1e-12)
 
     def test_norm_preserved(self, rng):
         for _ in range(10):
             n = int(rng.integers(1, 5))
             layers = int(rng.integers(1, 2 * n + 1))
             params = rng.normal(0, 1.5, n * layers)
-            psi = apply_pqc(
-                StateVector(n, ref.random_state(rng, n)), PqcSpec(n, layers, 0), params
-            )
-            assert norm(psi) == pytest.approx(1.0, abs=1e-12)
+            got = _pqc_block(ref.random_state(rng, n)[:, None], n, params)[:, 0]
+            assert norm(StateVector(n, got)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_offset_reads_correct_window(self, rng):
-        params = rng.normal(0, 1, 12)
-        via_offset = apply_pqc(zero_state(2), PqcSpec(2, 2, 4), params)
-        direct = apply_pqc(zero_state(2), PqcSpec(2, 2, 0), params[4:8])
-        assert np.allclose(via_offset.amplitudes, direct.amplitudes, atol=1e-15)
 
-    def test_parameter_underflow(self):
-        with pytest.raises(ValueError):
-            apply_pqc(zero_state(2), PqcSpec(2, 2, 0), np.zeros(3))
-        with pytest.raises(ValueError):
-            apply_pqc(zero_state(2), PqcSpec(2, 1, 3), np.zeros(4))
-
-    def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_pqc(zero_state(3), PqcSpec(2, 1, 0), np.zeros(2))
+def _readout(psi: StateVector) -> np.ndarray:
+    """Per-qubit <sigma_z> of psi, by the readout kernel of the network."""
+    return network._expect_z_rows(psi.amplitudes[:, None], psi.n_qubits)[0]
 
 
 class TestMeasureLayer:
     def test_zero_state(self):
-        assert np.allclose(measure_layer(zero_state(3)), [1, 1, 1], atol=1e-15)
+        assert np.allclose(_readout(zero_state(3)), [1, 1, 1], atol=1e-15)
 
     def test_uniform_superposition(self):
         psi = zero_state(3)
         for q in range(3):
             psi = apply_h(psi, q)
-        assert np.allclose(measure_layer(psi), [0, 0, 0], atol=1e-12)
+        assert np.allclose(_readout(psi), [0, 0, 0], atol=1e-12)
 
     def test_bell_state(self):
         bell = apply_cnot(apply_h(zero_state(2), 0), 0, 1)
-        assert np.allclose(measure_layer(bell), [0, 0], atol=1e-12)
+        assert np.allclose(_readout(bell), [0, 0], atol=1e-12)
 
     def test_values_in_range(self, rng):
         for _ in range(20):
-            psi = StateVector(3, ref.random_state(rng, 3))
-            m = measure_layer(psi)
+            m = _readout(StateVector(3, ref.random_state(rng, 3)))
             assert np.all(m >= -1 - 1e-12) and np.all(m <= 1 + 1e-12)
 
 
@@ -215,7 +190,7 @@ class TestForward:
     def test_hand_trace_all_zero_params(self):
         net = NetworkSpec(2, Variant.WITH_MEASUREMENTS)
         psi = forward(net, 0.0, np.zeros(8))
-        assert np.allclose(measure_layer(psi), [0.0, 0.0], atol=1e-12)
+        assert np.allclose(_readout(psi), [0.0, 0.0], atol=1e-12)
 
     def test_matches_dense_reference(self, rng):
         for variant, flag in (
@@ -258,20 +233,21 @@ class TestForward:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("variant", list(Variant))
     def test_public_blocks_compose_to_forward(self, rng, n, variant):
-        # The training path runs the 2n layers without reading blocks();
-        # the public per-block API, composed over blocks(), must agree.
+        # No pass reads blocks(); interpreted with the kernels of the tile
+        # path, the description must agree with forward.
         net = NetworkSpec(n, variant)
         params = rng.normal(0, 1.5, net.n_params)
         values = np.full(n, 0.9)
         for block in net.blocks():
             if isinstance(block, EncodingSpec):
-                psi = apply_encoding(block, values)
+                cols = network._encoded_rows(block.scale * values[None, :])
             elif isinstance(block, PqcSpec):
-                psi = apply_pqc(psi, block, params)
+                window = params[block.param_offset : block.param_offset + block.n_params]
+                cols = _pqc_block(cols, n, window)
             else:
-                values = measure_layer(psi)
+                values = network._expect_z_rows(cols, n)[0]
         want = forward(net, 0.9, params).amplitudes
-        assert np.max(np.abs(psi.amplitudes - want)) < 1e-13
+        assert np.max(np.abs(cols[:, 0] - want)) < 1e-13
 
     def test_final_norm(self, rng):
         for variant in Variant:
@@ -300,13 +276,10 @@ class TestForward:
         # Readout values live in [-1,1]; after the pi scale every re-encoding
         # angle is within [-pi, pi]. Checked via the readout itself.
         net = NetworkSpec(3, Variant.WITH_MEASUREMENTS)
-        from hqcnn.network import apply_encoding as enc  # noqa: F401  (clarity)
-
         params = rng.normal(0, 1.0, net.n_params)
-        first_block = apply_pqc(
-            apply_encoding(EncodingSpec(1.0), [0.7] * 3), PqcSpec(3, 3, 0), params
-        )
-        b = measure_layer(first_block)
+        encoded = network._input_rows(net, [0.7])
+        measured = network._forward_pass(net, encoded, params).measured
+        b = network._expect_z_rows(measured, 3)[0]
         assert np.all(np.abs(b) <= 1 + 1e-12)
         assert np.all(np.abs(np.pi * b) <= np.pi + 1e-11)
 
@@ -563,5 +536,4 @@ class TestRyTiles:
         optimize.cost(params, problem)
         optimize.gradient(params, problem)
         optimize.finite_difference_gradient(params, problem)
-        apply_pqc(zero_state(n), PqcSpec(n, 2, 0), params)
         forward(net, 0.7, params)

@@ -17,7 +17,6 @@ from hqcnn.pauli import (
     PauliAxis,
     PauliHamiltonian,
     PauliTerm,
-    apply_term,
     ascii_float,
     ascii_int,
     expectation,
@@ -202,29 +201,6 @@ class TestEvaluation:
         scaled = StateVector(2, np.array([2, 0, 0, 0], dtype=complex))
         assert expectation(h, scaled) == pytest.approx(2.5 * 4.0, abs=1e-12)
 
-    def test_apply_term_single_qubit_actions(self):
-        one = StateVector(1, np.array([0, 1], dtype=complex))
-        assert np.array_equal(
-            apply_term(PauliTerm.from_string(1.0, "Z"), one).amplitudes, [0, -1]
-        )
-        assert np.array_equal(
-            apply_term(PauliTerm.from_string(1.0, "X"), zero_state(1)).amplitudes,
-            [0, 1],
-        )
-        y_applied = apply_term(PauliTerm.from_string(1.0, "Y"), zero_state(1))
-        assert np.allclose(y_applied.amplitudes, [0, 1j], atol=1e-15)
-
-    def test_apply_term_matches_dense(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 5))
-            (coeff, axes), = ref.random_terms(rng, n, 1)
-            psi = ref.random_state(rng, n)
-            got = apply_term(
-                PauliTerm.from_string(coeff, axes), StateVector(n, psi.copy())
-            )
-            want = coeff * ref.pauli_matrix(axes) @ psi
-            assert np.allclose(got.amplitudes, want, atol=1e-12)
-
     def test_expectation_matches_dense_quadratic_form(self, rng):
         for _ in range(40):
             n = int(rng.integers(1, 5))
@@ -263,8 +239,6 @@ class TestEvaluation:
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
             expectation(_ham([(1.0, "Z")], 1), zero_state(2))
-        with pytest.raises(ValueError):
-            apply_term(PauliTerm.from_string(1.0, "ZZ"), zero_state(1))
 
 
 @st.composite
