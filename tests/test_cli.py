@@ -729,6 +729,19 @@ class TestMain:
         assert result.stdout == ""
         assert result.stderr.startswith("config error: --bond-lengths must be distinct")
 
+    def test_dense_diag_imports_no_scipy(self, tmp_path):
+        # scipy is imported on first use by Lanczos only: importing
+        # scipy.linalg alone costs about 0.2 s of start-up. Python's import
+        # profile lists every module the command imports.
+        gen_synthetic(tmp_path, 4, (0.5, 1.0))
+        argv = ["diag", "--dataset-dir", str(tmp_path), "--bond-lengths"]
+        result = _cli_subprocess(argv, module="hqcnn", PYTHONPROFILEIMPORTTIME="1")
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.splitlines()) == 3  # header and two energies
+        imported = [line.split("|")[-1].strip() for line in result.stderr.splitlines()]
+        assert "hqcnn.oracle" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_negative_seed_flag_exit_1(self, command, tfim2_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -145,18 +145,23 @@ def _axes(flips: int, z: int, n: int) -> str:
     return "".join("IZXY"[x * 2 + b] for x, b in bits)
 
 
+def _reversal(n: int) -> np.ndarray:
+    """The qubit reversal q -> n-1-q as a permutation matrix."""
+    targets = [int(format(y, f"0{n}b")[::-1], 2) for y in range(1 << n)]
+    return np.eye(1 << n)[targets]
+
+
 def _check_sectors(terms, n):
-    """The chosen string commutes with every term and the blocks hold H's
-    spectrum; ground_energy and spectrum_bounds match the full matrix."""
+    """S commutes with every term and R with H; the blocks are non-empty,
+    keep H's dtype, sum to 2**n rows and together hold H's spectrum; and
+    ground_energy and spectrum_bounds match the full matrix."""
     h = _ham(terms, n)
     dense = to_dense(h)
     full = np.linalg.eigvalsh(dense)
     tol = 1e-10 * max(1.0, sum(abs(c) for c, _ in terms))
-    symmetry = oracle._symmetry(h)
-    blocks = oracle._sector_blocks(h)
-    if symmetry is None:
-        assert len(blocks) == 1
-    else:
+    symmetry, mirror = oracle._symmetries(h)
+    blocks = list(oracle._sector_blocks(h))
+    if symmetry is not None:
         flips, z = symmetry
         assert (flips, z) != (0, 0)
         assert (flips & z).bit_count() % 2 == 0
@@ -165,8 +170,17 @@ def _check_sectors(terms, n):
             assert ((tz & flips) ^ (tf & z)).bit_count() % 2 == 0
         s = ref.hamiltonian_matrix([(1.0, _axes(flips, z, n))], n)
         assert np.allclose(s @ dense, dense @ s, rtol=0.0, atol=tol)
-        assert [b.shape for b in blocks] == [(1 << (n - 1),) * 2] * 2
+    if mirror:
+        assert n >= 2
+        r = _reversal(n)
+        assert np.allclose(r @ dense, dense @ r, rtol=0.0, atol=tol)
+        if symmetry is not None:
+            assert _axes(*symmetry, n) == _axes(*symmetry, n)[::-1]
+    if symmetry is None and not mirror:
+        assert len(blocks) == 1
+    assert sum(len(b) for b in blocks) == 1 << n
     for block in blocks:
+        assert block.shape[0] == block.shape[1] > 0
         assert block.dtype == dense.dtype
     spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_allclose(spectra, full, rtol=0.0, atol=tol)
@@ -174,18 +188,24 @@ def _check_sectors(terms, n):
     lo, hi = spectrum_bounds(h)
     assert lo == pytest.approx(float(full[0]), abs=tol)
     assert hi == pytest.approx(float(full[-1]), abs=tol)
-    return symmetry, blocks
+    return symmetry, mirror, blocks
 
 
 @st.composite
 def _term_sets(draw):
     """1 to 8 terms on 1 to 6 qubits. An even set has an even number of Y
     factors in every string (a real H); an odd set has at least one string
-    with an odd number (a complex H)."""
+    with an odd number (a complex H). A mirrored set adds each string's
+    reversal with the same coefficient, a multiple of 1/4, so that sums of
+    duplicates are exact; it is mirror-symmetric and says so."""
     n = draw(st.integers(1, 6))
     even = draw(st.booleans())
+    mirrored = draw(st.booleans())
     strings = st.text(alphabet="IXYZ", min_size=n, max_size=n)
-    coefficients = st.floats(-2.0, 2.0, allow_nan=False)
+    if mirrored:
+        coefficients = st.integers(-8, 8).map(lambda k: k / 4)
+    else:
+        coefficients = st.floats(-2.0, 2.0, allow_nan=False)
     terms = draw(st.lists(st.tuples(coefficients, strings), min_size=1, max_size=8))
     if even:
         # Turning the first Y of an odd string into an X makes its count even.
@@ -195,47 +215,82 @@ def _term_sets(draw):
     elif not any(a.count("Y") % 2 for _, a in terms):
         c, a = terms[0]
         terms[0] = (c, "Y" + a[1:] if a[0] != "Y" else "X" + a[1:])
-    return terms, n
+    if mirrored:
+        terms += [(c, a[::-1]) for c, a in terms]
+    return terms, n, mirrored
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_term_sets())
 def test_sectors_hold_the_spectrum(case):
-    terms, n = case
-    _check_sectors(terms, n)
+    terms, n, mirrored = case
+    symmetry, mirror, _ = _check_sectors(terms, n)
+    if mirrored:
+        # R is used exactly where it is a symmetry of H and of S.
+        fixed = symmetry is None or _axes(*symmetry, n) == _axes(*symmetry, n)[::-1]
+        assert mirror == (n >= 2 and fixed)
 
 
 def test_tfim_sectors_split_by_x_string():
     terms = [(t.coefficient, t.axis_string) for t in transverse_field_ising(5, 0.9).terms]
-    symmetry, _ = _check_sectors(terms, 5)
-    assert symmetry == _masks("XXXXX")
+    symmetry, mirror, blocks = _check_sectors(terms, 5)
+    assert symmetry == _masks("XXXXX") and mirror
+    assert [len(b) for b in blocks] == [10, 10, 6, 6]
 
 
 def test_all_z_hamiltonian_splits_by_diagonal_string():
     terms = [(-1.0, "ZZI"), (0.4, "IZZ"), (0.7, "ZII"), (0.2, "ZIZ")]
-    symmetry, blocks = _check_sectors(terms, 3)
+    symmetry, mirror, blocks = _check_sectors(terms, 3)
     flips, z = symmetry
-    assert flips == 0 and z != 0
+    assert flips == 0 and z != 0 and not mirror
     assert all(np.count_nonzero(b - np.diag(np.diag(b))) == 0 for b in blocks)
+
+
+def test_mirror_splits_the_sectors_of_a_diagonal_string():
+    # The X-coupled chain in a Z field commutes with Z...Z and with R.
+    n = 4
+    terms = [(-1.0, "XXII"), (-1.0, "IXXI"), (-1.0, "IIXX")]
+    terms += [(-0.7, "I" * q + "Z" + "I" * (n - 1 - q)) for q in range(n)]
+    symmetry, mirror, blocks = _check_sectors(terms, n)
+    assert symmetry == _masks("ZZZZ") and mirror
+    assert [len(b) for b in blocks] == [6, 4, 2, 4]
+
+
+def test_mirror_without_a_symmetry_on_a_complex_matrix():
+    terms = [(1.0, "XY"), (1.0, "YX"), (0.5, "ZZ")]
+    symmetry, mirror, blocks = _check_sectors(terms, 2)
+    assert symmetry is None and mirror
+    assert [len(b) for b in blocks] == [3, 1]
+    assert all(b.dtype == np.complex128 for b in blocks)
+
+
+def test_symmetry_that_reversal_does_not_fix():
+    # XZ commutes with every term; reversed it is ZX, so R is not used
+    # although H itself is mirror-symmetric.
+    terms = [(0.8, "XZ"), (0.8, "ZX"), (0.3, "YY")]
+    symmetry, mirror, blocks = _check_sectors(terms, 2)
+    assert symmetry == _masks("XZ") and not mirror
+    assert [len(b) for b in blocks] == [2, 2]
 
 
 def test_symmetry_with_a_yy_pair():
     # XX, XZ and ZX commute with YY and with no other string but I.
     terms = [(0.8, "XX"), (-0.5, "XZ"), (0.3, "ZX")]
-    symmetry, blocks = _check_sectors(terms, 2)
-    assert symmetry == _masks("YY")
+    symmetry, mirror, blocks = _check_sectors(terms, 2)
+    assert symmetry == _masks("YY") and not mirror
     assert all(b.dtype == np.float64 for b in blocks)
 
 
 def test_no_symmetry_falls_back_to_one_block():
     terms = [(1.0, "X"), (1.0, "Z")]
-    symmetry, blocks = _check_sectors(terms, 1)
-    assert symmetry is None
+    symmetry, mirror, blocks = _check_sectors(terms, 1)
+    assert symmetry is None and not mirror
     assert len(blocks) == 1
     assert ground_energy(_ham(terms, 1)) == pytest.approx(-np.sqrt(2.0), abs=1e-15)
 
 
-def test_ten_qubit_tfim_solves_two_half_blocks(monkeypatch):
+def _eigvalsh_shapes(monkeypatch):
+    """Shapes of the matrices np.linalg.eigvalsh is called on from now."""
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -244,8 +299,52 @@ def test_ten_qubit_tfim_solves_two_half_blocks(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def test_ten_qubit_tfim_solves_four_quarter_blocks(monkeypatch):
+    shapes = _eigvalsh_shapes(monkeypatch)
     ground_energy(transverse_field_ising(10, 0.7))
-    assert shapes == [(512, 512), (512, 512)]
+    assert shapes == [(m, m) for m in (272, 256, 240, 256)]
+
+
+def test_one_ulp_off_the_mirror_leaves_two_half_blocks(monkeypatch):
+    # Coefficients must map onto each other exactly: one X field moved by
+    # one ulp keeps X...X but loses R.
+    h = transverse_field_ising(10, 0.7)
+    terms = list(h.terms)
+    terms[9] = PauliTerm(float(np.nextafter(terms[9].coefficient, 0.0)), terms[9].axes)
+    h = PauliHamiltonian(10, tuple(terms))
+    assert oracle._symmetries(h) == (_masks("X" * 10), False)
+    full = np.linalg.eigvalsh(to_dense(h))
+    shapes = _eigvalsh_shapes(monkeypatch)
+    lo, hi = spectrum_bounds(h)
+    assert shapes == [(512, 512)] * 2
+    assert lo == pytest.approx(float(full[0]), abs=1e-11)
+    assert hi == pytest.approx(float(full[-1]), abs=1e-11)
+
+
+def test_twelve_qubit_tfim_at_the_dense_cap(monkeypatch):
+    h = transverse_field_ising(12, 0.9)
+    want = ref.tfim_ground_energy(12, 0.9)
+    shapes = _eigvalsh_shapes(monkeypatch)
+    assert ground_energy(h) == pytest.approx(want, abs=1e-9)
+    assert shapes == [(m, m) for m in (1056, 1024, 992, 1024)]
+    assert ground_energy_iterative(h) == pytest.approx(want, abs=1e-9)
+
+
+def test_group_tables_are_built_once_and_read_only():
+    oracle._group.cache_clear()
+    oracle._string_symmetries.cache_clear()
+    for a in (0.3, 0.8, 1.4):
+        ground_energy(transverse_field_ising(4, a))
+    assert oracle._group.cache_info().misses == 1
+    assert oracle._string_symmetries.cache_info().misses == 1
+    group = oracle._group(4, _masks("XXXX"), True)
+    arrays = [group.reps, group.scaled, group.scale, group.targets]
+    arrays += [w for w in group.weights if w is not None]
+    arrays += [a for kept in group.kept if kept is not None for a in kept]
+    assert all(not a.flags.writeable for a in arrays)
 
 
 # ---------------------------------------------------------------------------
