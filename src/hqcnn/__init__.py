@@ -40,9 +40,7 @@ from .statevector import (
     StateVector,
     apply_cnot,
     apply_h,
-    apply_rx,
     apply_ry,
-    apply_rz,
     expect_z,
     norm,
     zero_state,
@@ -65,9 +63,7 @@ __all__ = [
     "Variant",
     "apply_cnot",
     "apply_h",
-    "apply_rx",
     "apply_ry",
-    "apply_rz",
     "bfgs_minimize",
     "cost",
     "entangler_pattern",

@@ -44,8 +44,9 @@ train energies are those of the pass training ended on, so per seed they
 sum exactly (numpy's sum, in point order) to the final cost.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
-3 numerical failure (a non-finite objective or gradient, or an eigensolver
-failure), 4 out of memory.
+3 numerical failure (a non-finite objective, gradient, gradient-check
+deviation or error mean or std, or an eigensolver failure), 4 out of
+memory.
 """
 
 from __future__ import annotations
@@ -438,14 +439,13 @@ def _run_one_variant(
         )
     train_sums = [o.sum_train_error for o in outcomes]
     test_sums = [o.sum_test_error for o in outcomes]
-    summary = VariantSummary(
-        variant=variant,
-        outcomes=tuple(outcomes),
-        train_error_mean=float(np.mean(train_sums)),
-        train_error_std=float(np.std(train_sums)),
-        test_error_mean=float(np.mean(test_sums)),
-        test_error_std=float(np.std(test_sums)),
-    )
+    statistics = [float(f(sums)) for sums in (train_sums, test_sums) for f in (np.mean, np.std)]
+    if not all(map(math.isfinite, statistics)):
+        raise NumericalError(
+            f"{variant.value}: non-finite mean or std of the summed errors: "
+            "train {!r} +/- {!r}, test {!r} +/- {!r}".format(*statistics)
+        )
+    summary = VariantSummary(variant, tuple(outcomes), *statistics)
     return summary, rows
 
 

@@ -264,9 +264,13 @@ def gradient_deviations(
     step h and one at h/2: the max deviation of :func:`gradient` from the
     central differences at h, relative to their infinity norm, and that of
     the central differences at h from those at h/2, relative to the
-    latter's. Small values certify the adjoint and the step choice."""
+    latter's. Small values certify the adjoint and the step choice; a
+    non-finite one raises :class:`NumericalError`."""
     at_h, step_deviation = _step_halving(params, problem, step)
-    return _relative_deviation(gradient(params, problem), at_h), step_deviation
+    deviations = _relative_deviation(gradient(params, problem), at_h), step_deviation
+    if not all(map(math.isfinite, deviations)):
+        raise NumericalError(f"gradient check gave non-finite deviations {deviations}")
+    return deviations
 
 
 def gradient_step_check(params, problem: TrainingProblem, step: float = _FD_STEP) -> float:

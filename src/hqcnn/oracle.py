@@ -1,21 +1,23 @@
 """Exact ground-state reference values by diagonalization.
 
-Two independent routes to the smallest eigenvalue:
+Two routes to the smallest eigenvalue, both on the compiled flip-mask
+groups of :func:`hqcnn.pauli.compile_hamiltonians`:
 
-* ``ground_energy`` and ``spectrum_bounds`` build the dense matrix
-  (``to_dense``, a Kronecker product of monomial matrices per term) and
-  call the symmetric eigensolver on its symmetry sectors. Exact up to
-  LAPACK rounding, limited to ``DENSE_MAX_QUBITS``. The matrix is real for
-  real symmetric H (every string has an even number of Y factors, as in
-  the TFIM and molecular Jordan-Wigner Hamiltonians), so LAPACK's real
-  symmetric solver runs; otherwise the complex Hermitian one.
+* ``ground_energy`` and ``spectrum_bounds`` write the groups into the
+  rows of the dense matrix that its symmetry sectors read, or into the
+  full matrix (``to_dense``) where there is no symmetry, and call the
+  symmetric eigensolver on each sector. Exact up to LAPACK rounding,
+  limited to ``DENSE_MAX_QUBITS``. The matrix is real for real symmetric
+  H (every string has an even number of Y factors, as in the TFIM and
+  molecular Jordan-Wigner Hamiltonians), so LAPACK's real symmetric
+  solver runs; otherwise the complex Hermitian one.
 * ``ground_energy_iterative`` never materializes the matrix: it wraps the
   compiled Hamiltonian's matrix-free product in a LinearOperator and runs
   Lanczos (shift-free, smallest-algebraic), on float64 vectors when every
-  compiled weight is real and on complex ones otherwise. Agreement between
-  the two routes is a strong check that the compiled flip-mask form and
-  the monomial Kronecker construction, which share no code, implement the
-  same operator.
+  compiled weight is real and on complex ones otherwise. The two routes
+  share the decoding of the strings, so agreement between them checks the
+  eigensolvers and the sector projection; the test suite's
+  Kronecker-product matrix is the independent check of the decoding.
 
 Symmetry sectors: if a Pauli string S other than I commutes with every
 term, H is block-diagonal in S's +1 and -1 eigenspaces, each of dimension
@@ -35,11 +37,11 @@ S and R, one per character of the group they generate: at n = 10 the TFIM
 solves blocks of 272, 256, 240 and 256 rows instead of two of 512, and at
 n = 12 blocks of 1056, 1024, 992 and 1024 instead of two of 2048, about a
 sixteenth of the work of one full-size eigensolve. ``_group`` builds each
-block's index tables from the group alone and caches them, so only the
-gather and sums of H's entries run per Hamiltonian. With only one of S
-and R there are two blocks, and with neither one, the full matrix.
-``ground_state`` returns a full-register eigenvector and so stays on the
-full matrix.
+block's index tables from the group alone and caches them, so only H's
+rows at the representatives, built from the groups, and their gather and
+sums run per Hamiltonian. With only one of S and R there are two blocks,
+and with neither one, the full matrix. ``ground_state`` returns a
+full-register eigenvector and so stays on the full matrix.
 
 ``ground_energy`` takes the dense route up to ``DENSE_MAX_QUBITS`` and the
 Lanczos route above it.
@@ -67,6 +69,9 @@ from .pauli import (
     PauliHamiltonian,
     PauliTerm,
     _apply_hamiltonian_rows,
+    _group_rows,
+    _parity_signs,
+    _string_masks,
     compile_hamiltonians,
     to_dense,
 )
@@ -107,7 +112,7 @@ def _string_symmetries(n: int, strings: tuple[tuple[PauliAxis, ...], ...]):
     is None where the qubit reversal R cannot commute with H: n < 2, or
     reversing S does not give S.
 
-    The masks use the basis-index bits of the compiled form: qubit q is
+    The masks are the compiled form's (``_string_masks``): qubit q is
     bit n-1-q, X and Y factors set the flip mask, Z and Y the Z mask. A
     term is the row (z | x) and S the vector (x | z), both 2n-bit ints,
     so the parity of their AND is the symplectic product, 0 exactly when
@@ -116,11 +121,7 @@ def _string_symmetries(n: int, strings: tuple[tuple[PauliAxis, ...], ...]):
     the first with an even Y count is S.
     """
     pivots: dict[int, int] = {}  # leading bit -> row, zero at every other leading bit
-    for axes in strings:
-        x = z = 0
-        for axis in axes:
-            x = 2 * x + (axis is PauliAxis.X or axis is PauliAxis.Y)
-            z = 2 * z + (axis is PauliAxis.Z or axis is PauliAxis.Y)
+    for x, z, _ in _string_masks(strings):
         row = z << n | x
         for bit, pivot in pivots.items():
             if row >> bit & 1:
@@ -234,12 +235,8 @@ def _group(n: int, symmetry: tuple[int, int] | None, mirror: bool) -> _Group:
     generators = []
     if symmetry is not None:
         flips, z_mask = symmetry
-        parity = np.zeros_like(index)
-        for bit in range(n):
-            if z_mask >> bit & 1:
-                parity ^= index >> bit
         n_y = (flips & z_mask).bit_count()  # even, so i**n_y is +1 or -1
-        sign = (1.0 - 2.0 * (parity & 1)) * (-1.0 if n_y % 4 else 1.0)
+        sign = _parity_signs(index, z_mask) * (-1.0 if n_y % 4 else 1.0)
         generators.append((index ^ flips, sign))
     if mirror:
         generators.append((_reversal(n), np.ones(dim)))
@@ -284,20 +281,21 @@ def _sector_blocks(h: PauliHamiltonian) -> Iterator[np.ndarray]:
     reversal R, as far as ``_symmetries`` finds them, or H alone with
     neither. The blocks' spectra together are H's, and each block has H's
     dtype. Blocks are made one at a time, as they are consumed."""
-    matrix = to_dense(h)
+    if h.n_qubits > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense route limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}")
     symmetry, mirror = _symmetries(h)
     if symmetry is None and not mirror:
-        yield matrix
+        yield to_dense(h)
         return
     group = _group(h.n_qubits, symmetry, mirror)
+    # Only the representatives' rows are read, so only they are built.
+    rows = _group_rows(compile_hamiltonians((h,)).groups, h.n_qubits, 1, group.reps)[0]
     m, width = group.targets.shape
     if width == 1:
         # G moves no index (a diagonal S): every index is its own orbit,
         # every factor is 1, and the one part is H itself.
-        parts = matrix
+        parts = rows
     else:
-        rows = matrix.take(group.reps, axis=0)
-        del matrix  # only the representatives' rows are read from here on
         if group.scaled.size:
             rows[group.scaled] *= group.scale[:, None]
         # parts[k, l, q] = H[r_k, g_q(r_l)] s_q(r_l) f(r_k) f(r_l)

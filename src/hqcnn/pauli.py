@@ -18,11 +18,12 @@ contribute exactly zero and are left out. On registers of at most
 layers, the compiled form also keeps Re(H) as one small dense matrix per
 Hamiltonian, built from the groups, and H v on real columns is one
 batched matmul.
-``to_dense`` materializes the full matrix only for small registers, as
-ground truth for tests and the dense diagonalization oracle. It is built
-independently of the compiled form, term by term as a Kronecker product
-of monomial matrices, and is real (float64) whenever H is real symmetric,
-as it is when every string has an even number of Y factors.
+The compiled form is the one place where strings become matrix entries,
+and ``_group_rows`` writes its groups into any rows of the dense matrix.
+``to_dense`` builds the full matrix that way, for small registers only;
+it is real (float64) whenever H is real symmetric, as it is when every
+string has an even number of Y factors. The test suite's Kronecker
+product matrix is the independent check of the decoding.
 
 The ``.ham`` text format (UTF-8, line oriented)::
 
@@ -44,6 +45,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,16 +64,6 @@ class PauliAxis(enum.Enum):
 
 
 _AXIS_BY_CHAR = {axis.value: axis for axis in PauliAxis}
-
-# Every Pauli factor is a monomial matrix: row r holds one nonzero, at
-# column columns[r], with value values[r]. Y = i [[0, -1], [1, 0]], so with
-# its factor i taken out every table is real.
-_MONOMIALS = {
-    PauliAxis.I: (np.array([0, 1]), np.array([1.0, 1.0])),
-    PauliAxis.X: (np.array([1, 0]), np.array([1.0, 1.0])),
-    PauliAxis.Y: (np.array([1, 0]), np.array([-1.0, 1.0])),
-    PauliAxis.Z: (np.array([0, 1]), np.array([1.0, -1.0])),
-}
 
 
 @dataclass(frozen=True)
@@ -287,23 +279,11 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
     # n_y Y factors carries the phase i**n_y, real for even n_y.
     parts: tuple[dict[int, np.ndarray], dict[int, np.ndarray]] = ({}, {})
     for j, h in enumerate(hs):
-        for term in h.terms:
-            mask = 0
-            z_qubits = []
-            n_y = 0
-            for q, axis in enumerate(term.axes):
-                if axis is PauliAxis.X or axis is PauliAxis.Y:
-                    mask |= 1 << (n - 1 - q)
-                if axis is PauliAxis.Z or axis is PauliAxis.Y:
-                    z_qubits.append(q)
-                n_y += axis is PauliAxis.Y
+        masks = _string_masks(tuple(term.axes for term in h.terms))
+        for term, (mask, z_mask, n_y) in zip(h.terms, masks):
             # P|k> = i^n_y (-1)^(Z/Y bits of k) |k ^ mask>, so
             # (P v)[i] = i^n_y (-1)^(Z/Y bits of i ^ mask) v[i ^ mask].
-            source = index ^ mask
-            parity = np.zeros_like(index)
-            for q in z_qubits:
-                parity ^= source >> (n - 1 - q)
-            sign = 1.0 - 2.0 * (parity & 1)
+            sign = _parity_signs(index ^ mask, z_mask)
             phase = -1.0 if n_y % 4 >= 2 else 1.0
             weights = parts[n_y % 2].setdefault(mask, np.zeros((index.size, len(hs), 1)))
             weights[:, j, 0] += term.coefficient * phase * sign
@@ -320,11 +300,45 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
             real_groups.append((flip, real))
     real_dense = None
     if n <= _TILE_QUBITS:
-        real_dense = np.zeros((len(hs), index.size, index.size))
-        for flip, weights in real_groups:
-            real_dense[:, index, index if flip is None else flip] = weights[:, :, 0].T
+        real_dense = _group_rows(real_groups, n, len(hs), index)
         real_dense.setflags(write=False)
     return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups), real_dense)
+
+
+@lru_cache(maxsize=256)
+def _string_masks(
+    strings: tuple[tuple[PauliAxis, ...], ...],
+) -> tuple[tuple[int, int, int], ...]:
+    """(flip mask, Z mask, Y count) of each axis string, cached per string
+    list. Qubit q is basis-index bit n-1-q; X and Y factors set the flip
+    mask, Z and Y the Z mask, so the Y count is that of their common bits."""
+    masks = []
+    for axes in strings:
+        flips = z_mask = 0
+        for axis in axes:
+            flips = 2 * flips + (axis is PauliAxis.X or axis is PauliAxis.Y)
+            z_mask = 2 * z_mask + (axis is PauliAxis.Z or axis is PauliAxis.Y)
+        masks.append((flips, z_mask, (flips & z_mask).bit_count()))
+    return tuple(masks)
+
+
+def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
+    """(-1)**popcount(index & z_mask) per basis index, as float64: the
+    sign that the Z and Y factors of a string give each basis state."""
+    return 1.0 - 2.0 * (np.bitwise_count(index & z_mask) & 1)
+
+
+def _group_rows(groups, n: int, count: int, at: np.ndarray) -> np.ndarray:
+    """Rows ``at`` of the matrices of ``count`` Hamiltonians on n qubits,
+    from their flip-mask ``groups``: the (count, at.size, 2**n) array whose
+    entry [j, k, at[k] ^ m] is w_m[at[k]] of Hamiltonian j, zero elsewhere,
+    complex only where a group's weights are."""
+    dtype = np.result_type(np.float64, *(weights.dtype for _, weights in groups))
+    rows = np.zeros((count, at.size, 1 << n), dtype=dtype)
+    k = np.arange(at.size)
+    for flip, weights in groups:
+        rows[:, k, at if flip is None else flip[at]] = weights[at, :, 0].T
+    return rows
 
 
 def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np.ndarray:
@@ -381,40 +395,13 @@ def to_dense(h: PauliHamiltonian) -> np.ndarray:
     """Full 2**n x 2**n Hermitian matrix, qubit 0 as the leftmost Kronecker
     factor: float64 when its imaginary part is identically zero (every
     string with an odd number of Y factors cancels, or there is none),
-    complex128 otherwise. Each term is a monomial matrix, one nonzero per
-    row, so it costs O(2**n) to build and write. Guarded to small
-    registers; use the matrix-free path otherwise."""
+    complex128 otherwise. Built from the compiled groups, one row write
+    per flip mask, so it costs O(2**n) per group to build besides the
+    matrix itself. Guarded to small registers; use the matrix-free path
+    otherwise."""
     if h.n_qubits > DENSE_MAX_QUBITS:
         raise ValueError(
             f"to_dense limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}"
         )
-    dim = 1 << h.n_qubits
-    rows = np.arange(dim)
-    real = np.zeros((dim, dim))
-    imag = None
-    for term in h.terms:
-        # The term's column map and values are the Kronecker combination of
-        # its factors' tables, qubit 0 first, which for 1-D tables is the
-        # flattened outer product; a string with n_y Y factors carries the
-        # phase i**n_y on top, real for even n_y.
-        columns = np.zeros(1, dtype=np.intp)
-        values = np.full(1, term.coefficient)
-        n_y = 0
-        for axis in term.axes:
-            c, v = _MONOMIALS[axis]
-            columns = (2 * columns[:, None] + c).reshape(-1)
-            values = np.multiply.outer(values, v).reshape(-1)
-            n_y += axis is PauliAxis.Y
-        if n_y % 4 >= 2:
-            values = -values
-        if n_y % 2 == 0:
-            real[rows, columns] += values
-        else:
-            if imag is None:
-                imag = np.zeros((dim, dim))
-            imag[rows, columns] += values
-    if imag is None or not imag.any():
-        return real
-    out = imag * 1j
-    out += real
-    return out
+    groups = compile_hamiltonians((h,)).groups
+    return _group_rows(groups, h.n_qubits, 1, np.arange(1 << h.n_qubits))[0]

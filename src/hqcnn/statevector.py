@@ -128,28 +128,11 @@ def _h_rows(cols: np.ndarray, q: int) -> np.ndarray:
     return out.reshape(cols.shape)
 
 
-# The rotation kernels take the scalars c, s = _angle_factors(theta).
-
-
 def _ry_rows(cols: np.ndarray, q: int, c, s) -> np.ndarray:
     """(lo, hi) -> (c lo - s hi, c hi + s lo) on bit q."""
     v = _pairs(cols, q)
     out = c * v
     out += (s * _Y_SIGNS) * v[:, ::-1]
-    return out.reshape(cols.shape)
-
-
-def _rx_rows(cols: np.ndarray, q: int, c, s) -> np.ndarray:
-    """(lo, hi) -> (c lo - i s hi, c hi - i s lo) on bit q; complex columns."""
-    v = _pairs(cols, q)
-    out = c * v
-    out += (-1j * s) * v[:, ::-1]
-    return out.reshape(cols.shape)
-
-
-def _rz_rows(cols: np.ndarray, q: int, c, s) -> np.ndarray:
-    """(lo, hi) -> ((c - i s) lo, (c + i s) hi) on bit q; complex columns."""
-    out = _pairs(cols, q) * (c + 1j * s * _Y_SIGNS)
     return out.reshape(cols.shape)
 
 
@@ -329,23 +312,11 @@ def apply_h(psi: StateVector, q: int) -> StateVector:
     return _applied(psi, _h_rows, q)
 
 
-def apply_rx(psi: StateVector, q: int, theta: float) -> StateVector:
-    """Rotation exp(-i theta/2 sigma_x) on qubit q."""
-    _check_qubit(psi.n_qubits, q)
-    return _applied(psi, _rx_rows, q, *_angle_factors(theta))
-
-
 def apply_ry(psi: StateVector, q: int, theta: float) -> StateVector:
     """Rotation exp(-i theta/2 sigma_y) on qubit q,
     [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
     _check_qubit(psi.n_qubits, q)
     return _applied(psi, _ry_rows, q, *_angle_factors(theta))
-
-
-def apply_rz(psi: StateVector, q: int, theta: float) -> StateVector:
-    """Rotation exp(-i theta/2 sigma_z) on qubit q."""
-    _check_qubit(psi.n_qubits, q)
-    return _applied(psi, _rz_rows, q, *_angle_factors(theta))
 
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:

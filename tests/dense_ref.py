@@ -23,21 +23,9 @@ P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 AXIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
-def rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-
-
 def ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]],
-        dtype=np.complex128,
-    )
 
 
 def kron_all(ops) -> np.ndarray:

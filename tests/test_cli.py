@@ -863,6 +863,43 @@ class TestMain:
             assert captured.err.startswith(f"numerical failure: bond length {failing!r}: ")
             assert captured.err.count("\n") == 1
 
+    def test_gradcheck_non_finite_deviation_exit_3(self, tmp_path):
+        # At field 1e308 the sum of |c_i| overflows and both deviations
+        # came out nan, printed with exit 0. A fresh interpreter, since
+        # the suite turns the numpy warnings on the way into errors.
+        gen_synthetic(tmp_path / "d", 2, [1e308])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"dataset_dir: {tmp_path / 'd'}\noutput_dir: {tmp_path / 'o'}\n"
+            "train_bond_lengths: 1e308\ntest_bond_lengths: 0.5\nseeds: 0\n"
+        )
+        result = _cli_subprocess(["gradcheck", "--config", str(cfg)], module="hqcnn")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "numerical failure: gradient check gave non-finite deviations" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("variant", ["both", "with_measurements"])
+    def test_non_finite_error_statistics_exit_3(self, variant, tmp_path):
+        # Every energy is finite, but the spread of the summed errors
+        # overflows: compare and curve printed std=inf with exit 0.
+        gen_synthetic(tmp_path / "d", 2, [1e300, 2e300, 3e300])
+        out = tmp_path / "o"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"dataset_dir: {tmp_path / 'd'}\noutput_dir: {out}\nvariant: {variant}\n"
+            "train_bond_lengths: 1e300 3e300\ntest_bond_lengths: 2e300\n"
+            "seeds: 0 1\nmax_iterations: 20\n"
+        )
+        command = "compare" if variant == "both" else "curve"
+        result = _cli_subprocess([command, "--config", str(cfg)], module="hqcnn")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "numerical failure: with_measurements: non-finite mean or std" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not list(tmp_path.glob("**/results*.csv"))
+        assert not out.exists()
+
     def test_diag_without_values_reports_skipped_file_once(self, tmp_path, capsys):
         data = tmp_path / "d"
         gen_synthetic(data, 1, [0.5])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -154,9 +156,11 @@ def _reversal(n: int) -> np.ndarray:
 def _check_sectors(terms, n):
     """S commutes with every term and R with H; the blocks are non-empty,
     keep H's dtype, sum to 2**n rows and together hold H's spectrum; and
-    ground_energy and spectrum_bounds match the full matrix."""
+    ground_energy and spectrum_bounds match the full matrix. H is the
+    reference's Kronecker matrix, since to_dense and the blocks are built
+    from the same compiled groups."""
     h = _ham(terms, n)
-    dense = to_dense(h)
+    dense = ref.hamiltonian_matrix(terms, n)
     full = np.linalg.eigvalsh(dense)
     tol = 1e-10 * max(1.0, sum(abs(c) for c, _ in terms))
     symmetry, mirror = oracle._symmetries(h)
@@ -181,7 +185,7 @@ def _check_sectors(terms, n):
     assert sum(len(b) for b in blocks) == 1 << n
     for block in blocks:
         assert block.shape[0] == block.shape[1] > 0
-        assert block.dtype == dense.dtype
+        assert block.dtype == to_dense(h).dtype
     spectra = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     np.testing.assert_allclose(spectra, full, rtol=0.0, atol=tol)
     assert ground_energy(h) == pytest.approx(float(full[0]), abs=tol)
@@ -316,7 +320,8 @@ def test_one_ulp_off_the_mirror_leaves_two_half_blocks(monkeypatch):
     terms[9] = PauliTerm(float(np.nextafter(terms[9].coefficient, 0.0)), terms[9].axes)
     h = PauliHamiltonian(10, tuple(terms))
     assert oracle._symmetries(h) == (_masks("X" * 10), False)
-    full = np.linalg.eigvalsh(to_dense(h))
+    pairs = [(t.coefficient, t.axis_string) for t in terms]
+    full = np.linalg.eigvalsh(ref.hamiltonian_matrix(pairs, 10))
     shapes = _eigvalsh_shapes(monkeypatch)
     lo, hi = spectrum_bounds(h)
     assert shapes == [(512, 512)] * 2
@@ -331,6 +336,20 @@ def test_twelve_qubit_tfim_at_the_dense_cap(monkeypatch):
     assert ground_energy(h) == pytest.approx(want, abs=1e-9)
     assert shapes == [(m, m) for m in (1056, 1024, 992, 1024)]
     assert ground_energy_iterative(h) == pytest.approx(want, abs=1e-9)
+
+
+def test_ten_qubit_dense_route_builds_only_the_representatives_rows():
+    # The full 1024 x 1024 matrix alone is 8 MiB; the 272 representatives'
+    # rows are 2.1 MiB and the four parts gathered from them 2.3 MiB.
+    h = transverse_field_ising(10, 0.9)
+    ground_energy(h)  # the cached group tables are not counted
+    tracemalloc.start()
+    try:
+        ground_energy(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_group_tables_are_built_once_and_read_only():

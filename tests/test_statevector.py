@@ -12,14 +12,10 @@ from hqcnn.statevector import (
     _cnot_rows,
     _h_rows,
     _product_rows,
-    _rx_rows,
     _ry_rows,
-    _rz_rows,
     apply_cnot,
     apply_h,
-    apply_rx,
     apply_ry,
-    apply_rz,
     expect_z,
     norm,
     zero_state,
@@ -162,9 +158,7 @@ def test_kernels_return_fresh_rows(rng):
         for q in range(n):
             for out in (
                 _h_rows(cols, q),
-                _rx_rows(cols, q, c, s),
                 _ry_rows(cols, q, c, s),
-                _rz_rows(cols, q, c, s),
                 _cnot_rows(cols, perm),
             ):
                 assert out.shape == cols.shape
@@ -204,17 +198,13 @@ def test_product_rows_multiply_in_qubit_order(n, points, seed):
 
 def _random_gate(rng, n):
     """(name, args, dense unitary) for one uniformly chosen gate."""
-    kind = rng.integers(0, 5)
+    kind = rng.integers(0, 3)
     q = int(rng.integers(0, n))
     theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
     if kind == 0:
         return ("h", (q,), ref.lift(ref.H, q, n))
     if kind == 1:
-        return ("rx", (q, theta), ref.lift(ref.rx(theta), q, n))
-    if kind == 2:
         return ("ry", (q, theta), ref.lift(ref.ry(theta), q, n))
-    if kind == 3:
-        return ("rz", (q, theta), ref.lift(ref.rz(theta), q, n))
     if n == 1:
         return ("h", (q,), ref.lift(ref.H, q, n))
     t = int(rng.integers(0, n))
@@ -225,9 +215,7 @@ def _random_gate(rng, n):
 
 _APPLY = {
     "h": apply_h,
-    "rx": apply_rx,
     "ry": apply_ry,
-    "rz": apply_rz,
     "cnot": apply_cnot,
 }
 
