@@ -3,11 +3,10 @@
 Two routes to the smallest eigenvalue, both on the compiled flip-mask
 groups of :func:`hqcnn.pauli.compile_hamiltonians`:
 
-* ``ground_energy`` and ``spectrum_bounds`` write the groups into the
-  rows of the dense matrix that its symmetry sectors read, or into the
-  full matrix (``to_dense``) where there is no symmetry, and call the
-  symmetric eigensolver on each sector. Exact up to LAPACK rounding,
-  limited to ``DENSE_MAX_QUBITS``. The matrix is real for real symmetric
+* ``ground_energy`` and ``spectrum_bounds`` scatter the groups straight
+  into the blocks of H's symmetry sectors, one block at a time, and call
+  the symmetric eigensolver on each. Exact up to LAPACK rounding,
+  limited to ``DENSE_MAX_QUBITS``. The blocks are real for real symmetric
   H (every string has an even number of Y factors, as in the TFIM and
   molecular Jordan-Wigner Hamiltonians), so LAPACK's real symmetric
   solver runs; otherwise the complex Hermitian one.
@@ -32,16 +31,18 @@ real. The open chain's mirror symmetry, the qubit reversal R: q -> n-1-q,
 splits H further where it commutes with H (the terms, duplicates summed,
 map onto themselves with equal coefficients) and with S (reversing S gives
 S), as exact diagonalization splits by lattice symmetries (Sandvik,
-arXiv:1101.3281). The blocks are then those of the four joint sectors of
-S and R, one per character of the group they generate: at n = 10 the TFIM
-solves blocks of 272, 256, 240 and 256 rows instead of two of 512, and at
-n = 12 blocks of 1056, 1024, 992 and 1024 instead of two of 2048, about a
-sixteenth of the work of one full-size eigensolve. ``_group`` builds each
-block's index tables from the group alone and caches them, so only H's
-rows at the representatives, built from the groups, and their gather and
-sums run per Hamiltonian. With only one of S and R there are two blocks,
-and with neither one, the full matrix. ``ground_state`` returns a
-full-register eigenvector and so stays on the full matrix.
+arXiv:1101.3281). The blocks are then those of the joint sectors of S
+and R, one per character of the group G they generate: at n = 10 the
+TFIM solves blocks of 272, 256, 240 and 256 rows instead of two of 512,
+and at n = 12 blocks of 1056, 1024, 992 and 1024 instead of two of 2048,
+about a sixteenth of the work of one full-size eigensolve. ``_sectors``
+builds each sector's index tables from G alone and caches them; with no
+symmetry G is {I} and its one block is H, by the same code. Per
+Hamiltonian, each block is scattered from the groups at the sector's
+representatives, a bounded slice of the groups at a time, and scaled by
+row once, so no row of H wider than a block is built. ``ground_state``
+returns a full-register eigenvector and so stays on the full matrix
+(``to_dense``).
 
 ``ground_energy`` takes the dense route up to ``DENSE_MAX_QUBITS`` and the
 Lanczos route above it.
@@ -58,7 +59,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,7 +69,6 @@ from .pauli import (
     PauliHamiltonian,
     PauliTerm,
     _apply_hamiltonian_rows,
-    _group_rows,
     _parity_signs,
     _string_masks,
     compile_hamiltonians,
@@ -188,34 +187,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Index tables of the sectors of G (see ``_group``).
-
-    ``reps`` are the orbit representatives r, and ``scale`` holds the
-    factors f(r) = sqrt(|K| / |stab(r)|) that are not 1, at the positions
-    ``scaled``. For the classes q of elements that permute indices alike,
-    ``targets`` holds g_q(r) and ``weights`` s_q(r) f(r), both indexed
-    [r, q]; ``weights`` is None when all are 1. Per sector,
-    ``characters`` holds chi(g_q) for each class and ``kept`` the
-    ``np.ix_`` of the kept representatives' positions, None for all.
-    """
-
-    reps: np.ndarray
-    scaled: np.ndarray
-    scale: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray | None
-    characters: tuple[np.ndarray, ...]
-    kept: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
-
-
 @lru_cache(maxsize=64)
-def _group(n: int, symmetry: tuple[int, int] | None, mirror: bool) -> _Group:
-    """Tables for the group G generated by S (if ``symmetry``) and the qubit
-    reversal R (if ``mirror``), one sector per character chi of G. They
+def _sectors(n: int, symmetry: tuple[int, int] | None, mirror: bool):
+    """Read-only tables (reps, scale, pos, amp) of each sector of the group
+    G generated by S (if ``symmetry``) and the qubit reversal R (if
+    ``mirror``), one per character chi of G that keeps any state. They
     depend on no coefficient, so each register size and symmetry builds
-    them once.
+    them once. With neither, G = {I}: one sector, each index its own r.
 
     Every g in G is a signed permutation of basis states, g|y> = s_g(y)
     |g(y)>, with s_g real: S has an even number of Y factors and R only
@@ -223,12 +201,11 @@ def _group(n: int, symmetry: tuple[int, int] | None, mirror: bool) -> _Group:
     orbit), w = sum_g chi(g) g|r> spans the sector's share of the orbit,
     and |w|^2 = |G| T(r) with T(r) the sum of chi(g) s_g(r) over the g
     that fix r: |stab(r)|, or 0, and then r is dropped from the sector.
-    Since H commutes with G, <w_k|H|w_l> = |G| sum_g chi(g) s_g(r_l)
-    H[r_k, g(r_l)]. The elements K that move no index (a diagonal S) add
-    the same on kept columns, so one element g_q per permutation class
-    does with weight |K|, and the block is
-
-        B[k, l] = f(r_k) f(r_l) sum_q chi(g_q) s_q(r_l) H[r_k, g_q(r_l)].
+    ``reps`` are the kept r and ``scale`` their factors sqrt(|G| / T(r)).
+    For each basis index c, ``pos[c]`` is the position in ``reps`` of c's
+    representative r, and ``amp[c]`` is c's amplitude in the normalized
+    u = w / sqrt(|G| T(r)), taken as w[c] sqrt(|G| / T(r)) / |G|, zero on
+    the orbits that the sector drops.
     """
     dim = 1 << n
     index = np.arange(dim)
@@ -245,68 +222,63 @@ def _group(n: int, symmetry: tuple[int, int] | None, mirror: bool) -> _Group:
     elements = [(index, np.ones(dim))]
     for perm, sign in generators:
         elements += [(perm[p], s * sign[p]) for p, s in elements]
-    perms = np.array([p for p, _ in elements])
-    reps = np.flatnonzero(perms.min(axis=0) == index)
-    images = perms[:, reps]
-    signs = np.array([s[reps] for _, s in elements])
-    fixed = images == reps
-    classes: list[int] = []  # first element of each permutation class
-    for b in range(len(elements)):
-        if not any(np.array_equal(images[q], images[b]) for q in classes):
-            classes.append(b)
-    scale = np.sqrt(len(elements) / len(classes) / fixed.sum(axis=0))
-    characters, kept = [], []
-    for c in range(len(elements)):
-        chi = np.array([(-1.0) ** (b & c).bit_count() for b in range(len(elements))])
-        keep = np.where(fixed, chi[:, None] * signs, 0.0).sum(axis=0) > 0.5
+    size = len(elements)
+    orbit = np.min([p for p, _ in elements], axis=0)  # each index's representative
+    reps = np.flatnonzero(orbit == index)
+    sectors = []
+    for c in range(size):
+        w = np.zeros(dim)  # sum over r of the unnormalized w at every index
+        for b, (perm, sign) in enumerate(elements):
+            np.add.at(w, perm[reps], (-1.0) ** (b & c).bit_count() * sign[reps])
+        keep = w[reps] > 0.5  # w[r] = T(r)
         if keep.any():
-            characters.append(_frozen(chi[classes]))
-            at = np.flatnonzero(keep)
-            kept.append(None if keep.all() else tuple(map(_frozen, np.ix_(at, at))))
-    scaled = np.flatnonzero(scale != 1.0)
-    weights = (signs[classes] * scale).T
-    return _Group(
-        reps=_frozen(reps),
-        scaled=_frozen(scaled),
-        scale=_frozen(scale[scaled]),
-        targets=_frozen(images[classes].T.copy()),
-        weights=None if (weights == 1.0).all() else _frozen(weights.copy()),
-        characters=tuple(characters),
-        kept=tuple(kept),
-    )
+            kept = reps[keep]
+            scale = np.sqrt(size / w[kept])
+            pos = np.zeros(dim, dtype=np.intp)
+            pos[kept] = np.arange(kept.size)
+            factor = np.zeros(dim)
+            factor[kept] = scale / size
+            sectors.append(tuple(map(_frozen, (kept, scale, pos[orbit], w * factor[orbit]))))
+    return tuple(sectors)
+
+
+# Most entries in one (groups, rows) array of a block's scatter, 512 KiB of
+# float64; the TFIM's n + 1 groups fit one slice up to the 12-qubit cap.
+_SCATTER_ENTRIES = 1 << 16
 
 
 def _sector_blocks(h: PauliHamiltonian) -> Iterator[np.ndarray]:
     """H's diagonal blocks in the joint eigenspaces of S and of the qubit
-    reversal R, as far as ``_symmetries`` finds them, or H alone with
-    neither. The blocks' spectra together are H's, and each block has H's
-    dtype. Blocks are made one at a time, as they are consumed."""
+    reversal R, as far as ``_symmetries`` finds them; with neither, the
+    one block is H. The blocks' spectra together are H's, and each block
+    has H's dtype. Blocks are made one at a time, as they are consumed.
+
+    Since H commutes with G, B[k, l] = <u_k|H|u_l> is
+    sqrt(|G| / T(r_k)) <r_k|H|u_l> = sqrt(|G| / T(r_k)) sum_m w_m[r_k]
+    u_l[r_k ^ m], over the compiled groups' flip masks m and weights w_m:
+    a scatter of the groups at the representatives, then one row scale.
+    The scatter's (groups, rows) arrays take the groups a slice at a time,
+    at most ``_SCATTER_ENTRIES`` entries each, so that however many flip
+    masks H has, the scatter adds no more than a few such slices.
+    """
     if h.n_qubits > DENSE_MAX_QUBITS:
         raise ValueError(f"dense route limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}")
-    symmetry, mirror = _symmetries(h)
-    if symmetry is None and not mirror:
-        yield to_dense(h)
-        return
-    group = _group(h.n_qubits, symmetry, mirror)
-    # Only the representatives' rows are read, so only they are built.
-    rows = _group_rows(compile_hamiltonians((h,)).groups, h.n_qubits, 1, group.reps)[0]
-    m, width = group.targets.shape
-    if width == 1:
-        # G moves no index (a diagonal S): every index is its own orbit,
-        # every factor is 1, and the one part is H itself.
-        parts = rows
-    else:
-        if group.scaled.size:
-            rows[group.scaled] *= group.scale[:, None]
-        # parts[k, l, q] = H[r_k, g_q(r_l)] s_q(r_l) f(r_k) f(r_l)
-        parts = rows.take(group.targets, axis=1)
-        del rows
-        if group.weights is not None:
-            parts *= group.weights
-        parts = parts.reshape(m * m, width)
-    for characters, kept in zip(group.characters, group.kept):
-        block = parts if width == 1 else (parts @ characters).reshape(m, m)
-        yield block if kept is None else block[kept]
+    groups = compile_hamiltonians((h,)).groups
+    # A group's flip index at 0 is its mask; the diagonal group has mask 0.
+    masks = np.array([0 if flip is None else flip[0] for flip, _ in groups], dtype=np.intp)
+    weights = [w.ravel() for _, w in groups]
+    dtype = np.result_type(np.float64, *weights)
+    for reps, scale, pos, amp in _sectors(h.n_qubits, *_symmetries(h)):
+        rows = np.arange(reps.size)
+        block = np.zeros((reps.size, reps.size), dtype=dtype)
+        step = max(1, _SCATTER_ENTRIES // reps.size)  # groups per scatter
+        for lo in range(0, len(groups), step):
+            cols = reps ^ masks[lo : lo + step, None]  # r_k ^ m, indexed [group, k]
+            at = np.array([w[reps] for w in weights[lo : lo + step]], dtype=dtype)
+            at *= amp[cols]
+            np.add.at(block, (rows, pos[cols]), at)
+        block *= scale[:, None]
+        yield block
 
 
 def ground_energy(h: PauliHamiltonian) -> float:

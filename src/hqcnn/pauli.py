@@ -16,8 +16,8 @@ network's real states, strings with an odd number of Y factors
 contribute exactly zero and are left out. On registers of at most
 ``statevector._TILE_QUBITS`` qubits, the size of the network's dense
 layers, the compiled form also keeps Re(H) as one small dense matrix per
-Hamiltonian, built from the groups, and H v on real columns is one
-batched matmul.
+Hamiltonian, built from the groups when first read, and H v on real
+columns is one batched matmul.
 The compiled form is the one place where strings become matrix entries,
 and ``_group_rows`` writes its groups into any rows of the dense matrix.
 ``to_dense`` builds the full matrix that way, for small registers only;
@@ -45,7 +45,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -250,19 +250,27 @@ class CompiledHamiltonian:
     holds their real parts for real columns, leaving out groups whose real
     part vanishes: an odd-Y string is imaginary and antisymmetric, so its
     quadratic form on a real vector is exactly zero.
-
-    At n <= ``_TILE_QUBITS``, where the network's training pass runs on
-    dense layer matrices, ``real_dense`` is the (count, 2**n, 2**n) stack
-    of those real parts as matrices, built from ``real_groups`` (entry
-    [j, i, i ^ m] is w_m[i] of Hamiltonian j), so that H on real columns
-    is one batched matmul; above, it is None and H v reads the groups.
     """
 
     n_qubits: int
     count: int
     groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
     real_groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
-    real_dense: np.ndarray | None
+
+    @cached_property
+    def real_dense(self) -> np.ndarray | None:
+        """At n <= ``_TILE_QUBITS``, where the network's training pass runs
+        on dense layer matrices, the read-only (count, 2**n, 2**n) stack of
+        the real parts as matrices, built from ``real_groups`` on first
+        read (entry [j, i, i ^ m] is w_m[i] of Hamiltonian j), so that H on
+        real columns is one batched matmul; above, None, and H v reads the
+        groups."""
+        if self.n_qubits > _TILE_QUBITS:
+            return None
+        index = np.arange(1 << self.n_qubits)
+        dense = _group_rows(self.real_groups, self.n_qubits, self.count, index)
+        dense.setflags(write=False)
+        return dense
 
 
 def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
@@ -298,11 +306,7 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
         groups.append((flip, real + imag * 1j if np.any(imag) else real))
         if np.any(real):
             real_groups.append((flip, real))
-    real_dense = None
-    if n <= _TILE_QUBITS:
-        real_dense = _group_rows(real_groups, n, len(hs), index)
-        real_dense.setflags(write=False)
-    return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups), real_dense)
+    return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups))
 
 
 @lru_cache(maxsize=256)

@@ -290,6 +290,7 @@ def test_no_symmetry_falls_back_to_one_block():
     symmetry, mirror, blocks = _check_sectors(terms, 1)
     assert symmetry is None and not mirror
     assert len(blocks) == 1
+    assert np.array_equal(blocks[0], to_dense(_ham(terms, 1)))
     assert ground_energy(_ham(terms, 1)) == pytest.approx(-np.sqrt(2.0), abs=1e-15)
 
 
@@ -338,32 +339,52 @@ def test_twelve_qubit_tfim_at_the_dense_cap(monkeypatch):
     assert ground_energy_iterative(h) == pytest.approx(want, abs=1e-9)
 
 
-def test_ten_qubit_dense_route_builds_only_the_representatives_rows():
-    # The full 1024 x 1024 matrix alone is 8 MiB; the 272 representatives'
-    # rows are 2.1 MiB and the four parts gathered from them 2.3 MiB.
+@pytest.mark.parametrize(
+    "h",
+    [
+        transverse_field_ising(6, 0.9),  # S and the mirror
+        _ham([(0.7, "XYZ"), (0.4, "YIX"), (1.1, "ZZI"), (0.3, "IXY")], 3),  # complex
+    ],
+)
+def test_scatter_in_slices_gives_the_same_blocks(h, monkeypatch):
+    whole = list(oracle._sector_blocks(h))
+    monkeypatch.setattr(oracle, "_SCATTER_ENTRIES", 1)  # one group per slice
+    sliced = list(oracle._sector_blocks(h))
+    assert len(sliced) == len(whole)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+
+def test_empty_hamiltonian_solves_by_sector():
+    h = PauliHamiltonian(3, ())
+    assert sum(len(b) for b in oracle._sector_blocks(h)) == 8
+    assert spectrum_bounds(h) == (0.0, 0.0)
+
+
+def test_ten_qubit_dense_route_builds_no_rows_wider_than_a_block():
+    # The full 1024 x 1024 matrix alone is 8 MiB, and the 272
+    # representatives' full-width rows 2.1 MiB; the largest block is
+    # 272 x 272, 0.56 MiB.
     h = transverse_field_ising(10, 0.9)
-    ground_energy(h)  # the cached group tables are not counted
+    ground_energy(h)  # the cached sector tables are not counted
     tracemalloc.start()
     try:
         ground_energy(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < 2 * 2**20
 
 
-def test_group_tables_are_built_once_and_read_only():
-    oracle._group.cache_clear()
+def test_sector_tables_are_built_once_and_read_only():
+    oracle._sectors.cache_clear()
     oracle._string_symmetries.cache_clear()
     for a in (0.3, 0.8, 1.4):
         ground_energy(transverse_field_ising(4, a))
-    assert oracle._group.cache_info().misses == 1
+    assert oracle._sectors.cache_info().misses == 1
     assert oracle._string_symmetries.cache_info().misses == 1
-    group = oracle._group(4, _masks("XXXX"), True)
-    arrays = [group.reps, group.scaled, group.scale, group.targets]
-    arrays += [w for w in group.weights if w is not None]
-    arrays += [a for kept in group.kept if kept is not None for a in kept]
-    assert all(not a.flags.writeable for a in arrays)
+    sectors = oracle._sectors(4, _masks("XXXX"), True)
+    assert len(sectors) == 4
+    assert all(not a.flags.writeable for sector in sectors for a in sector)
 
 
 # ---------------------------------------------------------------------------
