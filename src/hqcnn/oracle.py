@@ -10,13 +10,15 @@ groups of :func:`hqcnn.pauli.compile_hamiltonians`:
   H (every string has an even number of Y factors, as in the TFIM and
   molecular Jordan-Wigner Hamiltonians), so LAPACK's real symmetric
   solver runs; otherwise the complex Hermitian one.
-* ``ground_energy_iterative`` never materializes the matrix: it wraps the
-  compiled Hamiltonian's matrix-free product in a LinearOperator and runs
-  Lanczos (shift-free, smallest-algebraic), on float64 vectors when every
-  compiled weight is real and on complex ones otherwise. The two routes
-  share the decoding of the strings, so agreement between them checks the
-  eigensolvers and the sector projection; the test suite's
-  Kronecker-product matrix is the independent check of the decoding.
+* ``ground_energy_iterative`` never materializes the matrix: it runs a
+  thick-restart Lanczos, written here in numpy, on the compiled
+  Hamiltonian's matrix-free product (shift-free, smallest eigenvalue,
+  ARPACK's tol = 0 stopping test), on float64 vectors when every compiled
+  weight is real and on complex ones otherwise. Its memory is a basis of
+  ``_NCV`` + 1 vectors and a few more. The two routes share the decoding
+  of the strings, so agreement between them checks the eigensolvers and
+  the sector projection; the test suite's Kronecker-product matrix is the
+  independent check of the decoding, and scipy's ARPACK that of Lanczos.
 
 Symmetry sectors: if a Pauli string S other than I commutes with every
 term, H is block-diagonal in S's +1 and -1 eigenspaces, each of dimension
@@ -39,8 +41,8 @@ about a sixteenth of the work of one full-size eigensolve. ``_sectors``
 builds each sector's index tables from G alone and caches them; with no
 symmetry G is {I} and its one block is H, by the same code. Per
 Hamiltonian, each block is scattered from the groups at the sector's
-representatives, a bounded slice of the groups at a time, and scaled by
-row once, so no row of H wider than a block is built. ``ground_state``
+representatives, one group at a time, and scaled by row once, so no
+row of H wider than a block is built. ``ground_state``
 returns a full-register eigenvector and so stays on the full matrix
 (``to_dense``).
 
@@ -78,19 +80,19 @@ from .statevector import MAX_QUBITS, StateVector
 
 
 class EigensolverError(RuntimeError):
-    """An eigensolver failed: LAPACK or ARPACK raised, the iteration did not
-    converge, or an eigenvalue came out non-finite."""
+    """An eigensolver failed: LAPACK raised, a block or the Lanczos
+    products overflowed, Lanczos did not converge within its restart cap,
+    or an eigenvalue came out non-finite."""
 
 
 @contextmanager
-def _solver_errors(route: str, *errors: type[Exception]):
-    """Turn a LAPACK, floating-point or other listed failure inside
-    ``route`` into an :class:`EigensolverError`; overflow and invalid
-    values raise."""
+def _solver_errors(route: str):
+    """Turn a LAPACK or floating-point failure inside ``route`` into an
+    :class:`EigensolverError`; overflow and invalid values raise."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (np.linalg.LinAlgError, FloatingPointError, *errors) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise EigensolverError(f"{route} failed: {exc}") from exc
 
 
@@ -242,11 +244,6 @@ def _sectors(n: int, symmetry: tuple[int, int] | None, mirror: bool):
     return tuple(sectors)
 
 
-# Most entries in one (groups, rows) array of a block's scatter, 512 KiB of
-# float64; the TFIM's n + 1 groups fit one slice up to the 12-qubit cap.
-_SCATTER_ENTRIES = 1 << 16
-
-
 def _sector_blocks(h: PauliHamiltonian) -> Iterator[np.ndarray]:
     """H's diagonal blocks in the joint eigenspaces of S and of the qubit
     reversal R, as far as ``_symmetries`` finds them; with neither, the
@@ -257,26 +254,22 @@ def _sector_blocks(h: PauliHamiltonian) -> Iterator[np.ndarray]:
     sqrt(|G| / T(r_k)) <r_k|H|u_l> = sqrt(|G| / T(r_k)) sum_m w_m[r_k]
     u_l[r_k ^ m], over the compiled groups' flip masks m and weights w_m:
     a scatter of the groups at the representatives, then one row scale.
-    The scatter's (groups, rows) arrays take the groups a slice at a time,
-    at most ``_SCATTER_ENTRIES`` entries each, so that however many flip
-    masks H has, the scatter adds no more than a few such slices.
+    A group puts one entry in each row k, so no two of its entries share
+    a cell, and one fancy-index add per group adds every cell's terms in
+    group order, as ``np.add.at`` would, with no array wider than a row
+    of the block beside the block itself.
     """
     if h.n_qubits > DENSE_MAX_QUBITS:
         raise ValueError(f"dense route limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}")
     groups = compile_hamiltonians((h,)).groups
-    # A group's flip index at 0 is its mask; the diagonal group has mask 0.
-    masks = np.array([0 if flip is None else flip[0] for flip, _ in groups], dtype=np.intp)
-    weights = [w.ravel() for _, w in groups]
-    dtype = np.result_type(np.float64, *weights)
+    dtype = np.result_type(np.float64, *(w for _, w in groups))
     for reps, scale, pos, amp in _sectors(h.n_qubits, *_symmetries(h)):
         rows = np.arange(reps.size)
         block = np.zeros((reps.size, reps.size), dtype=dtype)
-        step = max(1, _SCATTER_ENTRIES // reps.size)  # groups per scatter
-        for lo in range(0, len(groups), step):
-            cols = reps ^ masks[lo : lo + step, None]  # r_k ^ m, indexed [group, k]
-            at = np.array([w[reps] for w in weights[lo : lo + step]], dtype=dtype)
-            at *= amp[cols]
-            np.add.at(block, (rows, pos[cols]), at)
+        for flip, weights in groups:
+            # A group's flip index at 0 is its mask; the diagonal's is 0.
+            cols = reps if flip is None else reps ^ flip[0]  # r_k ^ m
+            block[rows, pos[cols]] += weights.ravel()[reps] * amp[cols]
         block *= scale[:, None]
         yield block
 
@@ -308,57 +301,109 @@ def spectrum_bounds(h: PauliHamiltonian) -> tuple[float, float]:
 
 
 def ground_energy_iterative(h: PauliHamiltonian) -> float:
-    """Smallest eigenvalue via Lanczos on the matrix-free operator, to
-    machine precision (ARPACK's tol = 0). Raises :class:`EigensolverError`
-    if the coefficients' absolute sum overflows, ARPACK fails, the
-    iteration does not converge or the eigenvalue is not finite, rather
-    than returning a silently inaccurate value. Registers above
-    ``MAX_QUBITS`` are refused: their state vectors alone would need
-    gigabytes.
+    """Smallest eigenvalue by thick-restart Lanczos on the matrix-free
+    operator, to machine precision (ARPACK's tol = 0 test). Raises
+    :class:`EigensolverError` if the coefficients' absolute sum overflows,
+    the iteration does not converge within ``_MAX_RESTARTS`` restarts or
+    the eigenvalue is not finite, rather than returning a silently
+    inaccurate value. Registers above ``MAX_QUBITS`` are refused: their
+    state vectors alone would need gigabytes.
     """
-    # Imported on first use: importing scipy.sparse makes numpy's f2py parse
-    # SOURCE_DATE_EPOCH with int(), so at module level a bad value would end
-    # every command in a traceback before the CLI could report it.
-    import scipy.sparse.linalg
-
     if h.n_qubits > MAX_QUBITS:
         raise ValueError(f"Lanczos limited to {MAX_QUBITS} qubits, got {h.n_qubits}")
-    # The coefficients' absolute sum bounds |H v| for a unit v. Past the
-    # float range ARPACK can overflow inside its Fortran loop unseen and
-    # return a wrong finite value (0.0 for a 2-qubit TFIM at field 1e308).
+    # The coefficients' absolute sum bounds |H v| for a unit v; past the
+    # float range the products would overflow.
     bound = sum(abs(term.coefficient) for term in h.terms)
     if not np.isfinite(bound):
         raise EigensolverError("Lanczos needs a finite sum of |coefficients|")
-    # Lanczos runs on H / 2**e, 2**(e-1) <= bound < 2**e, so that ARPACK
-    # stays in range (it returned NaN near 1e308); a power of two scales
+    # Lanczos runs on H / 2**e, 2**(e-1) <= bound < 2**e, so that its sums
+    # stay in range near the ends of the float range; a power of two scales
     # every coefficient, product and sum exactly, barring underflow.
     exponent = math.frexp(bound)[1]
     scaled = tuple(PauliTerm(math.ldexp(t.coefficient, -exponent), t.axes) for t in h.terms)
     dim = 1 << h.n_qubits
-    with _solver_errors("Lanczos", scipy.sparse.linalg.ArpackError):
+    with _solver_errors("Lanczos"):
         compiled = compile_hamiltonians((PauliHamiltonian(h.n_qubits, scaled),))
-        # Real weights make a real symmetric operator, which eigsh solves by
-        # the symmetric Lanczos instead of the complex Arnoldi route.
+        # Real weights make a real symmetric operator, which real vectors
+        # span; otherwise the basis is complex.
         real = not any(np.iscomplexobj(w) for _, w in compiled.groups)
-        dtype = np.float64 if real else np.complex128
+        rng = np.random.default_rng(7)
+        v0 = rng.standard_normal(dim)
+        if not real:
+            v0 = v0 + 1j * rng.standard_normal(dim)
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            cols = np.asarray(v, dtype=dtype).reshape(dim, 1)
-            return _apply_hamiltonian_rows(compiled, cols)[:, 0]
+            return _apply_hamiltonian_rows(compiled, v.reshape(dim, 1)).reshape(dim)
 
-        if dim == 2:
-            # Lanczos needs k < dim; a 2x2 problem is cheaper dense anyway.
-            m = np.column_stack([matvec(col) for col in np.eye(2, dtype=dtype)])
-            values = np.linalg.eigvalsh(m)[:1]
-        else:
-            op = scipy.sparse.linalg.LinearOperator(shape=(dim, dim), matvec=matvec, dtype=dtype)
-            rng = np.random.default_rng(7)
-            v0 = rng.standard_normal(dim)
-            if not real:
-                v0 = v0 + 1j * rng.standard_normal(dim)
-            values = scipy.sparse.linalg.eigsh(
-                op, k=1, which="SA", tol=0.0, v0=v0, return_eigenvectors=False
-            )
-        values = np.ldexp(values, exponent)
-    _check_finite(values, "Lanczos")
-    return float(values[0])
+        value = np.ldexp(_lanczos(matvec, v0), exponent)
+    _check_finite(value, "Lanczos")
+    return float(value)
+
+
+# The Lanczos basis size (ARPACK's default NCV for one eigenvalue), the
+# Ritz vectors each thick restart keeps, the restarts before giving up,
+# and the most entries of a restart's rotation at a time (512 KiB of
+# float64: 6553 columns of the kept vectors).
+_NCV = 20
+_KEEP = 10
+_MAX_RESTARTS = 1000
+_ROTATION_ENTRIES = 1 << 16
+_EPS = 2.0**-53  # unit roundoff: LAPACK's dlamch('E'), ARPACK's tol = 0
+
+
+def _lanczos(matvec, v0: np.ndarray) -> np.float64:
+    """Smallest eigenvalue of the Hermitian operator ``matvec`` by
+    thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    2000) from ``v0``, in ``v0``'s dtype.
+
+    The basis holds ``_NCV`` orthonormal vectors and the residual's
+    direction. Each new vector is orthogonalized against the whole basis
+    by classical Gram-Schmidt, repeated once where the first pass loses
+    more than 30% of the norm (Daniel, Gragg, Kaufman & Stewart). The
+    projection T is real: the alphas and betas, and after a restart the
+    kept Ritz values and their couplings to the residual. When the basis
+    is full, the lowest Ritz value theta has converged by ARPACK's tol = 0
+    test, beta |y_last| <= eps max(eps^(2/3), |theta|); otherwise the
+    ``_KEEP`` lowest Ritz vectors and the residual start the next cycle.
+    A Krylov breakdown, a residual at rounding level or a basis that spans
+    the space, makes T's lowest eigenvalue exact.
+
+    Memory: the basis (``_NCV`` + 1 vectors), one spare vector, the
+    product and its temporaries; the restart rotates the kept vectors a
+    bounded slice of columns at a time.
+    """
+    dim = v0.size
+    basis = np.empty((_NCV + 1, dim), dtype=v0.dtype)
+    spare = np.empty(dim, dtype=v0.dtype)
+    t = np.zeros((_NCV, _NCV))
+    np.divide(v0, np.linalg.norm(v0), out=basis[0])
+    start = 0
+    for _restart in range(_MAX_RESTARTS + 1):
+        for j in range(start, _NCV):
+            w = matvec(basis[j])
+            beta = norm = np.linalg.norm(w)
+            for _pass in range(2):
+                # <v_i|w> for each basis vector; w.conj() is w itself if real.
+                overlaps = (basis[: j + 1] @ w.conj()).conj()
+                w -= np.matmul(overlaps, basis[: j + 1], out=spare)
+                t[j, j] += overlaps[j].real
+                previous, beta = beta, np.linalg.norm(w)
+                if beta > 0.717 * previous:
+                    break
+            if j + 1 == dim or beta <= _NCV * _EPS * norm:
+                return np.linalg.eigvalsh(t[: j + 1, : j + 1])[0]
+            if j + 1 < _NCV:
+                t[j, j + 1] = t[j + 1, j] = beta
+            np.divide(w, beta, out=basis[j + 1])
+        theta, y = np.linalg.eigh(t)
+        if beta * abs(y[-1, 0]) <= _EPS * max(_EPS ** (2 / 3), abs(theta[0])):
+            return theta[0]
+        step = _ROTATION_ENTRIES // _KEEP  # columns per rotation
+        for lo in range(0, dim, step):
+            basis[:_KEEP, lo : lo + step] = y[:, :_KEEP].T @ basis[:_NCV, lo : lo + step]
+        basis[_KEEP] = basis[_NCV]
+        t = np.zeros((_NCV, _NCV))
+        t[:_KEEP, :_KEEP] = np.diag(theta[:_KEEP])
+        t[_KEEP, :_KEEP] = t[:_KEEP, _KEEP] = beta * y[-1, :_KEEP]
+        start = _KEEP
+    raise EigensolverError(f"Lanczos did not converge after {_MAX_RESTARTS} restart(s)")

@@ -11,6 +11,7 @@ import dense_ref as ref
 import hqcnn.cli as cli
 import hqcnn.network as network
 import hqcnn.optimize as optimize
+import hqcnn.oracle as oracle
 import hqcnn.pauli as pauli
 from hqcnn.cli import (
     ConfigError,
@@ -729,18 +730,47 @@ class TestMain:
         assert result.stdout == ""
         assert result.stderr.startswith("config error: --bond-lengths must be distinct")
 
-    def test_dense_diag_imports_no_scipy(self, tmp_path):
-        # scipy is imported on first use by Lanczos only: importing
-        # scipy.linalg alone costs about 0.2 s of start-up. Python's import
-        # profile lists every module the command imports.
-        gen_synthetic(tmp_path, 4, (0.5, 1.0))
-        argv = ["diag", "--dataset-dir", str(tmp_path), "--bond-lengths"]
+    @pytest.mark.parametrize("command", ["diag", "compare"])
+    def test_commands_import_no_scipy(self, command, tmp_path):
+        # Importing scipy.sparse.linalg alone costs about 0.2 s of start-up
+        # and 30 MB. diag on 13 qubits takes the Lanczos route, compare the
+        # dense oracle and training. Python's import profile lists every
+        # module the command imports.
+        data = tmp_path / "d"
+        if command == "diag":
+            gen_synthetic(data, 13, (1.3,))
+            argv = ["diag", "--dataset-dir", str(data), "--bond-lengths"]
+        else:
+            gen_synthetic(data, 2, (0.5, 1.0, 1.5))
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(
+                f"dataset_dir: {data}\noutput_dir: {tmp_path / 'o'}\nvariant: both\n"
+                "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\n"
+                "seeds: 0 1\nmax_iterations: 5\n"
+            )
+            argv = ["compare", "--config", str(cfg)]
         result = _cli_subprocess(argv, module="hqcnn", PYTHONPROFILEIMPORTTIME="1")
         assert result.returncode == 0, result.stderr
-        assert len(result.stdout.splitlines()) == 3  # header and two energies
         imported = [line.split("|")[-1].strip() for line in result.stderr.splitlines()]
         assert "hqcnn.oracle" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
+        if command == "diag":
+            assert len(result.stdout.splitlines()) == 2  # header and one energy
+        else:
+            assert (tmp_path / "o" / "compare.txt").exists()
+
+    def test_diag_reports_an_unconverged_lanczos_in_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        data = tmp_path / "d"
+        gen_synthetic(data, 13, (1.3,))  # past the dense cap: Lanczos
+        monkeypatch.setattr(oracle, "_MAX_RESTARTS", 1)
+        assert main(["diag", "--dataset-dir", str(data), "--bond-lengths"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "numerical failure: bond length 1.3: Lanczos did not converge after 1 restart(s)"
+        ]
 
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_negative_seed_flag_exit_1(self, command, tfim2_dir, tmp_path, capsys):

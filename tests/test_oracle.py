@@ -16,7 +16,13 @@ from hqcnn.oracle import (
     ground_state,
     spectrum_bounds,
 )
-from hqcnn.pauli import PauliHamiltonian, PauliTerm, expectation, to_dense
+from hqcnn.pauli import (
+    PauliHamiltonian,
+    PauliTerm,
+    compile_hamiltonians,
+    expectation,
+    to_dense,
+)
 
 
 def _ham(terms, n):
@@ -99,17 +105,24 @@ def test_ten_qubit_tfim_matches_free_fermions():
     assert ground_energy(h) == pytest.approx(ref.tfim_ground_energy(10, 0.7), abs=1e-9)
 
 
-def _lanczos_dtypes(h, monkeypatch):
-    """Row dtypes the Lanczos matvec saw, and the energy it found."""
-    dtypes = set()
+def _matvecs(monkeypatch):
+    """A list that gains the rows' dtype of each Lanczos product from now."""
+    calls = []
     apply_rows = oracle._apply_hamiltonian_rows
 
     def spy(compiled, rows):
-        dtypes.add(rows.dtype)
+        calls.append(rows.dtype)
         return apply_rows(compiled, rows)
 
     monkeypatch.setattr(oracle, "_apply_hamiltonian_rows", spy)
-    return dtypes, ground_energy_iterative(h)
+    return calls
+
+
+def _lanczos_dtypes(h, monkeypatch):
+    """Row dtypes the Lanczos matvec saw, and the energy it found."""
+    calls = _matvecs(monkeypatch)
+    energy = ground_energy_iterative(h)
+    return set(calls), energy
 
 
 def test_real_hamiltonian_runs_real_lanczos(monkeypatch):
@@ -344,14 +357,27 @@ def test_twelve_qubit_tfim_at_the_dense_cap(monkeypatch):
     [
         transverse_field_ising(6, 0.9),  # S and the mirror
         _ham([(0.7, "XYZ"), (0.4, "YIX"), (1.1, "ZZI"), (0.3, "IXY")], 3),  # complex
+        # Several flip masks land in one orbit, so cells sum several groups.
+        _ham([(0.5, "XXIII"), (0.5, "IIIXX"), (0.3, "YYIII"), (0.3, "IIIYY"),
+              (-1.0, "ZIIIZ"), (0.2, "XIIIX"), (-0.7, "IXZXI")], 5),
     ],
 )
-def test_scatter_in_slices_gives_the_same_blocks(h, monkeypatch):
-    whole = list(oracle._sector_blocks(h))
-    monkeypatch.setattr(oracle, "_SCATTER_ENTRIES", 1)  # one group per slice
-    sliced = list(oracle._sector_blocks(h))
-    assert len(sliced) == len(whole)
-    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(whole, sliced))
+def test_scatter_adds_in_group_order_as_add_at(h):
+    # The blocks are bitwise those of one np.add.at over all the groups'
+    # entries, group by group, the order every cell's terms were added in.
+    groups = compile_hamiltonians((h,)).groups
+    blocks = list(oracle._sector_blocks(h))
+    sectors = oracle._sectors(h.n_qubits, *oracle._symmetries(h))
+    assert len(blocks) == len(sectors)
+    for block, (reps, scale, pos, amp) in zip(blocks, sectors):
+        want = np.zeros_like(block)
+        masks = np.array([0 if flip is None else flip[0] for flip, _ in groups])
+        cols = reps ^ masks[:, None]
+        values = np.array([w.ravel()[reps] for _, w in groups]) * amp[cols]
+        np.add.at(want, (np.arange(reps.size), pos[cols]), values)
+        want *= scale[:, None]
+        assert block.dtype == want.dtype
+        assert block.tobytes() == want.tobytes()  # every bit, zero signs too
 
 
 def test_empty_hamiltonian_solves_by_sector():
@@ -422,11 +448,115 @@ def test_lanczos_solves_where_the_dense_route_does():
     assert ground_energy_iterative(h) == pytest.approx(want, rel=1e-12)
 
 
-def test_lanczos_wraps_every_arpack_error(monkeypatch):
-    def fail(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackError(-9999)
+def test_lanczos_refuses_to_run_past_its_restart_cap(monkeypatch):
+    # The 10-qubit TFIM takes 70 to 90 products, four to seven restarts.
+    monkeypatch.setattr(oracle, "_MAX_RESTARTS", 1)
+    with pytest.raises(EigensolverError, match="did not converge after 1 restart"):
+        ground_energy_iterative(transverse_field_ising(10, 0.7))
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    with pytest.raises(EigensolverError, match="Lanczos failed") as info:
-        ground_energy_iterative(transverse_field_ising(3, 0.5))
-    assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackError)
+
+# ---------------------------------------------------------------------------
+# Lanczos against ARPACK
+# ---------------------------------------------------------------------------
+
+
+def _arpack_ground(terms, n):
+    """scipy's ARPACK at tol = 0 on the reference Kronecker matrix: its
+    symmetric Lanczos on a real matrix, its Arnoldi on a complex one.
+    Arnoldi needs k < dim - 1, so a complex 2 x 2 matrix goes to LAPACK."""
+    m = ref.hamiltonian_matrix(terms, n)
+    if not m.imag.any():
+        m = m.real
+    elif len(m) == 2:
+        return float(np.linalg.eigvalsh(m)[0])
+    op = scipy.sparse.linalg.aslinearoperator(m)
+    values = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=0.0, return_eigenvectors=False)
+    return float(values[0])
+
+
+def _random_term_set(rng, n, odd):
+    """1 to 12 random terms on n qubits, every string with an even number
+    of Y factors (a real H) or, if ``odd``, the first with an odd number
+    (a complex H)."""
+    terms = ref.random_terms(rng, n, int(rng.integers(1, 13)))
+    terms = [(c, a.replace("Y", "X", 1) if a.count("Y") % 2 else a) for c, a in terms]
+    if odd:
+        c, a = terms[0]
+        terms[0] = (c, ("X" if a[0] == "Y" else "Y") + a[1:])
+    return terms
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["real", "odd_y"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lanczos_matches_arpack(n, odd, monkeypatch):
+    rng = np.random.default_rng(10 * n + odd)
+    calls = _matvecs(monkeypatch)
+    for _ in range(4):
+        terms = _random_term_set(rng, n, odd)
+        tol = 1e-10 * sum(abs(c) for c, _ in terms)
+        energy = ground_energy_iterative(_ham(terms, n))
+        assert energy == pytest.approx(_arpack_ground(terms, n), abs=tol)
+    assert set(calls) == {np.dtype(np.complex128 if odd else np.float64)}
+
+
+# Heisenberg chain XX + YY + ZZ on 5 qubits: an odd chain's ground level is
+# a spin-1/2 doublet, so twofold degenerate.
+_HEISENBERG_5 = [(1.0, "I" * q + p + p + "I" * (3 - q)) for q in range(4) for p in "XYZ"]
+
+
+@pytest.mark.parametrize(
+    "terms, n, most",
+    [
+        # Z-only: 4 distinct diagonal values, an invariant space after 4 steps.
+        ([(0.7, "ZZIIIII"), (-0.3, "IIZIIIZ"), (0.2, "IIIIIII")], 7, 4),
+        ([], 3, 1),  # the empty H: H v = 0 at once
+        # dim <= _NCV: the basis spans the space within dim steps.
+        (ref.random_terms(np.random.default_rng(3), 2, 5), 2, 4),
+        (ref.random_terms(np.random.default_rng(4), 3, 8), 3, 8),
+        (ref.random_terms(np.random.default_rng(5), 4, 12), 4, 16),
+        (_HEISENBERG_5, 5, oracle._NCV),  # converges in the first cycle
+    ],
+    ids=["z_only", "empty", "dim4", "dim8", "dim16", "degenerate"],
+)
+def test_lanczos_breakdowns_and_a_degenerate_ground_level(terms, n, most, monkeypatch):
+    h = _ham(terms, n)
+    want = ground_energy(h)
+    if terms:
+        assert want == pytest.approx(_arpack_ground(terms, n), abs=1e-12)
+    calls = _matvecs(monkeypatch)
+    energy = ground_energy_iterative(h)
+    assert len(calls) <= most  # products: a breakdown returns at once
+    tol = 1e-10 * max(1.0, sum(abs(c) for c, _ in terms))
+    assert energy == pytest.approx(want, abs=tol)
+
+
+def test_heisenberg_ground_level_is_degenerate():
+    values = np.linalg.eigvalsh(ref.hamiltonian_matrix(_HEISENBERG_5, 5))
+    assert values[1] - values[0] < 1e-12 < values[2] - values[0]
+
+
+def test_lanczos_rotates_in_column_slices(monkeypatch):
+    # 7-qubit TFIM: 128 columns, rotated 13 at a time at this setting.
+    h = transverse_field_ising(7, 0.8)
+    whole = ground_energy_iterative(h)
+    monkeypatch.setattr(oracle, "_ROTATION_ENTRIES", 13 * oracle._KEEP)
+    assert ground_energy_iterative(h) == pytest.approx(whole, abs=1e-13)
+    assert whole == pytest.approx(ref.tfim_ground_energy(7, 0.8), abs=1e-12)
+
+
+def test_twelve_qubit_lanczos_holds_its_basis_and_a_few_vectors():
+    # The basis is _NCV + 1 vectors; the compiled TFIM one flip index and
+    # one weight vector per group (the diagonal and 12 X fields); the
+    # restart rotates at most _ROTATION_ENTRIES entries at a time; the
+    # product, its temporaries and the spare vector are a few more.
+    h = transverse_field_ising(12, 0.9)
+    ground_energy_iterative(h)
+    vector = 8 << 12
+    bound = (oracle._NCV + 1 + 2 * 13 + 6) * vector + 8 * oracle._ROTATION_ENTRIES
+    tracemalloc.start()
+    try:
+        ground_energy_iterative(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
