@@ -29,20 +29,21 @@ exactly when their symplectic product vanishes mod 2, so the candidates
 are the null space of the terms' rows over GF(2). ``_string_symmetries``
 takes the first null-space basis vector, in elimination order, with an
 even number of Y factors, which keeps S, and so every block of a real H,
-real. The open chain's mirror symmetry, the qubit reversal R: q -> n-1-q,
-splits H further where it commutes with H (the terms, duplicates summed,
-map onto themselves with equal coefficients) and with S (reversing S gives
-S), as exact diagonalization splits by lattice symmetries (Sandvik,
-arXiv:1101.3281). The blocks are then those of the joint sectors of S
+real, and caches it per list of strings. The open chain's mirror
+symmetry, the qubit reversal R: q -> n-1-q, splits H further where it
+commutes with H (the terms, duplicates summed, map onto themselves with
+equal coefficients) and with S (reversing S gives S), as exact
+diagonalization splits by lattice symmetries (Sandvik, arXiv:1101.3281).
+The blocks are then those of the joint sectors of S
 and R, one per character of the group G they generate: at n = 10 the
 TFIM solves blocks of 272, 256, 240 and 256 rows instead of two of 512,
 and at n = 12 blocks of 1056, 1024, 992 and 1024 instead of two of 2048,
 about a sixteenth of the work of one full-size eigensolve. ``_sectors``
 builds each sector's index tables from G alone and caches them; with no
-symmetry G is {I} and its one block is H, by the same code. Per
-Hamiltonian, each block is scattered from the groups at the sector's
-representatives, one group at a time, and scaled by row once, so no
-row of H wider than a block is built. ``ground_state``
+symmetry G is {I} and its one block is H, by the same code. Each block
+is ``pauli._scatter`` of the compiled groups with the sector's tables,
+the writer that also builds ``to_dense``, scaled by row once, so no row
+of H wider than a block is built. ``ground_state``
 returns a full-register eigenvector and so stays on the full matrix
 (``to_dense``).
 
@@ -71,8 +72,9 @@ from .pauli import (
     PauliHamiltonian,
     PauliTerm,
     _apply_hamiltonian_rows,
-    _parity_signs,
+    _scatter,
     _string_masks,
+    _string_signs,
     compile_hamiltonians,
     to_dense,
 )
@@ -103,15 +105,9 @@ def _check_finite(values: np.ndarray, route: str) -> None:
 
 @lru_cache(maxsize=256)
 def _string_symmetries(n: int, strings: tuple[tuple[PauliAxis, ...], ...]):
-    """What the terms' axis strings alone fix about H's symmetries:
-    (S, first, partner), cached per string list.
-
-    S is the (flip mask, Z mask) of a Pauli string S != I with an even
-    number of Y factors that commutes with every string, or None.
-    ``first[i]`` is the first term with term i's string, and
-    ``partner[i]`` the first term with its reversal, -1 for none; partner
-    is None where the qubit reversal R cannot commute with H: n < 2, or
-    reversing S does not give S.
+    """The (flip mask, Z mask) of a Pauli string S != I with an even
+    number of Y factors that commutes with every one of the terms' axis
+    ``strings``, or None; cached per string list.
 
     The masks are the compiled form's (``_string_masks``): qubit q is
     bit n-1-q, X and Y factors set the flip mask, Z and Y the Z mask. A
@@ -142,16 +138,8 @@ def _string_symmetries(n: int, strings: tuple[tuple[PauliAxis, ...], ...]):
                 vector |= 1 << bit
         flips, z_mask = vector >> n, vector & ((1 << n) - 1)
         if (flips & z_mask).bit_count() % 2 == 0:
-            symmetry = flips, z_mask
-            break
-    else:
-        symmetry = None
-    if n < 2 or symmetry is not None and any(_reversal(n)[m] != m for m in symmetry):
-        return symmetry, None, None
-    seen: dict[tuple[PauliAxis, ...], int] = {}
-    first = tuple(seen.setdefault(axes, i) for i, axes in enumerate(strings))
-    partner = tuple(seen.get(axes[::-1], -1) for axes in strings)
-    return symmetry, first, partner
+            return flips, z_mask
+    return None
 
 
 def _symmetries(h: PauliHamiltonian) -> tuple[tuple[int, int] | None, bool]:
@@ -159,18 +147,17 @@ def _symmetries(h: PauliHamiltonian) -> tuple[tuple[int, int] | None, bool]:
 
     R P R is P's axis string reversed, so R commutes with H exactly when
     the coefficient table, duplicates summed, maps onto itself with equal
-    floats under reversal.
+    floats under reversal; it cannot where n < 2 or reversing S does not
+    give S.
     """
-    symmetry, first, partner = _string_symmetries(
-        h.n_qubits, tuple(term.axes for term in h.terms)
-    )
-    if partner is None:
+    n = h.n_qubits
+    symmetry = _string_symmetries(n, tuple(term.axes for term in h.terms))
+    if n < 2 or symmetry is not None and any(_reversal(n)[m] != m for m in symmetry):
         return symmetry, False
-    merged = [0.0] * len(first)
-    for i, term in zip(first, h.terms):
-        merged[i] += term.coefficient
-    mirror = all(merged[i] == (merged[p] if p >= 0 else 0.0) for i, p in zip(first, partner))
-    return symmetry, mirror
+    table: dict[tuple[PauliAxis, ...], float] = {}
+    for term in h.terms:
+        table[term.axes] = table.get(term.axes, 0.0) + term.coefficient
+    return symmetry, all(table.get(axes[::-1], 0.0) == c for axes, c in table.items())
 
 
 @lru_cache(maxsize=DENSE_MAX_QUBITS)
@@ -214,9 +201,8 @@ def _sectors(n: int, symmetry: tuple[int, int] | None, mirror: bool):
     generators = []
     if symmetry is not None:
         flips, z_mask = symmetry
-        n_y = (flips & z_mask).bit_count()  # even, so i**n_y is +1 or -1
-        sign = _parity_signs(index, z_mask) * (-1.0 if n_y % 4 else 1.0)
-        generators.append((index ^ flips, sign))
+        n_y = (flips & z_mask).bit_count()  # even, so the phase is real
+        generators.append((index ^ flips, _string_signs(index, z_mask, n_y)))
     if mirror:
         generators.append((_reversal(n), np.ones(dim)))
     # Element b is the product of the generators whose bits b sets, so the
@@ -253,23 +239,14 @@ def _sector_blocks(h: PauliHamiltonian) -> Iterator[np.ndarray]:
     Since H commutes with G, B[k, l] = <u_k|H|u_l> is
     sqrt(|G| / T(r_k)) <r_k|H|u_l> = sqrt(|G| / T(r_k)) sum_m w_m[r_k]
     u_l[r_k ^ m], over the compiled groups' flip masks m and weights w_m:
-    a scatter of the groups at the representatives, then one row scale.
-    A group puts one entry in each row k, so no two of its entries share
-    a cell, and one fancy-index add per group adds every cell's terms in
-    group order, as ``np.add.at`` would, with no array wider than a row
-    of the block beside the block itself.
+    ``pauli._scatter`` of the groups with the sector's tables, then one
+    row scale.
     """
     if h.n_qubits > DENSE_MAX_QUBITS:
         raise ValueError(f"dense route limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}")
-    groups = compile_hamiltonians((h,)).groups
-    dtype = np.result_type(np.float64, *(w for _, w in groups))
+    compiled = compile_hamiltonians((h,))
     for reps, scale, pos, amp in _sectors(h.n_qubits, *_symmetries(h)):
-        rows = np.arange(reps.size)
-        block = np.zeros((reps.size, reps.size), dtype=dtype)
-        for flip, weights in groups:
-            # A group's flip index at 0 is its mask; the diagonal's is 0.
-            cols = reps if flip is None else reps ^ flip[0]  # r_k ^ m
-            block[rows, pos[cols]] += weights.ravel()[reps] * amp[cols]
+        block = _scatter(compiled, 0, reps, pos, amp)
         block *= scale[:, None]
         yield block
 
@@ -326,10 +303,9 @@ def ground_energy_iterative(h: PauliHamiltonian) -> float:
         compiled = compile_hamiltonians((PauliHamiltonian(h.n_qubits, scaled),))
         # Real weights make a real symmetric operator, which real vectors
         # span; otherwise the basis is complex.
-        real = not any(np.iscomplexobj(w) for _, w in compiled.groups)
         rng = np.random.default_rng(7)
         v0 = rng.standard_normal(dim)
-        if not real:
+        if compiled.dtype.kind == "c":
             v0 = v0 + 1j * rng.standard_normal(dim)
 
         def matvec(v: np.ndarray) -> np.ndarray:

@@ -12,14 +12,17 @@ a weight vector that folds every term's coefficient and sign, stored
 amplitude-major like the (2**n, points) columns of :mod:`hqcnn.statevector`.
 The same form gives H|psi> for the Lanczos oracle, on one (2**n, 1)
 column, and <psi|H|psi> and its gradient 2 Re(H) psi for training; on the
-network's real states, strings with an odd number of Y factors
-contribute exactly zero and are left out. On registers of at most
-``statevector._TILE_QUBITS`` qubits, the size of the network's dense
-layers, the compiled form also keeps Re(H) as one small dense matrix per
-Hamiltonian, built from the groups when first read, and H v on real
-columns is one batched matmul.
-The compiled form is the one place where strings become matrix entries,
-and ``_group_rows`` writes its groups into any rows of the dense matrix.
+network's real states H v reads the weights' real parts: a string with
+an odd number of Y factors is imaginary and antisymmetric, so its
+quadratic form on a real vector is exactly zero. On registers of at
+most ``statevector._TILE_QUBITS`` qubits, the size of the network's
+dense layers, the compiled form also keeps Re(H) as one small dense
+matrix per Hamiltonian, built from the groups when first read, and H v
+on real columns is one batched matmul.
+The compiled form is the one place where strings become matrix entries:
+``_string_masks`` decodes each string, ``_string_signs`` gives its sign
+on each basis state, and ``_scatter`` adds the groups into one
+Hamiltonian's matrix, or into a symmetry sector's block of it.
 ``to_dense`` builds the full matrix that way, for small registers only;
 it is real (float64) whenever H is real symmetric, as it is when every
 string has an even number of Y factors. The test suite's Kronecker
@@ -245,30 +248,29 @@ class CompiledHamiltonian:
     strings that share a mask gives (H v)[i] = sum_m w_m[i] v[i ^ m], one
     weight vector per mask and Hamiltonian. Each group is a pair (index
     i ^ m, weights of shape (2**n, count, 1)); the diagonal group (m = 0)
-    has index None. ``groups`` is the full operator; its weights are complex
-    only where a string has an odd number of Y factors. ``real_groups``
-    holds their real parts for real columns, leaving out groups whose real
-    part vanishes: an odd-Y string is imaginary and antisymmetric, so its
-    quadratic form on a real vector is exactly zero.
+    has index None. The weights are complex only where a string has an
+    odd number of Y factors, and ``dtype`` is float64 when no group's
+    weights are complex, else complex128.
     """
 
     n_qubits: int
     count: int
     groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
-    real_groups: tuple[tuple[np.ndarray | None, np.ndarray], ...]
+    dtype: np.dtype
 
     @cached_property
     def real_dense(self) -> np.ndarray | None:
         """At n <= ``_TILE_QUBITS``, where the network's training pass runs
         on dense layer matrices, the read-only (count, 2**n, 2**n) stack of
-        the real parts as matrices, built from ``real_groups`` on first
-        read (entry [j, i, i ^ m] is w_m[i] of Hamiltonian j), so that H on
+        Re(H) of each Hamiltonian, scattered from the groups on first read
+        (entry [j, i, i ^ m] is Re w_m[i] of Hamiltonian j), so that H on
         real columns is one batched matmul; above, None, and H v reads the
         groups."""
         if self.n_qubits > _TILE_QUBITS:
             return None
         index = np.arange(1 << self.n_qubits)
-        dense = _group_rows(self.real_groups, self.n_qubits, self.count, index)
+        ones = np.ones(index.size)
+        dense = np.stack([_scatter(self, j, index, index, ones).real for j in range(self.count)])
         dense.setflags(write=False)
         return dense
 
@@ -284,29 +286,25 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
         raise ValueError("Hamiltonians act on different qubit counts")
     index = np.arange(1 << n)
     # Weights by mask, split into real and imaginary parts: a string with
-    # n_y Y factors carries the phase i**n_y, real for even n_y.
+    # n_y Y factors carries the phase i**n_y, imaginary for odd n_y.
     parts: tuple[dict[int, np.ndarray], dict[int, np.ndarray]] = ({}, {})
     for j, h in enumerate(hs):
         masks = _string_masks(tuple(term.axes for term in h.terms))
         for term, (mask, z_mask, n_y) in zip(h.terms, masks):
-            # P|k> = i^n_y (-1)^(Z/Y bits of k) |k ^ mask>, so
-            # (P v)[i] = i^n_y (-1)^(Z/Y bits of i ^ mask) v[i ^ mask].
-            sign = _parity_signs(index ^ mask, z_mask)
-            phase = -1.0 if n_y % 4 >= 2 else 1.0
+            # (P v)[i] is P's sign on basis state i ^ mask times v[i ^ mask].
+            sign = _string_signs(index ^ mask, z_mask, n_y)
             weights = parts[n_y % 2].setdefault(mask, np.zeros((index.size, len(hs), 1)))
-            weights[:, j, 0] += term.coefficient * phase * sign
+            weights[:, j, 0] += term.coefficient * sign
     real_parts, imag_parts = parts
     zeros = np.zeros((index.size, len(hs), 1))
     groups = []
-    real_groups = []
     for mask in sorted(real_parts.keys() | imag_parts.keys()):
-        flip = None if mask == 0 else index ^ mask
         real = real_parts.get(mask, zeros)
         imag = imag_parts.get(mask, zeros)
-        groups.append((flip, real + imag * 1j if np.any(imag) else real))
-        if np.any(real):
-            real_groups.append((flip, real))
-    return CompiledHamiltonian(n, len(hs), tuple(groups), tuple(real_groups))
+        weights = real + imag * 1j if np.any(imag) else real
+        groups.append((None if mask == 0 else index ^ mask, weights))
+    dtype = np.result_type(np.float64, *(weights.dtype for _, weights in groups))
+    return CompiledHamiltonian(n, len(hs), tuple(groups), dtype)
 
 
 @lru_cache(maxsize=256)
@@ -326,23 +324,34 @@ def _string_masks(
     return tuple(masks)
 
 
-def _parity_signs(index: np.ndarray, z_mask: int) -> np.ndarray:
-    """(-1)**popcount(index & z_mask) per basis index, as float64: the
-    sign that the Z and Y factors of a string give each basis state."""
-    return 1.0 - 2.0 * (np.bitwise_count(index & z_mask) & 1)
+def _string_signs(index: np.ndarray, z_mask: int, n_y: int) -> np.ndarray:
+    """Per basis state k of ``index``, as float64, the real sign s(k) of a
+    string P with Z mask ``z_mask``, ``n_y`` Y factors and flip mask m,
+    P|k> = s(k) i**(n_y % 2) |k ^ m>. P's phase on k is i**n_y (-1)**popcount(k &
+    z_mask), and i**n_y is -1 or -i exactly when n_y // 2 is odd, so
+    s(k) = (-1)**(popcount(k & z_mask) + n_y // 2)."""
+    return 1.0 - 2.0 * ((np.bitwise_count(index & z_mask) + n_y // 2) & 1)
 
 
-def _group_rows(groups, n: int, count: int, at: np.ndarray) -> np.ndarray:
-    """Rows ``at`` of the matrices of ``count`` Hamiltonians on n qubits,
-    from their flip-mask ``groups``: the (count, at.size, 2**n) array whose
-    entry [j, k, at[k] ^ m] is w_m[at[k]] of Hamiltonian j, zero elsewhere,
-    complex only where a group's weights are."""
-    dtype = np.result_type(np.float64, *(weights.dtype for _, weights in groups))
-    rows = np.zeros((count, at.size, 1 << n), dtype=dtype)
-    k = np.arange(at.size)
-    for flip, weights in groups:
-        rows[:, k, at if flip is None else flip[at]] = weights[at, :, 0].T
-    return rows
+def _scatter(compiled: CompiledHamiltonian, j: int, reps, pos, amp) -> np.ndarray:
+    """Hamiltonian j's matrix at rows ``reps``, its columns folded by the
+    tables of a symmetry sector (see ``oracle._sectors``): the
+    (reps.size, reps.size) array B, in ``compiled.dtype``, with
+    B[k, pos[c]] = sum_m w_m[r_k] amp[c] over the flip masks m, c = r_k ^ m.
+    With the identity tables (reps and pos the basis indices, amp ones)
+    B is the matrix itself.
+
+    A group puts one entry in each row k, so no two of its entries share
+    a cell, and one row-indexed add per group adds every cell's terms in
+    group order, as ``np.add.at`` would, with no array wider than a row
+    of B beside B itself.
+    """
+    block = np.zeros((reps.size, reps.size), dtype=compiled.dtype)
+    rows = np.arange(reps.size)
+    for flip, weights in compiled.groups:
+        cols = reps if flip is None else flip[reps]
+        block[rows, pos[cols]] += weights[reps, j, 0] * amp[cols]
+    return block
 
 
 def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np.ndarray:
@@ -350,11 +359,11 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray)
     dtype; the columns form ``hamiltonians.count`` equal consecutive
     blocks, block j for Hamiltonian j.
 
-    Complex columns read the full ``groups``. Real columns read Re(H):
-    equal to H when H is real, and in any case symmetric with the same
-    quadratic form as H on real columns, so 2 Re(H) v is the gradient of
-    <v|H|v> by a real v. That is one batched matmul with ``real_dense``
-    where there is one, else ``real_groups``.
+    Complex columns read the full weights. Real columns read Re(H), the
+    weights' real parts: equal to H when H is real, and in any case
+    symmetric with the same quadratic form as H on real columns, so
+    2 Re(H) v is the gradient of <v|H|v> by a real v. That is one batched
+    matmul with ``real_dense`` where there is one.
     """
     blocks = cols.reshape(cols.shape[0], hamiltonians.count, -1)
     real = cols.dtype.kind != "c"
@@ -366,11 +375,10 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray)
             out=out.reshape(blocks.shape).transpose(1, 0, 2),
         )
         return out
-    groups = hamiltonians.real_groups if real else hamiltonians.groups
     out = np.zeros(blocks.shape, dtype=cols.dtype)
-    for flip, weights in groups:
+    for flip, weights in hamiltonians.groups:
         partner = blocks if flip is None else blocks.take(flip, axis=0)
-        out += partner * weights
+        out += partner * (weights.real if real else weights)
     return out.reshape(cols.shape)
 
 
@@ -399,13 +407,13 @@ def to_dense(h: PauliHamiltonian) -> np.ndarray:
     """Full 2**n x 2**n Hermitian matrix, qubit 0 as the leftmost Kronecker
     factor: float64 when its imaginary part is identically zero (every
     string with an odd number of Y factors cancels, or there is none),
-    complex128 otherwise. Built from the compiled groups, one row write
-    per flip mask, so it costs O(2**n) per group to build besides the
+    complex128 otherwise. Scattered from the compiled groups with the
+    identity tables, so it costs O(2**n) per group to build besides the
     matrix itself. Guarded to small registers; use the matrix-free path
     otherwise."""
     if h.n_qubits > DENSE_MAX_QUBITS:
         raise ValueError(
             f"to_dense limited to {DENSE_MAX_QUBITS} qubits, got {h.n_qubits}"
         )
-    groups = compile_hamiltonians((h,)).groups
-    return _group_rows(groups, h.n_qubits, 1, np.arange(1 << h.n_qubits))[0]
+    index = np.arange(1 << h.n_qubits)
+    return _scatter(compile_hamiltonians((h,)), 0, index, index, np.ones(index.size))

@@ -19,6 +19,7 @@ from hqcnn.oracle import (
 from hqcnn.pauli import (
     PauliHamiltonian,
     PauliTerm,
+    _scatter,
     compile_hamiltonians,
     expectation,
     to_dense,
@@ -378,6 +379,21 @@ def test_scatter_adds_in_group_order_as_add_at(h):
         want *= scale[:, None]
         assert block.dtype == want.dtype
         assert block.tobytes() == want.tobytes()  # every bit, zero signs too
+
+
+@settings(max_examples=100, deadline=None)
+@given(_term_sets(), st.floats(-2.0, 2.0, allow_nan=False))
+def test_trivial_sector_scatters_to_dense_bitwise(case, c):
+    # The trivial group's one sector has the identity tables, so its block,
+    # before any row scale, is to_dense(h) bit for bit, also with a
+    # repeated string and a 0.0 coefficient.
+    terms, n, _ = case
+    h = _ham(terms + [(c, terms[0][1]), (0.0, "Y" + terms[-1][1][1:])], n)
+    ((reps, _, pos, amp),) = oracle._sectors(n, None, False)
+    block = _scatter(compile_hamiltonians((h,)), 0, reps, pos, amp)
+    want = to_dense(h)
+    assert block.dtype == want.dtype
+    assert block.tobytes() == want.tobytes()
 
 
 def test_empty_hamiltonian_solves_by_sector():

@@ -253,8 +253,18 @@ def pauli_sums(draw, n):
 
 
 @st.composite
-def stacked_hamiltonians(draw):
-    n = draw(st.integers(1, 5))
+def repeated_pauli_sums(draw, n):
+    """``pauli_sums(n)`` with one of its strings repeated and a term of
+    coefficient 0.0 added."""
+    terms = draw(pauli_sums(n))
+    _, repeat = draw(st.sampled_from(terms))
+    zero = draw(st.text("IXYZ", min_size=n, max_size=n))
+    return terms + [(draw(st.floats(-2.0, 2.0, allow_nan=False)), repeat), (0.0, zero)]
+
+
+@st.composite
+def stacked_hamiltonians(draw, qubits=st.integers(1, 5)):
+    n = draw(qubits)
     count = draw(st.integers(1, 3))
     return n, [draw(pauli_sums(n)) for _ in range(count)]
 
@@ -285,12 +295,28 @@ class TestCompiled:
         for h, v, out in zip(hams, cols.T, got.T):
             assert np.max(np.abs(out - to_dense(h) @ v)) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_hamiltonians(st.just(5)), seed=st.integers(0, 2**32 - 1))
+    def test_real_matvec_on_groups_matches_dense(self, case, seed):
+        # Above _TILE_QUBITS real columns read the groups' real parts.
+        n, sums = case
+        hams = [_ham(terms, n) for terms in sums]
+        compiled = compile_hamiltonians(hams)
+        assert compiled.real_dense is None
+        cols = np.random.default_rng(seed).standard_normal((1 << n, len(hams)))
+        got = _apply_hamiltonian_rows(compiled, cols)
+        assert got.dtype == np.float64
+        for h, v, out in zip(hams, cols.T, got.T):
+            assert np.max(np.abs(out - to_dense(h).real @ v)) < 1e-12
+
     def test_odd_y_strings_drop_out_on_real_rows(self):
-        compiled = compile_hamiltonians([_ham([(0.7, "YZ"), (-1.1, "YI")], 2)])
-        assert compiled.real_groups == ()
-        assert len(compiled.groups) == 1  # both strings flip qubit 0 only
-        cols = np.random.default_rng(3).standard_normal((4, 4))
-        assert np.array_equal(_expectation_rows(compiled, cols), np.zeros(4))
+        for n in (2, 5):  # the dense stack, then the groups
+            pad = "I" * (n - 2)
+            compiled = compile_hamiltonians([_ham([(0.7, "YZ" + pad), (-1.1, "YI" + pad)], n)])
+            assert (compiled.real_dense is None) == (n == 5)
+            assert len(compiled.groups) == 1  # both strings flip qubit 0 only
+            cols = np.random.default_rng(3).standard_normal((1 << n, 4))
+            assert np.array_equal(_expectation_rows(compiled, cols), np.zeros(4))
 
 
 class TestRealDense:
@@ -325,6 +351,15 @@ class TestRealDense:
         for j, h in enumerate(hams):
             block = slice(j * rows_per, (j + 1) * rows_per)
             assert np.max(np.abs(got[:, block] - to_dense(h).real @ cols[:, block])) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 4), count=st.integers(1, 3), data=st.data())
+    def test_stack_is_to_dense_bitwise(self, n, count, data):
+        # One writer builds both, so every bit agrees, zero signs too.
+        hams = [_ham(data.draw(repeated_pauli_sums(n)), n) for _ in range(count)]
+        dense = compile_hamiltonians(hams).real_dense
+        for j, h in enumerate(hams):
+            assert dense[j].tobytes() == to_dense(h).real.tobytes()
 
     def test_only_up_to_four_qubits(self):
         assert compile_hamiltonians([_ham([(1.0, "ZZZZ")], 4)]).real_dense is not None
