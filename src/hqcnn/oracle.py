@@ -29,7 +29,7 @@ exactly when their symplectic product vanishes mod 2, so the candidates
 are the null space of the terms' rows over GF(2). ``_string_symmetries``
 takes the first null-space basis vector, in elimination order, with an
 even number of Y factors, which keeps S, and so every block of a real H,
-real, and caches it per list of strings. The open chain's mirror
+real, and caches it per list of string masks. The open chain's mirror
 symmetry, the qubit reversal R: q -> n-1-q, splits H further where it
 commutes with H (the terms, duplicates summed, map onto themselves with
 equal coefficients) and with S (reversing S gives S), as exact
@@ -68,7 +68,6 @@ import numpy as np
 
 from .pauli import (
     DENSE_MAX_QUBITS,
-    PauliAxis,
     PauliHamiltonian,
     PauliTerm,
     _apply_hamiltonian_rows,
@@ -104,10 +103,10 @@ def _check_finite(values: np.ndarray, route: str) -> None:
 
 
 @lru_cache(maxsize=256)
-def _string_symmetries(n: int, strings: tuple[tuple[PauliAxis, ...], ...]):
+def _string_symmetries(n: int, masks: tuple[tuple[int, int, int], ...]):
     """The (flip mask, Z mask) of a Pauli string S != I with an even
-    number of Y factors that commutes with every one of the terms' axis
-    ``strings``, or None; cached per string list.
+    number of Y factors that commutes with every one of the terms'
+    strings, given by their ``masks``, or None; cached per mask list.
 
     The masks are the compiled form's (``_string_masks``): qubit q is
     bit n-1-q, X and Y factors set the flip mask, Z and Y the Z mask. A
@@ -118,7 +117,7 @@ def _string_symmetries(n: int, strings: tuple[tuple[PauliAxis, ...], ...]):
     the first with an even Y count is S.
     """
     pivots: dict[int, int] = {}  # leading bit -> row, zero at every other leading bit
-    for x, z, _ in _string_masks(strings):
+    for x, z, _ in masks:
         row = z << n | x
         for bit, pivot in pivots.items():
             if row >> bit & 1:
@@ -148,16 +147,20 @@ def _symmetries(h: PauliHamiltonian) -> tuple[tuple[int, int] | None, bool]:
     R P R is P's axis string reversed, so R commutes with H exactly when
     the coefficient table, duplicates summed, maps onto itself with equal
     floats under reversal; it cannot where n < 2 or reversing S does not
-    give S.
+    give S. The table is keyed by each string's masks, which reversal
+    maps like basis indices.
     """
     n = h.n_qubits
-    symmetry = _string_symmetries(n, tuple(term.axes for term in h.terms))
-    if n < 2 or symmetry is not None and any(_reversal(n)[m] != m for m in symmetry):
+    masks = _string_masks(tuple(term.axes for term in h.terms))
+    symmetry = _string_symmetries(n, masks)
+    reverse = _reversal(n)
+    if n < 2 or symmetry is not None and any(reverse[m] != m for m in symmetry):
         return symmetry, False
-    table: dict[tuple[PauliAxis, ...], float] = {}
-    for term in h.terms:
-        table[term.axes] = table.get(term.axes, 0.0) + term.coefficient
-    return symmetry, all(table.get(axes[::-1], 0.0) == c for axes, c in table.items())
+    table: dict[tuple[int, int], float] = {}
+    for term, (x, z, _) in zip(h.terms, masks):
+        table[x, z] = table.get((x, z), 0.0) + term.coefficient
+    pairs = table.items()
+    return symmetry, all(table.get((reverse[x], reverse[z]), 0.0) == c for (x, z), c in pairs)
 
 
 @lru_cache(maxsize=DENSE_MAX_QUBITS)

@@ -12,13 +12,14 @@ a weight vector that folds every term's coefficient and sign, stored
 amplitude-major like the (2**n, points) columns of :mod:`hqcnn.statevector`.
 The same form gives H|psi> for the Lanczos oracle, on one (2**n, 1)
 column, and <psi|H|psi> and its gradient 2 Re(H) psi for training; on the
-network's real states H v reads the weights' real parts: a string with
-an odd number of Y factors is imaginary and antisymmetric, so its
-quadratic form on a real vector is exactly zero. On registers of at
-most ``statevector._TILE_QUBITS`` qubits, the size of the network's
-dense layers, the compiled form also keeps Re(H) as one small dense
-matrix per Hamiltonian, built from the groups when first read, and H v
-on real columns is one batched matmul.
+network's real states H v reads Re(H), the groups' real parts, built
+when first read as the compiled form's ``real``: a string with an odd
+number of Y factors is imaginary and antisymmetric, so its quadratic
+form on a real vector is exactly zero. On registers of at most
+``statevector._TILE_QUBITS`` qubits, the size of the network's dense
+layers, the compiled form also keeps Re(H) as one small dense matrix per
+Hamiltonian, scattered from ``real`` when first read, and H v on real
+columns is one batched matmul.
 The compiled form is the one place where strings become matrix entries:
 ``_string_masks`` decodes each string, ``_string_signs`` gives its sign
 on each basis state, and ``_scatter`` adds the groups into one
@@ -259,10 +260,25 @@ class CompiledHamiltonian:
     dtype: np.dtype
 
     @cached_property
+    def real(self) -> CompiledHamiltonian:
+        """Re(H) in the same form, built on first read: the groups' real
+        parts, contiguous (the weights themselves where they are real),
+        without the groups whose real part is zero (odd-Y strings alone).
+        H v reads it on real columns. A new form even when H is real, as
+        the form itself would make a reference cycle that only the cyclic
+        garbage collector frees."""
+        groups = tuple(
+            (flip, np.ascontiguousarray(weights.real))
+            for flip, weights in self.groups
+            if np.any(weights.real)
+        )
+        return CompiledHamiltonian(self.n_qubits, self.count, groups, np.dtype(np.float64))
+
+    @cached_property
     def real_dense(self) -> np.ndarray | None:
         """At n <= ``_TILE_QUBITS``, where the network's training pass runs
         on dense layer matrices, the read-only (count, 2**n, 2**n) stack of
-        Re(H) of each Hamiltonian, scattered from the groups on first read
+        Re(H) of each Hamiltonian, scattered from ``real`` on first read
         (entry [j, i, i ^ m] is Re w_m[i] of Hamiltonian j), so that H on
         real columns is one batched matmul; above, None, and H v reads the
         groups."""
@@ -270,7 +286,7 @@ class CompiledHamiltonian:
             return None
         index = np.arange(1 << self.n_qubits)
         ones = np.ones(index.size)
-        dense = np.stack([_scatter(self, j, index, index, ones).real for j in range(self.count)])
+        dense = np.stack([_scatter(self.real, j, index, index, ones) for j in range(self.count)])
         dense.setflags(write=False)
         return dense
 
@@ -301,7 +317,12 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
     for mask in sorted(real_parts.keys() | imag_parts.keys()):
         real = real_parts.get(mask, zeros)
         imag = imag_parts.get(mask, zeros)
-        weights = real + imag * 1j if np.any(imag) else real
+        weights = real
+        if np.any(imag):
+            # The halves side by side are the complex weights; real + 1j *
+            # imag would put inf * 0 = nan in the real part wherever an
+            # imaginary sum overflows.
+            weights = np.concatenate((real, imag), axis=2).view(np.complex128)
         groups.append((None if mask == 0 else index ^ mask, weights))
     dtype = np.result_type(np.float64, *(weights.dtype for _, weights in groups))
     return CompiledHamiltonian(n, len(hs), tuple(groups), dtype)
@@ -359,11 +380,11 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray)
     dtype; the columns form ``hamiltonians.count`` equal consecutive
     blocks, block j for Hamiltonian j.
 
-    Complex columns read the full weights. Real columns read Re(H), the
-    weights' real parts: equal to H when H is real, and in any case
-    symmetric with the same quadratic form as H on real columns, so
-    2 Re(H) v is the gradient of <v|H|v> by a real v. That is one batched
-    matmul with ``real_dense`` where there is one.
+    Complex columns read the full weights. Real columns read Re(H)
+    (``real``): equal to H when H is real, and in any case symmetric with
+    the same quadratic form as H on real columns, so 2 Re(H) v is the
+    gradient of <v|H|v> by a real v. That is one batched matmul with
+    ``real_dense`` where there is one.
     """
     blocks = cols.reshape(cols.shape[0], hamiltonians.count, -1)
     real = cols.dtype.kind != "c"
@@ -376,9 +397,9 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray)
         )
         return out
     out = np.zeros(blocks.shape, dtype=cols.dtype)
-    for flip, weights in hamiltonians.groups:
+    for flip, weights in (hamiltonians.real if real else hamiltonians).groups:
         partner = blocks if flip is None else blocks.take(flip, axis=0)
-        out += partner * (weights.real if real else weights)
+        out += partner * weights
     return out.reshape(cols.shape)
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -317,6 +319,38 @@ class TestCompiled:
             assert len(compiled.groups) == 1  # both strings flip qubit 0 only
             cols = np.random.default_rng(3).standard_normal((1 << n, 4))
             assert np.array_equal(_expectation_rows(compiled, cols), np.zeros(4))
+            assert compiled.real.groups == ()  # an imaginary group alone drops out
+
+    def test_overflowed_odd_y_sum_leaves_re_h_finite(self):
+        # The YI sum overflows to inf in the imaginary half of the one
+        # group; Re(H) is the XI term alone, on the stack and the groups.
+        for n in (2, 5):
+            pad = "I" * (n - 2)
+            terms = [(1e308, "YI" + pad), (1e308, "YI" + pad), (0.5, "XI" + pad)]
+            with np.errstate(over="ignore"):
+                compiled = compile_hamiltonians([_ham(terms, n)])
+            assert len(compiled.groups) == 1
+            want = to_dense(_ham([(0.5, "XI" + pad)], n))
+            if n == 2:
+                assert compiled.real_dense[0].tobytes() == want.tobytes()
+            cols = np.random.default_rng(5).standard_normal((1 << n, 3))
+            with np.errstate(all="raise"):
+                got = _apply_hamiltonian_rows(compiled, cols)
+            assert np.array_equal(got, want @ cols)
+
+    def test_real_columns_leave_no_reference_cycle(self):
+        # The forms that real columns build on first read must not point
+        # back at the compiled form, or only the cyclic collector frees it.
+        for n, axes in ((2, "XI"), (2, "YI"), (5, "XIIII"), (5, "YIIII")):
+            compiled = compile_hamiltonians([_ham([(0.5, axes)], n)])
+            _apply_hamiltonian_rows(compiled, np.ones((1 << n, 1)))
+            alive = weakref.ref(compiled)
+            gc.disable()
+            try:
+                del compiled
+                assert alive() is None
+            finally:
+                gc.enable()
 
 
 class TestRealDense:
