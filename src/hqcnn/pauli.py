@@ -56,6 +56,9 @@ import numpy as np
 from .statevector import _TILE_QUBITS, StateVector
 
 DENSE_MAX_QUBITS = 12
+# The most term-by-basis-state sign products ``compile_hamiltonians`` holds
+# at a time (256 KiB of float64).
+_SIGN_ENTRIES = 1 << 15
 
 
 class PauliAxis(enum.Enum):
@@ -301,28 +304,40 @@ def compile_hamiltonians(hamiltonians) -> CompiledHamiltonian:
     if any(h.n_qubits != n for h in hs):
         raise ValueError("Hamiltonians act on different qubit counts")
     index = np.arange(1 << n)
-    # Weights by mask, split into real and imaginary parts: a string with
-    # n_y Y factors carries the phase i**n_y, imaginary for odd n_y.
-    parts: tuple[dict[int, np.ndarray], dict[int, np.ndarray]] = ({}, {})
-    for j, h in enumerate(hs):
-        masks = _string_masks(tuple(term.axes for term in h.terms))
-        for term, (mask, z_mask, n_y) in zip(h.terms, masks):
-            # (P v)[i] is P's sign on basis state i ^ mask times v[i ^ mask].
-            sign = _string_signs(index ^ mask, z_mask, n_y)
-            weights = parts[n_y % 2].setdefault(mask, np.zeros((index.size, len(hs), 1)))
-            weights[:, j, 0] += term.coefficient * sign
-    real_parts, imag_parts = parts
+    rows = [
+        (j, term.coefficient, *masks)
+        for j, h in enumerate(hs)
+        for term, masks in zip(h.terms, _string_masks(tuple(term.axes for term in h.terms)))
+    ]
+    # Weights by flip mask and Y-count parity: a string with n_y Y factors
+    # carries the phase i**n_y, imaginary for odd n_y.
+    keys = {(mask, n_y % 2) for _, _, mask, _, n_y in rows}
+    sums = {key: np.zeros((index.size, len(hs), 1)) for key in keys}
+    # The terms' products c s(i), at most _SIGN_ENTRIES of them at a time,
+    # each added into its group's sum in term order.
+    step = max(1, _SIGN_ENTRIES >> n)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        columns = (np.array(column)[:, None] for column in zip(*chunk))
+        _, coefficients, flips, z_masks, n_ys = columns
+        # (P v)[i] is P's sign on basis state i ^ mask times v[i ^ mask].
+        # The parity of (i ^ mask) & z_mask is that of i & z_mask plus that
+        # of mask & z_mask, so the sign is that of a string whose Y count
+        # is larger by twice the latter's popcount.
+        n_ys += 2 * np.bitwise_count(flips & z_masks)
+        products = _string_signs(index, z_masks, n_ys, coefficients)
+        for (j, _, mask, _, n_y), product in zip(chunk, products):
+            sums[mask, n_y % 2][:, j, 0] += product
     zeros = np.zeros((index.size, len(hs), 1))
     groups = []
-    for mask in sorted(real_parts.keys() | imag_parts.keys()):
-        real = real_parts.get(mask, zeros)
-        imag = imag_parts.get(mask, zeros)
-        weights = real
-        if np.any(imag):
+    for mask in sorted({mask for mask, _ in sums}):
+        weights = sums.get((mask, 0), zeros)
+        imag = sums.get((mask, 1))
+        if imag is not None and imag.any():
             # The halves side by side are the complex weights; real + 1j *
             # imag would put inf * 0 = nan in the real part wherever an
             # imaginary sum overflows.
-            weights = np.concatenate((real, imag), axis=2).view(np.complex128)
+            weights = np.concatenate((weights, imag), axis=2).view(np.complex128)
         groups.append((None if mask == 0 else index ^ mask, weights))
     dtype = np.result_type(np.float64, *(weights.dtype for _, weights in groups))
     return CompiledHamiltonian(n, len(hs), tuple(groups), dtype)
@@ -345,13 +360,19 @@ def _string_masks(
     return tuple(masks)
 
 
-def _string_signs(index: np.ndarray, z_mask: int, n_y: int) -> np.ndarray:
-    """Per basis state k of ``index``, as float64, the real sign s(k) of a
-    string P with Z mask ``z_mask``, ``n_y`` Y factors and flip mask m,
-    P|k> = s(k) i**(n_y % 2) |k ^ m>. P's phase on k is i**n_y (-1)**popcount(k &
-    z_mask), and i**n_y is -1 or -i exactly when n_y // 2 is odd, so
-    s(k) = (-1)**(popcount(k & z_mask) + n_y // 2)."""
-    return 1.0 - 2.0 * ((np.bitwise_count(index & z_mask) + n_y // 2) & 1)
+def _string_signs(index: np.ndarray, z_mask, n_y, coefficient=1.0) -> np.ndarray:
+    """Per basis state k of ``index``, as float64, ``coefficient`` times
+    the real sign s(k) of a string P with Z mask ``z_mask``, ``n_y`` Y
+    factors and flip mask m, P|k> = s(k) i**(n_y % 2) |k ^ m>. P's phase
+    on k is i**n_y (-1)**popcount(k & z_mask), and i**n_y is -1 or -i
+    exactly when n_y // 2 is odd, so
+    s(k) = (-1)**(popcount(k & z_mask) + n_y // 2). The last three
+    arguments may also be arrays that broadcast with ``index``; c s(k) is
+    c or -c, so it is exactly the product."""
+    odd = np.bitwise_count(index & z_mask)
+    odd ^= np.asarray(n_y // 2 & 1, dtype=np.uint8)
+    odd &= 1
+    return np.where(odd, -coefficient, coefficient)
 
 
 def _scatter(compiled: CompiledHamiltonian, j: int, reps, pos, amp) -> np.ndarray:

@@ -308,23 +308,29 @@ def test_no_symmetry_falls_back_to_one_block():
     assert ground_energy(_ham(terms, 1)) == pytest.approx(-np.sqrt(2.0), abs=1e-15)
 
 
-def _eigvalsh_shapes(monkeypatch):
-    """Shapes of the matrices np.linalg.eigvalsh is called on from now."""
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+def _solver_calls(monkeypatch):
+    """(name, rows) of each np.linalg.eigvalsh and np.linalg.cholesky call
+    from now."""
+    calls = []
+    for name in ("eigvalsh", "cholesky"):
+        solve = getattr(np.linalg, name)
 
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+        def spy(a, *args, _solve=solve, _name=name, **kwargs):
+            calls.append((_name, len(a)))
+            return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return shapes
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 def test_ten_qubit_tfim_solves_four_quarter_blocks(monkeypatch):
-    shapes = _eigvalsh_shapes(monkeypatch)
-    ground_energy(transverse_field_ising(10, 0.7))
-    assert shapes == [(m, m) for m in (272, 256, 240, 256)]
+    # The first block holds the ground state; Cholesky shows that the
+    # other three hold no lower eigenvalue, so only the first is solved.
+    h = transverse_field_ising(10, 0.7)
+    assert [b.shape for b in oracle._sector_blocks(h)] == [(m, m) for m in (272, 256, 240, 256)]
+    calls = _solver_calls(monkeypatch)
+    ground_energy(h)
+    assert calls == [("eigvalsh", 272), ("cholesky", 256), ("cholesky", 240), ("cholesky", 256)]
 
 
 def test_one_ulp_off_the_mirror_leaves_two_half_blocks(monkeypatch):
@@ -335,11 +341,14 @@ def test_one_ulp_off_the_mirror_leaves_two_half_blocks(monkeypatch):
     terms[9] = PauliTerm(float(np.nextafter(terms[9].coefficient, 0.0)), terms[9].axes)
     h = PauliHamiltonian(10, tuple(terms))
     assert oracle._symmetries(h) == (_masks("X" * 10), False)
+    assert [b.shape for b in oracle._sector_blocks(h)] == [(512, 512)] * 2
     pairs = [(t.coefficient, t.axis_string) for t in terms]
     full = np.linalg.eigvalsh(ref.hamiltonian_matrix(pairs, 10))
-    shapes = _eigvalsh_shapes(monkeypatch)
+    calls = _solver_calls(monkeypatch)
     lo, hi = spectrum_bounds(h)
-    assert shapes == [(512, 512)] * 2
+    # Both ends of the spectrum lie in the first block: the second is
+    # certified below the lowest and above the highest.
+    assert calls == [("eigvalsh", 512), ("cholesky", 512), ("cholesky", 512)]
     assert lo == pytest.approx(float(full[0]), abs=1e-11)
     assert hi == pytest.approx(float(full[-1]), abs=1e-11)
 
@@ -347,10 +356,58 @@ def test_one_ulp_off_the_mirror_leaves_two_half_blocks(monkeypatch):
 def test_twelve_qubit_tfim_at_the_dense_cap(monkeypatch):
     h = transverse_field_ising(12, 0.9)
     want = ref.tfim_ground_energy(12, 0.9)
-    shapes = _eigvalsh_shapes(monkeypatch)
+    sizes = (1056, 1024, 992, 1024)
+    assert [b.shape for b in oracle._sector_blocks(h)] == [(m, m) for m in sizes]
+    calls = _solver_calls(monkeypatch)
     assert ground_energy(h) == pytest.approx(want, abs=1e-9)
-    assert shapes == [(m, m) for m in (1056, 1024, 992, 1024)]
+    assert calls == [("eigvalsh", 1056)] + [("cholesky", m) for m in sizes[1:]]
     assert ground_energy_iterative(h) == pytest.approx(want, abs=1e-9)
+
+
+def _all_block_ends(h):
+    """The lowest and highest eigenvalue of every block, by eigvalsh on
+    each, as hex strings: the reference that the certificates must meet
+    bit for bit."""
+    ends = np.array([(v[0], v[-1]) for v in map(np.linalg.eigvalsh, oracle._sector_blocks(h))])
+    return float(ends[:, 0].min()).hex(), float(ends[:, 1].max()).hex()
+
+
+def _check_ends_bitwise(h):
+    lo, hi = _all_block_ends(h)
+    bounds = spectrum_bounds(h)
+    assert (bounds[0].hex(), bounds[1].hex()) == (lo, hi)
+    assert ground_energy(h).hex() == lo
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_sets())
+def test_certified_ends_are_those_of_every_block(case):
+    terms, n, _ = case
+    _check_ends_bitwise(_ham(terms, n))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        *(transverse_field_ising(n, 0.0) for n in range(1, 9)),  # degenerate sectors
+        PauliHamiltonian(3, ()),
+        _ham([(0.0, "XZ"), (-0.0, "ZZ")], 2),
+        _ham([(2.5, "II")], 2),
+        _ham([(-1.0, "III"), (0.25, "III")], 3),
+        _ham([(0.5, "XX"), (0.5, "XX"), (-1.0, "ZI"), (0.25, "ZI"), (-1.0, "IZ")], 2),
+        _ham([(0.7, "XYZ"), (0.7, "XYZ"), (0.4, "ZYX"), (1.1, "ZZI")], 3),
+        # The top of the spectrum lies in a later block than the bottom.
+        _ham([(-1.25, "XIZ"), (2.0, "ZXX"), (-1.25, "ZIX"), (2.0, "XXZ")], 3),
+        # Shifting the second block by the first one's lowest eigenvalue
+        # would overflow, so nothing is certified.
+        _ham([(1.5e308, "ZI"), (1.0, "XX")], 2),
+    ],
+    ids=[f"tfim{n}_field0" for n in range(1, 9)]
+    + ["empty", "zero_coefficients", "identity", "identity_twice"]
+    + ["duplicates", "complex_duplicates", "top_in_a_later_block", "near_overflow"],
+)
+def test_certified_ends_on_degenerate_and_trivial_hamiltonians(h):
+    _check_ends_bitwise(h)
 
 
 @pytest.mark.parametrize(

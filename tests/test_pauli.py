@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_ref as ref
+from hqcnn import pauli
 from hqcnn.pauli import (
     _apply_hamiltonian_rows,
     _expectation_rows,
@@ -271,7 +273,67 @@ def stacked_hamiltonians(draw, qubits=st.integers(1, 5)):
     return n, [draw(pauli_sums(n)) for _ in range(count)]
 
 
+def _weights_term_by_term(hams, n):
+    """[(flip mask, weights)] of the Hamiltonians, built one term at a
+    time from the axis strings: each term adds c * s(k ^ mask) into its
+    (flip mask, Y parity) sum, which starts at zeros, in term order; the
+    masks ascending, the weights complex where the imaginary sum has a
+    nonzero entry."""
+    index = np.arange(1 << n)
+    sums = {}
+    for j, h in enumerate(hams):
+        for term in h.terms:
+            axes = term.axis_string
+            flips = int("".join("1" if a in "XY" else "0" for a in axes), 2)
+            z = int("".join("1" if a in "ZY" else "0" for a in axes), 2)
+            n_y = axes.count("Y")
+            odd = [(bin((k ^ flips) & z).count("1") + n_y // 2) % 2 for k in index]
+            sign = np.where(odd, -1.0, 1.0)
+            w = sums.setdefault((flips, n_y % 2), np.zeros((index.size, len(hams))))
+            w[:, j] += term.coefficient * sign
+    groups = []
+    for mask in sorted({mask for mask, _ in sums}):
+        weights = sums.get((mask, 0), np.zeros((index.size, len(hams))))
+        imag = sums.get((mask, 1))
+        if imag is not None and imag.any():
+            weights = np.stack((weights, imag), axis=-1).view(np.complex128)[..., 0]
+        groups.append((mask, weights))
+    return groups
+
+
+@st.composite
+def repeated_stacks(draw):
+    """(n, Hamiltonians' terms) on 1-6 qubits: repeated strings, mixed Y
+    counts and signed zero coefficients."""
+    n = draw(st.integers(1, 6))
+    axes = st.text("IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False) | st.sampled_from([0.0, -0.0, 0.5])
+    sums = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(coeffs, axes), max_size=10))
+        repeats = draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+        sums.append(terms + [(draw(coeffs), a) for _, a in repeats])
+    return n, sums
+
+
 class TestCompiled:
+    @settings(max_examples=150, deadline=None)
+    @given(case=repeated_stacks(), entries=st.sampled_from([1, 3, 40, pauli._SIGN_ENTRIES]))
+    def test_weights_are_those_of_term_by_term_sums(self, case, entries):
+        # Bit for bit, signed zeros too, however many sign products the
+        # compiler holds at a time.
+        n, sums = case
+        hams = [_ham(terms, n) for terms in sums]
+        with mock.patch.object(pauli, "_SIGN_ENTRIES", entries):
+            compiled = compile_hamiltonians(hams)
+        want = _weights_term_by_term(hams, n)
+        assert len(compiled.groups) == len(want)
+        for (flip, weights), (mask, expected) in zip(compiled.groups, want):
+            assert (0 if flip is None else int(flip[0])) == mask
+            assert weights.shape == (1 << n, len(hams), 1)
+            assert weights.dtype == expected.dtype
+            assert weights[:, :, 0].tobytes() == expected.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(case=stacked_hamiltonians(), rows_per=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_real_rows_match_dense_quadratic_form(self, case, rows_per, seed):
