@@ -64,7 +64,7 @@ import numpy as np
 from . import __version__
 from .network import NetworkSpec, Variant
 from .optimize import NumericalError, OptimizerSettings, TrainingProblem
-from .optimize import energies, gradient_deviations, init_params, train
+from .optimize import energies, gradient_deviations, init_params, train, train_lockstep
 from .oracle import EigensolverError, ground_energy
 from .pauli import (
     HamParseError,
@@ -394,12 +394,15 @@ def _run_one_variant(
     exact_train: list[float],
     exact_test: list[float],
 ) -> tuple[VariantSummary, list[str]]:
-    """Train each seed, evaluate all points; returns the summary and the
+    """Train every seed, evaluate all points; returns the summary and the
     CSV rows (train rows then test rows, ascending bond length, per seed).
 
-    Each non-empty split is one ``TrainingProblem``, so its Hamiltonians
-    compile once. The train energies come from the pass that ``train``'s
-    final cost kept; the test split costs one batched pass per seed."""
+    The seeds train in lockstep (``train_lockstep``): deterministic,
+    single-threaded rounds, each of which scores every unfinished seed's
+    next point at once, with bitwise the results of training each seed
+    alone. Each non-empty split is one ``TrainingProblem``, so its
+    Hamiltonians compile once. The train energies come from the pass that
+    training ended on; the test split costs one batched pass per seed."""
     assert train_ds.n_qubits is not None
     net = NetworkSpec(train_ds.n_qubits, variant)
     splits = [
@@ -411,13 +414,16 @@ def _run_one_variant(
         if dataset.entries
     ]
     train_problem = splits[0][1]  # the train split is never empty
+    trained = train_lockstep(train_problem, config.seeds, config.settings)
     outcomes: list[SeedOutcome] = []
     rows: list[str] = []
-    for seed in config.seeds:
-        model = train(train_problem, seed, config.settings)
+    for seed, (model, train_energies) in zip(config.seeds, trained):
         sums = {"train": 0.0, "test": 0.0}
         for split, problem, exact_values in splits:
-            predicted = energies(model.parameters, problem)
+            if problem is train_problem:
+                predicted = train_energies
+            else:
+                predicted = energies(model.parameters, problem)
             for (a, _), energy, exact in zip(
                 problem.training_set, predicted, exact_values
             ):
@@ -665,6 +671,15 @@ def _cmd_gen_synthetic(args) -> None:
             f"--n-qubits must be in [1, {MAX_QUBITS}], got {args.n_qubits}"
         )
     _check_bond_length_flag(args.bond_lengths)
+    for a in args.bond_lengths:
+        # Training and Lanczos need a finite sum of |c_i|, so a file past
+        # it would be refused by every command that reads it.
+        h = transverse_field_ising(args.n_qubits, a)
+        if not math.isfinite(sum(abs(term.coefficient) for term in h.terms)):
+            raise DataError(
+                f"field {a!r}: the sum of |c_i| of the {args.n_qubits}-qubit TFIM "
+                "is not finite"
+            )
     written = gen_synthetic(args.out_dir, args.n_qubits, args.bond_lengths)
     print(f"wrote {len(written)} files to {args.out_dir}")
 

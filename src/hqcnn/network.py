@@ -52,7 +52,10 @@ readout is an exact expectation, so it has an exact derivative.
   products of each half in one (2, n, 2**n, 2**n) stack
   (``_prefix_products``), 16 KB at n = 4. ``_dense_gradient`` reads the
   derivatives of all 2n layers from it with a few stacked products and
-  no loop over the layers.
+  no loop over the layers. This form also takes a (G, k) stack of
+  parameter vectors, which gives every array of the pass a leading group
+  axis, so that lockstep training scores G vectors in one pass; a
+  vector's values are bitwise the same alone or in a group.
 """
 
 from __future__ import annotations
@@ -205,15 +208,16 @@ _ENCODING_PHASES = np.array([[math.pi / 4], [-math.pi / 4]])
 
 
 def _encoded_rows(angles: np.ndarray) -> np.ndarray:
-    """H then Ry(angles[b, q]) on each qubit q of |0...0>, one column per b.
+    """H then Ry(angles[..., b, q]) on each qubit q of |0...0>, one column
+    per b, for each leading index.
 
     Built in closed form as a product state: H|0> = (|0> + |1>)/sqrt(2), so
     qubit q ends in ((c - s)|0> + (c + s)|1>)/sqrt(2), with c and s the
     cosine and sine of half its angle t, that is in
     cos(t + pi/4)|0> + cos(t - pi/4)|1>.
     """
-    half = _half_angles(angles.T)
-    return _product_rows(np.cos(half[:, None, :] + _ENCODING_PHASES))
+    half = _half_angles(angles.mT)
+    return _product_rows(np.cos(half[..., :, None, :] + _ENCODING_PHASES))
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -246,17 +250,18 @@ def _layer_entries(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prefix_products(c: np.ndarray, s: np.ndarray, n_qubits: int) -> np.ndarray:
-    """The fresh (2, n, 2**n, 2**n) prefix products of the two halves of
-    the 2n layers whose 1-D angle factors are ``c, s``, at n <=
-    _TILE_QUBITS: entry [h, i] is L_(hn+i) ... L_(hn), where layer L_j =
-    T_j P is its Ry tile after the CNOT ladder, a dense orthogonal matrix
-    built by one gather (``_layer_entries``). Both halves advance together,
-    one stacked matmul per layer."""
+    """The fresh (..., 2, n, 2**n, 2**n) prefix products of the two halves
+    of the 2n layers whose angle factors are ``c, s``, of shape (..., 2n**2),
+    one parameter vector per leading index, at n <= _TILE_QUBITS: entry
+    [..., h, i] is L_(hn+i) ... L_(hn), where layer L_j = T_j P is its Ry
+    tile after the CNOT ladder, a dense orthogonal matrix built by one
+    gather (``_layer_entries``). Both halves of every vector advance
+    together, one stacked matmul per layer."""
     index, sequence = _layer_entries(n_qubits)
     layers = _gather_tiles(_ry_factors(c, s, n_qubits), index, sequence)
-    prefix = layers.reshape(2, n_qubits, 1 << n_qubits, 1 << n_qubits)
+    prefix = layers.reshape(*c.shape[:-1], 2, n_qubits, 1 << n_qubits, 1 << n_qubits)
     for i in range(1, n_qubits):
-        np.matmul(prefix[:, i], prefix[:, i - 1], out=prefix[:, i])
+        np.matmul(prefix[..., i, :, :], prefix[..., i - 1, :, :], out=prefix[..., i, :, :])
     return prefix
 
 
@@ -332,12 +337,14 @@ def _undo_tiles(pair: np.ndarray, tiles) -> np.ndarray:
 
 
 class _ForwardPass(NamedTuple):
-    """What one forward pass on a parameter vector leaves for the
-    gradient, all read-only: ``layers``, the (2, n, 2**n, 2**n)
-    ``_prefix_products`` of the vector at n <= _TILE_QUBITS, else its
-    ``_ry_tiles``; the encoded inputs; the lower half's output,
-    ``measured``; the link's output, ``second``, which is ``measured``
-    itself in the ablation; and the final columns."""
+    """What one forward pass on a parameter vector, or on a (G, k) stack
+    of them at n <= _TILE_QUBITS, leaves for the gradient, all read-only:
+    ``layers``, the (..., 2, n, 2**n, 2**n) ``_prefix_products`` at n <=
+    _TILE_QUBITS, else the vector's ``_ry_tiles``; the (2**n, points)
+    encoded inputs, shared by the stack; and the (..., 2**n, points)
+    columns: the lower half's output, ``measured``; the link's output,
+    ``second``, which is ``measured`` itself in the ablation; and the
+    final columns."""
 
     layers: np.ndarray | tuple[tuple[np.ndarray, ...], ...]
     encoded: np.ndarray
@@ -372,7 +379,7 @@ def _run_layers(net: NetworkSpec, encoded: np.ndarray, layers) -> _ForwardPass:
 
     def half(h: int, cols: np.ndarray) -> np.ndarray:
         if isinstance(layers, np.ndarray):
-            return layers[h, -1] @ cols
+            return layers[..., h, -1, :, :] @ cols
         return _pqc_block(cols, n, layers[h * n : (h + 1) * n])
 
     measured = half(0, encoded)
@@ -393,7 +400,13 @@ def _forward_pass(net: NetworkSpec, encoded: np.ndarray, params: np.ndarray) -> 
     The angles are validated and turned into layers once, here, the one
     place that picks their form: dense ``_prefix_products`` at n <=
     _TILE_QUBITS, where one Ry tile spans the register, else ``_ry_tiles``.
-    Every gate is real, so the columns stay real."""
+    Every gate is real, so the columns stay real.
+
+    At n <= _TILE_QUBITS ``params`` may also be a (G, k) stack of vectors:
+    every array of the pass then gains a leading group axis, and each of
+    its products is one stacked BLAS call of the shape a vector alone
+    makes, so every group's columns are bitwise those of its vector
+    alone."""
     n = net.n_qubits
     c, s = _angle_factors(params)
     layers = _prefix_products(c, s, n) if n <= _TILE_QUBITS else _ry_tiles(c, s, n)
@@ -418,10 +431,10 @@ def _adjoint_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray)
 
 
 def _readout_adjoint(measured: np.ndarray, value_grad: np.ndarray, n_qubits: int) -> np.ndarray:
-    """The adjoint of the measured columns psi from the (points, n) array
-    of dE/dv_q, the derivatives by each column's readout values: the
+    """The adjoint of the measured columns psi from the (..., points, n)
+    array of dE/dv_q, the derivatives by each column's readout values: the
     readout v_q = <psi|Z_q|psi> gives 2 psi * sum_q dE/dv_q z_q."""
-    return 2.0 * measured * (_z_signs(n_qubits) @ value_grad.T)
+    return 2.0 * measured * (_z_signs(n_qubits) @ value_grad.mT)
 
 
 def _dense_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:
@@ -443,20 +456,25 @@ def _dense_gradient(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -
     (``_readout_adjoint``), from the readout's derivatives, which the
     re-encoding's per-column outer products with F^T a give, as in the
     sweep.
+
+    A pass on a (G, k) stack gives the (G, k) gradients, one per vector,
+    each bitwise that of its vector alone.
     """
     n = net.n_qubits
     prefix, encoded, measured, second, _ = forward
-    upper = prefix[1, -1].T @ seed
+    group = prefix.shape[:-4]
+    upper = prefix[..., 1, -1, :, :].mT @ seed
     link = upper
     if net.variant is Variant.WITH_MEASUREMENTS:
-        outer = (upper[:, None] * second).reshape(-1, second.shape[1])
-        value_grad = _READOUT_SCALE * (outer.T @ _tile_y_signs(n))
+        outer = upper[..., :, None, :] * second[..., None, :, :]
+        outer = outer.reshape(*group, -1, second.shape[-1])
+        value_grad = _READOUT_SCALE * (outer.mT @ _tile_y_signs(n))
         link = _readout_adjoint(measured, value_grad, n)
-    core = np.empty((2, 1) + prefix.shape[2:])
-    np.matmul(prefix[0, -1].T @ link, encoded.T, out=core[0, 0])
-    np.matmul(upper, second.T, out=core[1, 0])
-    grams = prefix @ core @ prefix.swapaxes(-1, -2)
-    return (grams.reshape(2 * n, -1) @ _tile_y_signs(n)).reshape(-1)
+    core = np.empty(group + (2, 1) + prefix.shape[-2:])
+    np.matmul(prefix[..., 0, -1, :, :].mT @ link, encoded.T, out=core[..., 0, 0, :, :])
+    np.matmul(upper, second.mT, out=core[..., 1, 0, :, :])
+    grams = prefix @ core @ prefix.mT
+    return (grams.reshape(*group, 2 * n, -1) @ _tile_y_signs(n)).reshape(*group, -1)
 
 
 def _adjoint_sweep(net: NetworkSpec, forward: _ForwardPass, seed: np.ndarray) -> np.ndarray:

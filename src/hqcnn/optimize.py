@@ -30,7 +30,13 @@ forward passes for k angles. ``gradient`` reuses the forward pass of
 forward pass and the product H phi of its final columns, keyed by the
 bytes of the parameter vector, and BFGS asks for the gradient exactly at
 the points whose cost it has just accepted, so there ``gradient`` runs
-only the backward part. Central
+only the backward part. That is how ``train`` runs one seed. Many seeds
+run in lockstep (``train_lockstep``): at n <= 4 one grouped pass over
+the points that the seeds' BFGS runs ask f at gives f and the gradient
+at each; it is the code of ``cost`` and ``gradient`` along a leading
+group axis, bitwise equal to it per vector. Above 4 qubits each point
+goes through ``cost`` in its turn and ``gradient`` only when asked, on
+the kept pass, as in ``train``. Central
 differences, the paper's method, stay as the independent reference
 (``finite_difference_gradient``): plain central differences of ``cost``,
 one coordinate at a time. ``gradient_deviations`` compares the adjoint
@@ -39,22 +45,30 @@ central-difference gradients; ``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
-Each trial point is built once and handed to the objective and then, for
-its slope, to the gradient; the accepted one is the next iterate.
-Defaults: at most 500 iterations, stop when the gradient infinity norm
-drops to 1e-5.
+It calls no function: ``_bfgs_steps`` is a generator that asks for each
+value it needs, f or g at a point, and takes it by ``send``, so one
+driver can answer one run (``bfgs_minimize``) or advance many runs in
+rounds (``train_lockstep``) with the same arithmetic. Each trial point
+is built once and asked for f and then, for its slope, g, as the same
+array; the accepted one is the next iterate. Restarts from steepest
+descent are counted in the result. Defaults: at most 500 iterations,
+stop when the gradient infinity norm drops to 1e-5.
 
 Determinism: cost, gradient and each central-difference evaluation run
-all training points in one batch in a fixed order, and the central
-differences walk the coordinates in order; parameter initialization draws
-from a seeded generator. Identical inputs therefore give
-bitwise-identical results on one platform.
+all training points in one batch in a fixed order, the central
+differences walk the coordinates in order, and lockstep rounds visit the
+seeds in order; parameter initialization draws from a seeded generator.
+Identical inputs therefore give bitwise-identical results on one
+platform.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +92,7 @@ from .pauli import (  # noqa: F401
     compile_hamiltonians,
     expectation,
 )
+from .statevector import _TILE_QUBITS
 
 _FD_STEP = 1e-6  # the default step h of every central difference
 
@@ -145,12 +160,15 @@ class OptimizerSettings:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Raw minimizer outcome, independent of any network."""
+    """Raw minimizer outcome, independent of any network; ``restarts``
+    counts the iterations that dropped their curvature estimate for a
+    steepest-descent step."""
 
     x: np.ndarray
     fun: float
     iterations: int
     converged: bool
+    restarts: int = 0
 
 
 @dataclass(frozen=True)
@@ -192,11 +210,17 @@ def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.n
     return found
 
 
+def _pass_energies(cols: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Per-point energies <phi_j|H_j|phi_j> of a pass's (..., 2**n, points)
+    final columns and H applied to them, per leading index."""
+    return np.einsum("...ib,...ib->...b", cols, products)
+
+
 def energies(params, problem: TrainingProblem) -> np.ndarray:
     """Per-point energies <phi_j|H_j|phi_j>, in training-set order, from the
     problem's kept forward pass of ``params`` (or a new one)."""
     forward_pass, products = _training_pass(params, problem)
-    return np.einsum("ib,ib->b", forward_pass.cols, products)
+    return _pass_energies(forward_pass.cols, products)
 
 
 def cost(params, problem: TrainingProblem) -> float:
@@ -328,8 +352,9 @@ def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     return a_hi - (a_hi - a_lo) * (d_hi + d2 - d1) / denom
 
 
-def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
-    """Narrow a bracket [a_lo, a_hi] known to contain a strong-Wolfe point."""
+def _zoom(x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
+    """Narrow a bracket [a_lo, a_hi] known to contain a strong-Wolfe point;
+    asks for values as ``_bfgs_steps`` does."""
     for _ in range(_ZOOM_STEPS):
         lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
         width = hi - lo
@@ -338,11 +363,11 @@ def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
         if a is None or not (lo + 0.1 * width <= a <= hi - 0.1 * width):
             a = 0.5 * (lo + hi)
         x_a = x + a * p
-        f_a = _finite_or_raise(fun(x_a), f"in line search at step {a}")
+        f_a = _finite_or_raise((yield "f", x_a), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or f_a >= f_lo:
             a_hi, f_hi, d_hi = a, f_a, None
         else:
-            g_a = np.asarray(grad(x_a), dtype=np.float64)
+            g_a = np.asarray((yield "g", x_a), dtype=np.float64)
             d_a = float(g_a @ p)
             if abs(d_a) <= -_WOLFE_C2 * d0:
                 return a, x_a, f_a, g_a
@@ -354,9 +379,10 @@ def _zoom(fun, grad, x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     return None
 
 
-def _strong_wolfe(fun, grad, x, p, f0, g0):
-    """Find alpha with sufficient decrease and flattened slope; returns
-    (alpha, x + alpha p, f, g) there, None on failure."""
+def _strong_wolfe(x, p, f0, g0):
+    """Find alpha with sufficient decrease and flattened slope, asking for
+    values as ``_bfgs_steps`` does; returns (alpha, x + alpha p, f, g)
+    there, None on failure."""
     d0 = float(g0 @ p)
     if d0 >= 0.0:
         return None
@@ -364,47 +390,54 @@ def _strong_wolfe(fun, grad, x, p, f0, g0):
     a = 1.0
     for i in range(_BRACKET_STEPS):
         x_a = x + a * p
-        f_a = _finite_or_raise(fun(x_a), f"in line search at step {a}")
+        f_a = _finite_or_raise((yield "f", x_a), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or (i > 0 and f_a >= f_prev):
-            return _zoom(fun, grad, x, p, f0, d0, a_prev, f_prev, d_prev, a, f_a, None)
-        g_a = np.asarray(grad(x_a), dtype=np.float64)
+            return (yield from _zoom(x, p, f0, d0, a_prev, f_prev, d_prev, a, f_a, None))
+        g_a = np.asarray((yield "g", x_a), dtype=np.float64)
         d_a = float(g_a @ p)
         if abs(d_a) <= -_WOLFE_C2 * d0:
             return a, x_a, f_a, g_a
         if d_a >= 0.0:
-            return _zoom(fun, grad, x, p, f0, d0, a, f_a, d_a, a_prev, f_prev, d_prev)
+            return (yield from _zoom(x, p, f0, d0, a, f_a, d_a, a_prev, f_prev, d_prev))
         a_prev, f_prev, d_prev = a, f_a, d_a
         a *= 2.0
     return None
 
 
-def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> MinimizeResult:
-    """Quasi-Newton minimization with the inverse-Hessian BFGS update.
+def _bfgs_steps(x0, settings: OptimizerSettings):
+    """Quasi-Newton minimization with the inverse-Hessian BFGS update, as
+    a generator that asks for the values it needs: it yields ``("f", x)``
+    for the objective at x and ``("g", x)`` for the gradient there, takes
+    each value by ``send``, and returns its :class:`MinimizeResult` as its
+    ``StopIteration`` value. Every g is asked at the point of the f asked
+    just before it, as the same array, so a caller that scores f and g
+    together has g ready.
 
     Stops when the gradient infinity norm reaches the tolerance or the
     iteration cap is hit. A failed line search returns the best iterate
     found so far with ``converged=False``; a non-finite objective raises
-    :class:`NumericalError`.
+    :class:`NumericalError` from ``send``.
     """
     x = np.array(x0, dtype=np.float64).reshape(-1).copy()
     k = x.size
-    f = _finite_or_raise(objective(x), "at the start point")
-    g = np.asarray(gradient_fn(x), dtype=np.float64)
+    f = _finite_or_raise((yield "f", x), "at the start point")
+    g = np.asarray((yield "g", x), dtype=np.float64)
     h_inv = np.eye(k)
     first_update = True
-    iterations = 0
+    iterations = restarts = 0
     for _ in range(settings.max_iterations):
         if float(np.abs(g).max()) <= settings.gradient_norm_tolerance:
-            return MinimizeResult(x, f, iterations, True)
+            return MinimizeResult(x, f, iterations, True, restarts)
         p = -(h_inv @ g)
         if float(p @ g) >= 0.0:
             # Stale curvature produced a non-descent direction: restart.
             h_inv = np.eye(k)
             first_update = True
             p = -g
-        found = _strong_wolfe(objective, gradient_fn, x, p, f, g)
+            restarts += 1
+        found = yield from _strong_wolfe(x, p, f, g)
         if found is None:
-            return MinimizeResult(x, f, iterations, False)
+            return MinimizeResult(x, f, iterations, False, restarts)
         alpha, x_new, f_new, g_new = found
         s = alpha * p
         y = g_new - g
@@ -422,7 +455,19 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
         x, f, g = x_new, f_new, g_new
         iterations += 1
     converged = float(np.abs(g).max()) <= settings.gradient_norm_tolerance
-    return MinimizeResult(x, f, iterations, converged)
+    return MinimizeResult(x, f, iterations, converged, restarts)
+
+
+def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> MinimizeResult:
+    """Minimize ``objective`` from x0 by ``_bfgs_steps``, answering each
+    of its requests with ``objective(x)`` or ``gradient_fn(x)``."""
+    steps = _bfgs_steps(x0, settings)
+    try:
+        kind, x = next(steps)
+        while True:
+            kind, x = steps.send(objective(x) if kind == "f" else gradient_fn(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def train(
@@ -449,3 +494,135 @@ def train(
         iterations_used=result.iterations,
         converged=result.converged,
     )
+
+
+# ---------------------------------------------------------------------------
+# lockstep training of many seeds
+# ---------------------------------------------------------------------------
+
+
+class _Scored(NamedTuple):
+    """A round's answer to a run that asked for f at ``point``: f, and on
+    demand the gradient and the per-point energies there."""
+
+    point: np.ndarray
+    f: float
+    gradient: Callable[[], np.ndarray]
+    energies: Callable[[], np.ndarray]
+
+
+def _scored_group(points, problem: TrainingProblem) -> list[_Scored]:
+    """Score parameter vectors by one grouped pass at n <= _TILE_QUBITS,
+    with the gradient of each; the code of ``cost`` and ``gradient``,
+    along a leading group axis, so every value is bitwise that of its
+    vector alone."""
+    forward_pass = _forward_pass(problem.network, problem.encoded, np.array(points))
+    products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
+    point_energies = _pass_energies(forward_pass.cols, products)
+    grads = _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
+    return [
+        _Scored(x, float(e.sum()), g.copy, e.copy)
+        for x, e, g in zip(points, point_energies, grads)
+    ]
+
+
+def _scored_alone(x: np.ndarray, problem: TrainingProblem) -> _Scored:
+    """Score one vector: a group of one at n <= _TILE_QUBITS; above, by
+    ``cost`` now and ``gradient`` only when asked, which reuses the forward
+    pass that ``cost`` kept."""
+    if problem.network.n_qubits <= _TILE_QUBITS:
+        return _scored_group([x], problem)[0]
+    f = cost(x, problem)
+    return _Scored(x, f, partial(gradient, x, problem), partial(energies, x, problem))
+
+
+def _scored_round(points, problem: TrainingProblem):
+    """Yield, for each point of a round in order, its ``_Scored`` or the
+    exception that scoring it alone raised. At n <= _TILE_QUBITS one grouped
+    pass scores them all; should it raise, each point is scored alone, so
+    that a bad point fails alone. Above, each point is scored in its turn,
+    so that its run can ask for the gradient before the next point
+    replaces the problem's kept pass."""
+    if problem.network.n_qubits <= _TILE_QUBITS:
+        try:
+            scored = _scored_group(points, problem)
+        except Exception:
+            pass
+        else:
+            yield from scored
+            return
+    for x in points:
+        try:
+            outcome = _scored_alone(x, problem)
+        except Exception as exc:
+            outcome = exc
+        yield outcome
+
+
+def _advance(run, scored: _Scored | Exception) -> np.ndarray:
+    """Send a ``_bfgs_steps`` run the f it asked for, and the gradient as
+    long as it asks (at the same point), and return the point of its next
+    f request."""
+    if isinstance(scored, Exception):
+        raise scored
+    kind, x = run.send(scored.f)
+    while kind == "g":
+        kind, x = run.send(scored.gradient())
+    return x
+
+
+def _finished(
+    result: MinimizeResult, scored: _Scored, problem: TrainingProblem
+) -> tuple[TrainedModel, np.ndarray]:
+    """A run's model and the per-point energies of the pass at its
+    parameters: the last pass it asked for when it ended there, as it
+    does unless its line search failed, else a new one."""
+    if result.x is scored.point:
+        point_energies = scored.energies()
+    else:
+        point_energies = energies(result.x, problem)
+    model = TrainedModel(
+        network=problem.network,
+        parameters=result.x,
+        final_cost=float(point_energies.sum()),
+        iterations_used=result.iterations,
+        converged=result.converged,
+    )
+    return model, point_energies
+
+
+def train_lockstep(
+    problem: TrainingProblem,
+    seeds,
+    settings: OptimizerSettings = OptimizerSettings(),
+) -> list[tuple[TrainedModel, np.ndarray]]:
+    """Train each seed as :func:`train` does, all in lockstep: in each
+    round every unfinished run asks for f at one point, the round scores
+    those points (``_scored_round``), and each run in seed order takes its
+    f and, as it asks, its gradient there, until it asks for f again or
+    ends. The rounds are deterministic and single-threaded, and every
+    value is bitwise the one that training the seed alone gets, so are
+    the results.
+
+    Returns, per seed in order, the model and the per-point energies of
+    the pass at its parameters, which sum to its final cost. If training
+    some seed raised, raises the exception of the first such seed, as
+    training the seeds one after another would."""
+    runs = [_bfgs_steps(init_params(problem.network.n_params, seed), settings) for seed in seeds]
+    asked = [(run, next(run)[1]) for run in runs]  # every run first asks for f
+    outcomes = {}
+    while asked:
+        waiting, asked = asked, []
+        points = [x for _, x in waiting]
+        for (run, _), scored in zip(waiting, _scored_round(points, problem)):
+            try:
+                asked.append((run, _advance(run, scored)))
+            except StopIteration as stop:
+                outcomes[run] = _finished(stop.value, scored, problem)
+            except Exception as exc:
+                outcomes[run] = exc
+    trained = [outcomes[run] for run in runs]
+    for outcome in trained:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return trained

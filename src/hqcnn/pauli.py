@@ -397,29 +397,33 @@ def _scatter(compiled: CompiledHamiltonian, j: int, reps, pos, amp) -> np.ndarra
 
 
 def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray) -> np.ndarray:
-    """H applied to each column of a (2**n, points) array, in the columns'
-    dtype; the columns form ``hamiltonians.count`` equal consecutive
-    blocks, block j for Hamiltonian j.
+    """H applied to each column of a (2**n, points) array, or of each
+    group of a (G, 2**n, points) one, in the columns' dtype; the columns
+    of a group form ``hamiltonians.count`` equal consecutive blocks, block
+    j for Hamiltonian j.
 
     Complex columns read the full weights. Real columns read Re(H)
     (``real``): equal to H when H is real, and in any case symmetric with
     the same quadratic form as H on real columns, so 2 Re(H) v is the
-    gradient of <v|H|v> by a real v. That is one batched matmul with
-    ``real_dense`` where there is one.
+    gradient of <v|H|v> by a real v. That is one stacked matmul with
+    ``real_dense`` where there is one, a product per block and group of
+    the shape that a group alone makes, so each group's products are
+    bitwise those of its columns alone.
     """
-    blocks = cols.reshape(cols.shape[0], hamiltonians.count, -1)
+    blocks = cols.reshape(*cols.shape[:-1], hamiltonians.count, -1)
     real = cols.dtype.kind != "c"
     if real and hamiltonians.real_dense is not None:
-        out = np.empty(cols.shape, dtype=cols.dtype)
+        groups = blocks.reshape(-1, *blocks.shape[-3:])
+        out = np.empty(groups.shape, dtype=cols.dtype)
         np.matmul(
-            hamiltonians.real_dense,
-            blocks.transpose(1, 0, 2),
-            out=out.reshape(blocks.shape).transpose(1, 0, 2),
+            hamiltonians.real_dense[:, None],
+            groups.transpose(2, 0, 1, 3),
+            out=out.transpose(2, 0, 1, 3),
         )
-        return out
+        return out.reshape(cols.shape)
     out = np.zeros(blocks.shape, dtype=cols.dtype)
     for flip, weights in (hamiltonians.real if real else hamiltonians).groups:
-        partner = blocks if flip is None else blocks.take(flip, axis=0)
+        partner = blocks if flip is None else blocks.take(flip, axis=-3)
         out += partner * weights
     return out.reshape(cols.shape)
 

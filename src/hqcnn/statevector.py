@@ -200,8 +200,10 @@ def _ry_tiles(c: np.ndarray, s: np.ndarray, n_qubits: int) -> tuple[tuple[np.nda
 
 
 def _ry_factors(c: np.ndarray, s: np.ndarray, n_qubits: int) -> np.ndarray:
-    """The (3n, layers) factor table of ``_tile_entries`` from the 1-D
-    angle factors of layers of n Ry's: cos, then sin, then -sin."""
+    """The (3n, layers) factor table of ``_tile_entries`` from the angle
+    factors of layers of n Ry's, read in C order, so that the layers of a
+    stack of vectors follow one another vector by vector: cos, then sin,
+    then -sin."""
     c, s = c.reshape(-1, n_qubits).T, s.reshape(-1, n_qubits).T
     return np.concatenate((c, s, -s))
 
@@ -267,8 +269,9 @@ def _probabilities(cols: np.ndarray) -> np.ndarray:
 
 
 def _expect_z_rows(cols: np.ndarray, n_qubits: int) -> np.ndarray:
-    """(points, n) array of per-qubit <sigma_z> = P(bit q = 0) - P(bit q = 1)."""
-    return _probabilities(cols).T @ _z_signs(n_qubits)
+    """(..., points, n) array of per-qubit <sigma_z> = P(bit q = 0) - P(bit q = 1)
+    of (..., 2**n, points) columns: one product per leading index."""
+    return _probabilities(cols).mT @ _z_signs(n_qubits)
 
 
 @lru_cache(maxsize=_TILE_QUBITS)
@@ -283,16 +286,19 @@ def _product_index(k: int) -> np.ndarray:
 def _product_rows(factors: np.ndarray) -> np.ndarray:
     """Product states from per-qubit amplitude pairs.
 
-    ``factors`` is a C-ordered (n, 2, points) array, the amplitudes of |0>
-    and |1> of each qubit; returns the fresh columns of their tensor
-    products, multiplied in qubit order: the first ``_TILE_QUBITS`` by one
-    gather and one product, each later qubit by one broadcast product.
+    ``factors`` is a C-ordered (..., n, 2, points) array, the amplitudes of
+    |0> and |1> of each qubit; returns the fresh (..., 2**n, points)
+    columns of their tensor products, multiplied in qubit order: the first
+    ``_TILE_QUBITS`` by one gather and one product, each later qubit by
+    one broadcast product.
     """
-    k = min(len(factors), _TILE_QUBITS)
-    lead = factors[:k].reshape(2 * k, -1)
-    cols = np.multiply.reduce(lead.take(_product_index(k), axis=0), axis=0)
-    for pair in factors[k:]:
-        cols = (cols[:, None, :] * pair).reshape(-1, pair.shape[1])
+    *outer, n, _, points = factors.shape
+    k = min(n, _TILE_QUBITS)
+    lead = factors[..., :k, :, :].reshape(*outer, 2 * k, points)
+    cols = np.multiply.reduce(lead.take(_product_index(k), axis=-2), axis=-3)
+    for q in range(k, n):
+        cols = cols[..., :, None, :] * factors[..., q, None, :, :]
+        cols = cols.reshape(*outer, -1, points)
     return cols
 
 

@@ -367,17 +367,19 @@ class TestScoring:
         "variant, test_bond_lengths, after_training",
         [("both", (1.0,), [(1.0,)]), ("with_measurements", (), [])],
     )
-    def test_one_test_pass_per_seed_after_training(
+    def test_one_test_pass_per_seed_after_lockstep_training(
         self, variant, test_bond_lengths, after_training, tfim2_dir, tmp_path, monkeypatch
     ):
+        # The seeds of a variant train together, in one train_lockstep
+        # call, which hands over each seed's final train energies.
         events = []
-        train = cli.train
+        train_lockstep = cli.train_lockstep
 
         def spy_train(*args, **kwargs):
             events.append("train")
-            model = train(*args, **kwargs)
+            trained = train_lockstep(*args, **kwargs)
             events.append("trained")
-            return model
+            return trained
 
         # A pass runs on the encoded columns of its bond lengths; the
         # encodings are kept, so each is traced back to its bond lengths.
@@ -396,7 +398,7 @@ class TestScoring:
             events.append(inputs)
             return forward_pass(net, encoded, *args)
 
-        monkeypatch.setattr(cli, "train", spy_train)
+        monkeypatch.setattr(cli, "train_lockstep", spy_train)
         monkeypatch.setattr(network, "_input_rows", spy_inputs)
         monkeypatch.setattr(optimize, "_input_rows", spy_inputs)
         monkeypatch.setattr(network, "_forward_pass", spy_pass)
@@ -409,15 +411,15 @@ class TestScoring:
             settings=OptimizerSettings(max_iterations=5),
         )
         (run_compare if variant == "both" else run_curve)(config)
-        # The passes between the end of one training and the start of the
-        # next (or the end of the run) score the trained model.
+        # The passes between the end of one variant's training and the
+        # start of the next (or the end of the run) score its models.
         scoring = []
         for i, event in enumerate(events):
             if event == "trained":
                 rest = events[i + 1 :]
                 scoring.append(rest[: rest.index("train")] if "train" in rest else rest)
-        assert len(scoring) == len(config.seeds) * (2 if variant == "both" else 1)
-        assert all(passes == after_training for passes in scoring)
+        assert len(scoring) == (2 if variant == "both" else 1)
+        assert all(passes == after_training * len(config.seeds) for passes in scoring)
 
     def test_without_test_split_writes_train_rows_only(self, tfim2_dir, tmp_path):
         out = tmp_path / "out"
@@ -631,6 +633,23 @@ class TestMain:
         assert err.startswith("config error: --bond-lengths must be finite")
         assert "Traceback" not in err
         assert not data.exists()
+
+    def test_gen_synthetic_rejects_a_field_past_a_finite_coefficient_sum(
+        self, tmp_path, capsys
+    ):
+        # At 2 qubits the field 1e308 gives |c_i| summing to 1 + 2e308,
+        # which overflows; training and Lanczos then refused the file.
+        data = tmp_path / "d"
+        argv = ["gen-synthetic", "--out-dir", str(data), "--n-qubits"]
+        assert main(argv + ["2", "--bond-lengths", "0.5", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error: field 1e+308: the sum of |c_i| ")
+        assert "Traceback" not in captured.err
+        assert not data.exists()
+        # One qubit has no ZZ term: the sum is the field itself, finite.
+        assert main(argv + ["1", "--bond-lengths", "1e308"]) == 0
+        assert len(list(data.glob("*.ham"))) == 1
 
     def test_negative_config_seed_exit_1(self, tfim2_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -25,6 +25,7 @@ from hqcnn.optimize import (
     gradient_step_check,
     init_params,
     train,
+    train_lockstep,
 )
 from hqcnn.oracle import ground_energy
 from hqcnn.pauli import PauliHamiltonian, PauliTerm, expectation
@@ -688,3 +689,242 @@ class TestEvaluate:
         )
         model = train(problem, 0)
         assert abs(self._energy(model, 1.0, h) - ground_energy(h)) < 1e-3
+
+
+class TestAskTell:
+    """``_bfgs_steps`` is BFGS as a generator of ("f", x) and ("g", x)
+    requests; ``bfgs_minimize`` and the lockstep driver answer them."""
+
+    @staticmethod
+    def _rosenbrock(x):
+        return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+
+    @staticmethod
+    def _rosenbrock_gradient(x):
+        return np.array(
+            [-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)]
+        )
+
+    def test_driving_the_steps_by_hand_matches_bfgs_minimize(self):
+        f, g = self._rosenbrock, self._rosenbrock_gradient
+        want = bfgs_minimize(f, g, np.array([-1.2, 1.0]), OptimizerSettings())
+        steps = optimize._bfgs_steps(np.array([-1.2, 1.0]), OptimizerSettings())
+        kinds = []
+        request = next(steps)
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                kind, x = request
+                kinds.append(kind)
+                request = steps.send(f(x) if kind == "f" else g(x))
+        got = stop.value.value
+        assert got.x.tobytes() == want.x.tobytes() and got.fun == want.fun
+        assert (got.iterations, got.converged, got.restarts) == (39, True, 0)
+        assert (kinds.count("f"), kinds.count("g")) == (69, 50)
+
+    def test_restart_is_counted(self):
+        # g @ H g underflows to -0.0, so -H g is no descent direction: the
+        # run restarts from steepest descent, whose slope underflows too,
+        # and the line search gives up before any step, as before.
+        res = bfgs_minimize(
+            lambda x: 0.0,
+            lambda x: np.array([1e-200, -1e-200]),
+            np.array([0.5, 0.25]),
+            OptimizerSettings(gradient_norm_tolerance=1e-250),
+        )
+        assert (res.iterations, res.converged, res.restarts) == (0, False, 1)
+        assert res.x.tolist() == [0.5, 0.25] and res.fun == 0.0
+
+    def test_line_search_failure_keeps_its_iterations(self):
+        # Below 1e-12 the energy differences are rounding: the line search
+        # of seed 4 fails after 13 iterations, with these bits, as before
+        # BFGS asked for its values. No restart happens on the way.
+        problem = _tfim_problem(2, (0.5,))
+        settings = OptimizerSettings(max_iterations=14, gradient_norm_tolerance=1e-12)
+        x0 = init_params(problem.network.n_params, 4)
+        res = bfgs_minimize(
+            lambda v: cost(v, problem), lambda v: gradient(v, problem), x0, settings
+        )
+        assert (res.iterations, res.converged, res.restarts) == (13, False, 0)
+        assert res.fun.hex() == "-0x1.6a09e667f3bccp+0"
+        linear = bfgs_minimize(
+            lambda x: float(-x[0]), lambda x: np.array([-1.0]), np.array([0.0]),
+            OptimizerSettings(),
+        )
+        assert (linear.iterations, linear.converged, linear.restarts) == (0, False, 0)
+
+
+def _steer(monkeypatch, problem, actions=None):
+    """Wrap ``_bfgs_steps`` so that every run records the kinds it asks
+    for, under the seed whose ``init_params`` it starts from; ``actions``
+    maps a seed to (i, action): at its i-th f request (from 1), "inf"
+    answers f with inf, "nan" asks for f at a vector of nan instead.
+    Returns the seed -> kinds record of the runs started since."""
+    seed_of = {
+        init_params(problem.network.n_params, seed).tobytes(): seed for seed in range(16)
+    }
+    actions = actions or {}
+    steps = optimize._bfgs_steps
+    asked = {}
+
+    def steered(x0, settings):
+        seed = seed_of[np.asarray(x0).tobytes()]
+        at, action = actions.get(seed, (0, None))
+        kinds = asked[seed] = []
+        run = steps(x0, settings)
+        request = next(run)
+        while True:
+            kinds.append(request[0])
+            if request[0] == "f" and kinds.count("f") == at and action == "nan":
+                request = ("f", np.full_like(request[1], np.nan))
+            value = yield request
+            if request[0] == "f" and kinds.count("f") == at and action == "inf":
+                value = np.inf
+            try:
+                request = run.send(value)
+            except StopIteration as stop:
+                return stop.value
+
+    monkeypatch.setattr(optimize, "_bfgs_steps", steered)
+    return asked
+
+
+class TestLockstep:
+    """``train_lockstep`` trains many seeds in rounds, one grouped pass per
+    round up to 4 qubits, with the results of training each alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        variant=st.sampled_from(list(Variant)),
+        points=st.integers(1, 8),
+        group=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grouped_pass_is_bitwise_each_vector_alone(self, n, variant, points, group, seed):
+        rng = np.random.default_rng(seed)
+        problem = _tfim_problem(n, tuple(rng.uniform(0.05, 2.5, points)), variant)
+        xs = rng.normal(0, 1.5, (group, problem.network.n_params))
+        grouped = network._forward_pass(problem.network, problem.encoded, xs)
+        points = list(xs)
+        scored = optimize._scored_group(points, problem)
+        for i, x in enumerate(points):
+            alone = network._forward_pass(problem.network, problem.encoded, x)
+            for name in ("measured", "second", "cols"):
+                assert getattr(grouped, name)[i].tobytes() == getattr(alone, name).tobytes()
+            fresh = TrainingProblem(problem.network, problem.training_set)
+            assert scored[i].point is x
+            assert scored[i].f.hex() == cost(x, fresh).hex()
+            assert scored[i].gradient().tobytes() == gradient(x, fresh).tobytes()
+            assert scored[i].energies().tobytes() == energies(x, fresh).tobytes()
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
+    def test_matches_training_each_seed_alone(self, n_seeds):
+        # Seed 4's line search fails after 13 iterations, seed 3 converges
+        # after 13, and seeds 0 and 1 stop at the cap of 14.
+        problem = _tfim_problem(2, (0.5,))
+        settings = OptimizerSettings(max_iterations=14, gradient_norm_tolerance=1e-12)
+        seeds = (4, 3, 0, 1)[:n_seeds]
+        trained = train_lockstep(problem, seeds, settings)
+        outcomes = [(13, False), (13, True), (14, False), (14, False)][:n_seeds]
+        assert [(m.iterations_used, m.converged) for m, _ in trained] == outcomes
+        for seed, (model, point_energies) in zip(seeds, trained):
+            alone = train(problem, seed, settings)
+            assert model.final_cost.hex() == alone.final_cost.hex()
+            assert model.parameters.tobytes() == alone.parameters.tobytes()
+            assert (model.iterations_used, model.converged) == (
+                alone.iterations_used,
+                alone.converged,
+            )
+            assert point_energies.tobytes() == energies(alone.parameters, problem).tobytes()
+            assert float(point_energies.sum()) == model.final_cost
+
+    def test_reports_the_first_seeds_error(self, monkeypatch):
+        # Seed 1 fails at its start point, in an earlier round than seed 0
+        # in its 9th f request: the run reports seed 0's error, as training
+        # seed 0 alone does, with its message.
+        problem = _tfim_problem(2, (0.6, 1.4))
+        actions = {0: (9, "inf"), 1: (1, "inf")}
+        _steer(monkeypatch, problem, actions)
+        with pytest.raises(NumericalError) as alone:
+            train(problem, 0)
+        asked = _steer(monkeypatch, problem, actions)
+        with pytest.raises(NumericalError) as lockstep:
+            train_lockstep(problem, (0, 1, 2))
+        assert str(lockstep.value) == str(alone.value)
+        assert str(lockstep.value).startswith("objective returned inf in line search")
+        assert asked[1].count("f") < asked[0].count("f") == 9
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_bad_point_fails_its_seed_alone(self, n, monkeypatch):
+        # Seed 1 asks for f at a vector of nan in the second round: the
+        # grouped pass raises, each point of that round is scored alone,
+        # and only seed 1 fails, with the error of training it alone;
+        # seeds 0 and 2 go on to ask for all that they ask for alone.
+        problem = _tfim_problem(n, (0.5,))
+        settings = OptimizerSettings(max_iterations=8)
+        alone = _steer(monkeypatch, problem, {1: (2, "nan")})
+        with pytest.raises(ValueError) as expected:
+            train(problem, 1, settings)
+        for seed in (0, 2):
+            train(problem, seed, settings)
+        asked = _steer(monkeypatch, problem, {1: (2, "nan")})
+        with pytest.raises(ValueError) as got:
+            train_lockstep(problem, (0, 1, 2), settings)
+        assert str(got.value) == str(expected.value) == "rotation angle must be finite"
+        assert asked == alone
+        assert alone[1].count("f") == 2 < min(alone[0].count("f"), alone[2].count("f"))
+
+
+class TestRequestsAboveTheDenseCap:
+    """From 5 qubits on, training answers each request with one call of
+    ``optimize.cost`` or ``optimize.gradient``, through the module's
+    names (which the benchmark wraps to count gradients), and runs one
+    adjoint sweep per gradient request and no other."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"cost": 0, "gradient": 0, "sweeps": 0, "passes": 0}
+        for name in ("cost", "gradient"):
+            fn = getattr(optimize, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(optimize, name, counted)
+        sweep = network._adjoint_sweep
+
+        def counted_sweep(*args):
+            counts["sweeps"] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(network, "_adjoint_sweep", counted_sweep)
+        passes = []
+        _count_forward_passes(monkeypatch, passes)
+        counts["passes"] = passes
+        return counts
+
+    @staticmethod
+    def _problem():
+        return _tfim_problem(5, (0.4, 1.6))
+
+    def test_train_calls_cost_and_gradient_once_per_request(self, counts, monkeypatch):
+        problem = self._problem()
+        asked = _steer(monkeypatch, problem)
+        model = train(problem, 0, OptimizerSettings(max_iterations=3))
+        kinds = asked[0]
+        assert model.iterations_used == 3
+        # The final cost is one more call, on the pass of the last f.
+        assert counts["cost"] == kinds.count("f") + 1
+        assert counts["gradient"] == counts["sweeps"] == kinds.count("g")
+        assert len(counts["passes"]) == kinds.count("f")
+
+    def test_lockstep_sweeps_only_for_gradient_requests(self, counts, monkeypatch):
+        problem = self._problem()
+        asked = _steer(monkeypatch, problem)
+        train_lockstep(problem, (0, 1), OptimizerSettings(max_iterations=3))
+        f_requests = sum(kinds.count("f") for kinds in asked.values())
+        g_requests = sum(kinds.count("g") for kinds in asked.values())
+        assert f_requests > g_requests
+        assert counts["cost"] == len(counts["passes"]) == f_requests
+        assert counts["gradient"] == counts["sweeps"] == g_requests
