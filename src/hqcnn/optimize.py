@@ -12,8 +12,8 @@ path: one forward column per training point, scored against the training
 Hamiltonians. ``TrainingProblem`` compiles those once, and encodes the
 bond lengths once. ``cost`` is their sum. A trained model's predictions
 are ``energies`` too: on its training points they come from the pass
-that training's final ``cost`` kept, so they sum exactly to the final
-cost; other points are scored as the training set of a
+at its parameters that training ran last, and they sum exactly to its
+final cost; other points are scored as the training set of a
 ``TrainingProblem`` of their own.
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
@@ -30,29 +30,31 @@ forward passes for k angles. ``gradient`` reuses the forward pass of
 forward pass and the product H phi of its final columns, keyed by the
 bytes of the parameter vector, and BFGS asks for the gradient exactly at
 the points whose cost it has just accepted, so there ``gradient`` runs
-only the backward part. That is how ``train`` runs one seed. Many seeds
-run in lockstep (``train_lockstep``): at n <= 4 one grouped pass over
-the points that the seeds' BFGS runs ask f at gives f and the gradient
-at each; it is the code of ``cost`` and ``gradient`` along a leading
-group axis, bitwise equal to it per vector. Above 4 qubits each point
-goes through ``cost`` in its turn and ``gradient`` only when asked, on
-the kept pass, as in ``train``. Central
-differences, the paper's method, stay as the independent reference
-(``finite_difference_gradient``): plain central differences of ``cost``,
-one coordinate at a time. ``gradient_deviations`` compares the adjoint
-with them and guards their step choice by halving it, from two
-central-difference gradients; ``gradient_step_check`` is the latter.
+only the backward part. Training has one driver, ``train_lockstep``,
+which advances the BFGS runs of one or many seeds in rounds; ``train``
+is that driver for one seed. At n <= 4 a round is one grouped pass over
+the points that the runs ask f at, which gives f and the gradient at
+each; it is the code of ``cost`` and ``gradient`` along a leading group
+axis, bitwise equal to it per vector. Above 4 qubits each point goes
+through ``cost`` in its turn and ``gradient`` only when asked, on the
+pass that ``cost`` kept. Central differences, the paper's method, stay
+as the independent reference (``finite_difference_gradient``): plain
+central differences of ``cost``, one coordinate at a time.
+``gradient_deviations`` compares the adjoint with them and guards their
+step choice by halving it, from two central-difference gradients;
+``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
 It calls no function: ``_bfgs_steps`` is a generator that asks for each
-value it needs, f or g at a point, and takes it by ``send``, so one
-driver can answer one run (``bfgs_minimize``) or advance many runs in
-rounds (``train_lockstep``) with the same arithmetic. Each trial point
-is built once and asked for f and then, for its slope, g, as the same
-array; the accepted one is the next iterate. Restarts from steepest
-descent are counted in the result. Defaults: at most 500 iterations,
-stop when the gradient infinity norm drops to 1e-5.
+value it needs, f or g at a point, and takes it by ``send``, so
+``bfgs_minimize`` can answer one run from an objective and a gradient
+function, and ``train_lockstep`` can advance many runs in rounds, with
+the same arithmetic. Each trial point is built once and asked for f and
+then, for its slope, g, as the same array; the accepted one is the next
+iterate. Restarts from steepest descent are counted in the result.
+Defaults: at most 500 iterations, stop when the gradient infinity norm
+drops to 1e-5.
 
 Determinism: cost, gradient and each central-difference evaluation run
 all training points in one batch in a fixed order, the central
@@ -110,8 +112,9 @@ class TrainingProblem:
 
     ``_last_forward`` holds at most one forward pass over the training
     points and the product H phi of its final columns, keyed by the bytes of
-    its parameter vector, for ``cost`` and ``gradient`` to share; each
-    problem has its own.
+    its parameter vector, for ``cost`` and ``gradient`` to share: in the
+    training rounds above 4 qubits and for direct callers. Each problem has
+    its own.
     """
 
     network: NetworkSpec
@@ -470,34 +473,8 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
         return stop.value
 
 
-def train(
-    problem: TrainingProblem,
-    seed: int,
-    settings: OptimizerSettings = OptimizerSettings(),
-) -> TrainedModel:
-    """Initialize from the seed, minimize the summed energy, report the fit."""
-    x0 = init_params(problem.network.n_params, seed)
-
-    def objective(v: np.ndarray) -> float:
-        return cost(v, problem)
-
-    def grad(v: np.ndarray) -> np.ndarray:
-        return gradient(v, problem)
-
-    result = bfgs_minimize(objective, grad, x0, settings)
-    # Recompute so the reported number is exactly cost(parameters).
-    final_cost = cost(result.x, problem)
-    return TrainedModel(
-        network=problem.network,
-        parameters=result.x,
-        final_cost=final_cost,
-        iterations_used=result.iterations,
-        converged=result.converged,
-    )
-
-
 # ---------------------------------------------------------------------------
-# lockstep training of many seeds
+# training: BFGS runs of one or many seeds, advanced in lockstep rounds
 # ---------------------------------------------------------------------------
 
 
@@ -526,24 +503,15 @@ def _scored_group(points, problem: TrainingProblem) -> list[_Scored]:
     ]
 
 
-def _scored_alone(x: np.ndarray, problem: TrainingProblem) -> _Scored:
-    """Score one vector: a group of one at n <= _TILE_QUBITS; above, by
-    ``cost`` now and ``gradient`` only when asked, which reuses the forward
-    pass that ``cost`` kept."""
-    if problem.network.n_qubits <= _TILE_QUBITS:
-        return _scored_group([x], problem)[0]
-    f = cost(x, problem)
-    return _Scored(x, f, partial(gradient, x, problem), partial(energies, x, problem))
-
-
 def _scored_round(points, problem: TrainingProblem):
     """Yield, for each point of a round in order, its ``_Scored`` or the
-    exception that scoring it alone raised. At n <= _TILE_QUBITS one grouped
-    pass scores them all; should it raise, each point is scored alone, so
-    that a bad point fails alone. Above, each point is scored in its turn,
-    so that its run can ask for the gradient before the next point
-    replaces the problem's kept pass."""
-    if problem.network.n_qubits <= _TILE_QUBITS:
+    exception that scoring it raised. At n <= _TILE_QUBITS one grouped pass
+    scores them all; should it raise, one pass per point does, so that a
+    bad point fails alone. Above, each point is scored in its turn by
+    ``cost``, and by ``gradient`` only when its run asks, on the pass that
+    ``cost`` kept, before the next point replaces it."""
+    dense = problem.network.n_qubits <= _TILE_QUBITS
+    if dense:
         try:
             scored = _scored_group(points, problem)
         except Exception:
@@ -553,7 +521,12 @@ def _scored_round(points, problem: TrainingProblem):
             return
     for x in points:
         try:
-            outcome = _scored_alone(x, problem)
+            if dense:
+                outcome = _scored_group([x], problem)[0]
+            else:
+                f = cost(x, problem)
+                g, e = partial(gradient, x, problem), partial(energies, x, problem)
+                outcome = _Scored(x, f, g, e)
         except Exception as exc:
             outcome = exc
         yield outcome
@@ -596,18 +569,20 @@ def train_lockstep(
     seeds,
     settings: OptimizerSettings = OptimizerSettings(),
 ) -> list[tuple[TrainedModel, np.ndarray]]:
-    """Train each seed as :func:`train` does, all in lockstep: in each
-    round every unfinished run asks for f at one point, the round scores
-    those points (``_scored_round``), and each run in seed order takes its
-    f and, as it asks, its gradient there, until it asks for f again or
-    ends. The rounds are deterministic and single-threaded, and every
-    value is bitwise the one that training the seed alone gets, so are
-    the results.
+    """Train each seed from ``init_params`` by ``_bfgs_steps``, all in
+    lockstep: in each round every unfinished run asks for f at one point,
+    the round scores those points (``_scored_round``), and each run in seed
+    order takes its f and, as it asks, its gradient there, until it asks
+    for f again or ends. The rounds are deterministic and single-threaded,
+    and every value is bitwise the one that the seed's run gets in a round
+    of its own, so are the results.
 
     Returns, per seed in order, the model and the per-point energies of
     the pass at its parameters, which sum to its final cost. If training
     some seed raised, raises the exception of the first such seed, as
-    training the seeds one after another would."""
+    training the seeds one after another would; once a seed has raised,
+    no later seed is advanced, since only an earlier seed's error could
+    still be reported."""
     runs = [_bfgs_steps(init_params(problem.network.n_params, seed), settings) for seed in seeds]
     asked = [(run, next(run)[1]) for run in runs]  # every run first asks for f
     outcomes = {}
@@ -621,8 +596,21 @@ def train_lockstep(
                 outcomes[run] = _finished(stop.value, scored, problem)
             except Exception as exc:
                 outcomes[run] = exc
-    trained = [outcomes[run] for run in runs]
-    for outcome in trained:
+                break
+    trained = []
+    for run in runs:  # a run dropped after a failure comes after it
+        outcome = outcomes[run]
         if isinstance(outcome, Exception):
             raise outcome
+        trained.append(outcome)
     return trained
+
+
+def train(
+    problem: TrainingProblem,
+    seed: int,
+    settings: OptimizerSettings = OptimizerSettings(),
+) -> TrainedModel:
+    """Initialize from the seed, minimize the summed energy, report the
+    fit: :func:`train_lockstep` of the one seed."""
+    return train_lockstep(problem, (seed,), settings)[0][0]

@@ -579,6 +579,28 @@ class TestMain:
         values = [float(line) for line in params_file.read_text().split()]
         assert len(values) == 8
 
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    def test_train_prints_the_start_of_the_curve_manifests_seed_line(
+        self, variant, tfim2_dir, tmp_path, capsys
+    ):
+        # train and curve fit a seed's model with the same code, so the
+        # line that train prints starts the seed's line in the manifest.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {tmp_path / 'o'}\n"
+            f"variant: {variant}\ntrain_bond_lengths: 0.5 1.5\n"
+            "test_bond_lengths: 1.0\nseeds: 0 3\nmax_iterations: 30\n"
+        )
+        assert main(["curve", "--config", str(cfg)]) == 0
+        manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+        capsys.readouterr()
+        for seed in (0, 3):
+            assert main(["train", "--config", str(cfg), "--seed", str(seed)]) == 0
+            line = capsys.readouterr().out.strip()
+            assert line.startswith(f"seed {seed}: final_cost=")
+            (entry,) = [m for m in manifest if m.startswith(f"seed {seed}: ")]
+            assert entry.startswith(line + " sum_train_error=")
+
     def test_gradcheck_subcommand(self, tfim2_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(

@@ -412,25 +412,26 @@ class TestForwardMemo:
         gradient(params, second)
         assert len(passes) == 2
 
-    def test_train_scores_each_accepted_point_once(self, monkeypatch):
+    def test_train_runs_one_grouped_pass_per_f_request(self, monkeypatch):
+        # Up to 4 qubits training answers each f request, and the g
+        # requests at its point, from one grouped pass, never through cost
+        # or gradient.
         problem = self._problem()
-        settings = OptimizerSettings(max_iterations=5)
-        calls = {"cost": 0, "gradient": 0, "passes": 0}
         for name in ("cost", "gradient"):
-            fn = getattr(optimize, name)
+            monkeypatch.setattr(optimize, name, mock.Mock(side_effect=AssertionError(name)))
+        shapes = []
+        forward_pass = network._forward_pass
 
-            def counted(*args, _fn=fn, _name=name):
-                calls[_name] += 1
-                return _fn(*args)
+        def spy(net, encoded, params):
+            shapes.append(np.shape(params))
+            return forward_pass(net, encoded, params)
 
-            monkeypatch.setattr(optimize, name, counted)
-        passes = []
-        _count_forward_passes(monkeypatch, passes)
-        train(problem, 0, settings)
-        # Every gradient and the final cost fall on a point that cost
-        # has just scored; only the line search's rejected points and the
-        # start point run a pass of their own.
-        assert len(passes) == calls["cost"] - 1
+        monkeypatch.setattr(network, "_forward_pass", spy)
+        monkeypatch.setattr(optimize, "_forward_pass", spy)
+        asked = _steer(monkeypatch, problem)
+        train(problem, 0, OptimizerSettings(max_iterations=5))
+        assert len(shapes) == asked[0].count("f") > 5
+        assert set(shapes) == {(1, problem.network.n_params)}
 
 
 class TestEncodedInputs:
@@ -758,12 +759,13 @@ def _steer(monkeypatch, problem, actions=None):
     for, under the seed whose ``init_params`` it starts from; ``actions``
     maps a seed to (i, action): at its i-th f request (from 1), "inf"
     answers f with inf, "nan" asks for f at a vector of nan instead.
-    Returns the seed -> kinds record of the runs started since."""
+    Returns the seed -> kinds record of the runs started since; a later
+    call replaces this wrapper, so this record stays as it is."""
     seed_of = {
         init_params(problem.network.n_params, seed).tobytes(): seed for seed in range(16)
     }
     actions = actions or {}
-    steps = optimize._bfgs_steps
+    steps = getattr(optimize._bfgs_steps, "unsteered", optimize._bfgs_steps)
     asked = {}
 
     def steered(x0, settings):
@@ -784,6 +786,7 @@ def _steer(monkeypatch, problem, actions=None):
             except StopIteration as stop:
                 return stop.value
 
+    steered.unsteered = steps
     monkeypatch.setattr(optimize, "_bfgs_steps", steered)
     return asked
 
@@ -818,24 +821,33 @@ class TestLockstep:
             assert scored[i].energies().tobytes() == energies(x, fresh).tobytes()
 
     @pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
-    def test_matches_training_each_seed_alone(self, n_seeds):
-        # Seed 4's line search fails after 13 iterations, seed 3 converges
-        # after 13, and seeds 0 and 1 stop at the cap of 14.
-        problem = _tfim_problem(2, (0.5,))
-        settings = OptimizerSettings(max_iterations=14, gradient_norm_tolerance=1e-12)
+    @pytest.mark.parametrize("n, cap", [(2, 14), (5, 4)])
+    def test_matches_training_each_seed_alone(self, n, cap, n_seeds):
+        # The reference trains each seed by itself, with bfgs_minimize
+        # answering from cost and gradient. At n = 2, seed 4's line search
+        # fails after 13 iterations, seed 3 converges after 13, and seeds
+        # 0 and 1 stop at the cap of 14.
+        problem = _tfim_problem(n, (0.5,))
+        settings = OptimizerSettings(max_iterations=cap, gradient_norm_tolerance=1e-12)
         seeds = (4, 3, 0, 1)[:n_seeds]
         trained = train_lockstep(problem, seeds, settings)
-        outcomes = [(13, False), (13, True), (14, False), (14, False)][:n_seeds]
-        assert [(m.iterations_used, m.converged) for m, _ in trained] == outcomes
+        if n == 2:
+            outcomes = [(13, False), (13, True), (14, False), (14, False)][:n_seeds]
+            assert [(m.iterations_used, m.converged) for m, _ in trained] == outcomes
         for seed, (model, point_energies) in zip(seeds, trained):
-            alone = train(problem, seed, settings)
-            assert model.final_cost.hex() == alone.final_cost.hex()
-            assert model.parameters.tobytes() == alone.parameters.tobytes()
+            alone = bfgs_minimize(
+                lambda v: cost(v, problem),
+                lambda v: gradient(v, problem),
+                init_params(problem.network.n_params, seed),
+                settings,
+            )
+            assert model.final_cost.hex() == cost(alone.x, problem).hex()
+            assert model.parameters.tobytes() == alone.x.tobytes()
             assert (model.iterations_used, model.converged) == (
-                alone.iterations_used,
+                alone.iterations,
                 alone.converged,
             )
-            assert point_energies.tobytes() == energies(alone.parameters, problem).tobytes()
+            assert point_energies.tobytes() == energies(alone.x, problem).tobytes()
             assert float(point_energies.sum()) == model.final_cost
 
     def test_reports_the_first_seeds_error(self, monkeypatch):
@@ -853,13 +865,24 @@ class TestLockstep:
         assert str(lockstep.value) == str(alone.value)
         assert str(lockstep.value).startswith("objective returned inf in line search")
         assert asked[1].count("f") < asked[0].count("f") == 9
+        assert asked[2] == ["f"]
+
+    def test_no_later_seed_advances_after_a_failure(self, monkeypatch):
+        # Seed 0 fails at its first f request: only its error can be
+        # reported, so seeds 1 and 2 ask for nothing after round 1.
+        problem = _tfim_problem(2, (0.6, 1.4))
+        asked = _steer(monkeypatch, problem, {0: (1, "inf")})
+        with pytest.raises(NumericalError, match="at the start point"):
+            train_lockstep(problem, (0, 1, 2))
+        assert asked == {0: ["f"], 1: ["f"], 2: ["f"]}
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_bad_point_fails_its_seed_alone(self, n, monkeypatch):
         # Seed 1 asks for f at a vector of nan in the second round: the
-        # grouped pass raises, each point of that round is scored alone,
-        # and only seed 1 fails, with the error of training it alone;
-        # seeds 0 and 2 go on to ask for all that they ask for alone.
+        # grouped pass raises, the points of that round are scored one by
+        # one, and only seed 1 fails, with the error of training it alone;
+        # seed 0 goes on to ask for all that it asks for alone, and seed 2,
+        # whose error could not be reported, asks for nothing more.
         problem = _tfim_problem(n, (0.5,))
         settings = OptimizerSettings(max_iterations=8)
         alone = _steer(monkeypatch, problem, {1: (2, "nan")})
@@ -871,7 +894,8 @@ class TestLockstep:
         with pytest.raises(ValueError) as got:
             train_lockstep(problem, (0, 1, 2), settings)
         assert str(got.value) == str(expected.value) == "rotation angle must be finite"
-        assert asked == alone
+        assert (asked[0], asked[1]) == (alone[0], alone[1])
+        assert asked[2] == alone[2][:3] == ["f", "g", "f"]
         assert alone[1].count("f") == 2 < min(alone[0].count("f"), alone[2].count("f"))
 
 
@@ -914,10 +938,9 @@ class TestRequestsAboveTheDenseCap:
         model = train(problem, 0, OptimizerSettings(max_iterations=3))
         kinds = asked[0]
         assert model.iterations_used == 3
-        # The final cost is one more call, on the pass of the last f.
-        assert counts["cost"] == kinds.count("f") + 1
+        # The final cost comes from the pass of the last f: no extra call.
+        assert counts["cost"] == len(counts["passes"]) == kinds.count("f")
         assert counts["gradient"] == counts["sweeps"] == kinds.count("g")
-        assert len(counts["passes"]) == kinds.count("f")
 
     def test_lockstep_sweeps_only_for_gradient_requests(self, counts, monkeypatch):
         problem = self._problem()
