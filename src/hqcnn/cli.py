@@ -38,9 +38,9 @@ subcommand checks SOURCE_DATE_EPOCH before it starts: a value that is
 not an integer, or not a representable date, is a config error.
 
 curve and compare score a trained model on the training pass: the
-predicted energies of a split are one batched real forward pass over its
-points, scored against its Hamiltonians, compiled once per variant. The
-train energies are those of the pass training ended on, so per seed they
+predicted energies of a split, train or test, are one batched real
+forward pass over its points at the model's parameters, scored against
+its Hamiltonians, compiled once per variant. Per seed the train energies
 sum exactly (numpy's sum, in point order) to the final cost.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
@@ -401,8 +401,8 @@ def _run_one_variant(
     single-threaded rounds, each of which scores every unfinished seed's
     next point at once, with bitwise the results of training each seed
     alone. Each non-empty split is one ``TrainingProblem``, so its
-    Hamiltonians compile once. The train energies come from the pass that
-    training ended on; the test split costs one batched pass per seed."""
+    Hamiltonians compile once, and is scored by one batched ``energies``
+    pass per seed."""
     assert train_ds.n_qubits is not None
     net = NetworkSpec(train_ds.n_qubits, variant)
     splits = [
@@ -413,17 +413,14 @@ def _run_one_variant(
         )
         if dataset.entries
     ]
-    train_problem = splits[0][1]  # the train split is never empty
-    trained = train_lockstep(train_problem, config.seeds, config.settings)
+    # the train split is never empty
+    trained = train_lockstep(splits[0][1], config.seeds, config.settings)
     outcomes: list[SeedOutcome] = []
     rows: list[str] = []
-    for seed, (model, train_energies) in zip(config.seeds, trained):
+    for seed, model in zip(config.seeds, trained):
         sums = {"train": 0.0, "test": 0.0}
         for split, problem, exact_values in splits:
-            if problem is train_problem:
-                predicted = train_energies
-            else:
-                predicted = energies(model.parameters, problem)
+            predicted = energies(model.parameters, problem)
             for (a, _), energy, exact in zip(
                 problem.training_set, predicted, exact_values
             ):

@@ -11,10 +11,10 @@ its Hamiltonian (variational bound: each term is >= lambda_min(H_j)).
 path: one forward column per training point, scored against the training
 Hamiltonians. ``TrainingProblem`` compiles those once, and encodes the
 bond lengths once. ``cost`` is their sum. A trained model's predictions
-are ``energies`` too: on its training points they come from the pass
-at its parameters that training ran last, and they sum exactly to its
-final cost; other points are scored as the training set of a
-``TrainingProblem`` of their own.
+are ``energies`` of its parameters, one pass per split: on its training
+points they sum exactly to its final cost, the f its run ended on; other
+points are scored as the training set of a ``TrainingProblem`` of their
+own.
 
 ``gradient`` is the exact gradient of ``cost``. The readout is an exact
 expectation, so the model is smooth and reverse mode applies
@@ -67,10 +67,8 @@ platform.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -176,6 +174,9 @@ class MinimizeResult:
 
 @dataclass(frozen=True)
 class TrainedModel:
+    """A seed's fit: its parameters and ``final_cost``, the f that its BFGS
+    run ended on, which is ``cost`` at those parameters bit for bit."""
+
     network: NetworkSpec
     parameters: np.ndarray
     final_cost: float
@@ -335,6 +336,24 @@ def _finite_or_raise(value: float, where: str) -> float:
     return value
 
 
+def _finite_gradient_or_raise(value, where: str) -> np.ndarray:
+    g = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(g).all():
+        raise NumericalError(f"gradient is not finite {where}")
+    return g
+
+
+def _slope_or_raise(value, p, a: float) -> tuple[np.ndarray, float]:
+    """The gradient received at the trial step a along p, and its slope
+    g @ p there. A non-finite entry of g makes the slope non-finite, so g
+    is checked entry by entry only then."""
+    g = np.asarray(value, dtype=np.float64)
+    slope = float(g @ p)
+    if not math.isfinite(slope):
+        _finite_gradient_or_raise(g, f"in line search at step {a}")
+    return g, slope
+
+
 def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     """Minimizer of the cubic matching values and slopes at both ends;
     None when the formula degenerates."""
@@ -370,8 +389,7 @@ def _zoom(x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
         if f_a > f0 + _WOLFE_C1 * a * d0 or f_a >= f_lo:
             a_hi, f_hi, d_hi = a, f_a, None
         else:
-            g_a = np.asarray((yield "g", x_a), dtype=np.float64)
-            d_a = float(g_a @ p)
+            g_a, d_a = _slope_or_raise((yield "g", x_a), p, a)
             if abs(d_a) <= -_WOLFE_C2 * d0:
                 return a, x_a, f_a, g_a
             if d_a * (a_hi - a_lo) >= 0.0:
@@ -396,8 +414,7 @@ def _strong_wolfe(x, p, f0, g0):
         f_a = _finite_or_raise((yield "f", x_a), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or (i > 0 and f_a >= f_prev):
             return (yield from _zoom(x, p, f0, d0, a_prev, f_prev, d_prev, a, f_a, None))
-        g_a = np.asarray((yield "g", x_a), dtype=np.float64)
-        d_a = float(g_a @ p)
+        g_a, d_a = _slope_or_raise((yield "g", x_a), p, a)
         if abs(d_a) <= -_WOLFE_C2 * d0:
             return a, x_a, f_a, g_a
         if d_a >= 0.0:
@@ -418,13 +435,13 @@ def _bfgs_steps(x0, settings: OptimizerSettings):
 
     Stops when the gradient infinity norm reaches the tolerance or the
     iteration cap is hit. A failed line search returns the best iterate
-    found so far with ``converged=False``; a non-finite objective raises
-    :class:`NumericalError` from ``send``.
+    found so far with ``converged=False``; a non-finite objective or
+    gradient raises :class:`NumericalError` from ``send``.
     """
     x = np.array(x0, dtype=np.float64).reshape(-1).copy()
     k = x.size
     f = _finite_or_raise((yield "f", x), "at the start point")
-    g = np.asarray((yield "g", x), dtype=np.float64)
+    g = _finite_gradient_or_raise((yield "g", x), "at the start point")
     h_inv = np.eye(k)
     first_update = True
     iterations = restarts = 0
@@ -478,38 +495,25 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
 # ---------------------------------------------------------------------------
 
 
-class _Scored(NamedTuple):
-    """A round's answer to a run that asked for f at ``point``: f, and on
-    demand the gradient and the per-point energies there."""
-
-    point: np.ndarray
-    f: float
-    gradient: Callable[[], np.ndarray]
-    energies: Callable[[], np.ndarray]
-
-
-def _scored_group(points, problem: TrainingProblem) -> list[_Scored]:
-    """Score parameter vectors by one grouped pass at n <= _TILE_QUBITS,
-    with the gradient of each; the code of ``cost`` and ``gradient``,
-    along a leading group axis, so every value is bitwise that of its
-    vector alone."""
+def _scored_group(points, problem: TrainingProblem):
+    """Score parameter vectors by one grouped pass at n <= _TILE_QUBITS:
+    per vector, f and a thunk of its gradient; the code of ``cost`` and
+    ``gradient``, along a leading group axis, so every value is bitwise
+    that of its vector alone."""
     forward_pass = _forward_pass(problem.network, problem.encoded, np.array(points))
     products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
     point_energies = _pass_energies(forward_pass.cols, products)
     grads = _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
-    return [
-        _Scored(x, float(e.sum()), g.copy, e.copy)
-        for x, e, g in zip(points, point_energies, grads)
-    ]
+    return [(float(e.sum()), g.copy) for e, g in zip(point_energies, grads)]
 
 
 def _scored_round(points, problem: TrainingProblem):
-    """Yield, for each point of a round in order, its ``_Scored`` or the
-    exception that scoring it raised. At n <= _TILE_QUBITS one grouped pass
-    scores them all; should it raise, one pass per point does, so that a
-    bad point fails alone. Above, each point is scored in its turn by
-    ``cost``, and by ``gradient`` only when its run asks, on the pass that
-    ``cost`` kept, before the next point replaces it."""
+    """Yield, for each point of a round in order, its f and gradient thunk,
+    or the exception that scoring it raised. At n <= _TILE_QUBITS one
+    grouped pass scores them all; should it raise, one pass per point does,
+    so that a bad point fails alone. Above, each point is scored in its
+    turn by ``cost``, and by ``gradient`` only when its run asks, on the
+    pass that ``cost`` kept, before the next point replaces it."""
     dense = problem.network.n_qubits <= _TILE_QUBITS
     if dense:
         try:
@@ -524,65 +528,42 @@ def _scored_round(points, problem: TrainingProblem):
             if dense:
                 outcome = _scored_group([x], problem)[0]
             else:
-                f = cost(x, problem)
-                g, e = partial(gradient, x, problem), partial(energies, x, problem)
-                outcome = _Scored(x, f, g, e)
+                outcome = cost(x, problem), partial(gradient, x, problem)
         except Exception as exc:
             outcome = exc
         yield outcome
 
 
-def _advance(run, scored: _Scored | Exception) -> np.ndarray:
+def _advance(run, scored) -> np.ndarray:
     """Send a ``_bfgs_steps`` run the f it asked for, and the gradient as
     long as it asks (at the same point), and return the point of its next
     f request."""
     if isinstance(scored, Exception):
         raise scored
-    kind, x = run.send(scored.f)
+    f, grad = scored
+    kind, x = run.send(f)
     while kind == "g":
-        kind, x = run.send(scored.gradient())
+        kind, x = run.send(grad())
     return x
-
-
-def _finished(
-    result: MinimizeResult, scored: _Scored, problem: TrainingProblem
-) -> tuple[TrainedModel, np.ndarray]:
-    """A run's model and the per-point energies of the pass at its
-    parameters: the last pass it asked for when it ended there, as it
-    does unless its line search failed, else a new one."""
-    if result.x is scored.point:
-        point_energies = scored.energies()
-    else:
-        point_energies = energies(result.x, problem)
-    model = TrainedModel(
-        network=problem.network,
-        parameters=result.x,
-        final_cost=float(point_energies.sum()),
-        iterations_used=result.iterations,
-        converged=result.converged,
-    )
-    return model, point_energies
 
 
 def train_lockstep(
     problem: TrainingProblem,
     seeds,
     settings: OptimizerSettings = OptimizerSettings(),
-) -> list[tuple[TrainedModel, np.ndarray]]:
+) -> list[TrainedModel]:
     """Train each seed from ``init_params`` by ``_bfgs_steps``, all in
     lockstep: in each round every unfinished run asks for f at one point,
     the round scores those points (``_scored_round``), and each run in seed
     order takes its f and, as it asks, its gradient there, until it asks
     for f again or ends. The rounds are deterministic and single-threaded,
     and every value is bitwise the one that the seed's run gets in a round
-    of its own, so are the results.
+    of its own, so are the models, returned per seed in order.
 
-    Returns, per seed in order, the model and the per-point energies of
-    the pass at its parameters, which sum to its final cost. If training
-    some seed raised, raises the exception of the first such seed, as
-    training the seeds one after another would; once a seed has raised,
-    no later seed is advanced, since only an earlier seed's error could
-    still be reported."""
+    If training some seed raised, raises the exception of the first such
+    seed, as training the seeds one after another would; once a seed has
+    raised, no later seed is advanced, since only an earlier seed's error
+    could still be reported."""
     runs = [_bfgs_steps(init_params(problem.network.n_params, seed), settings) for seed in seeds]
     asked = [(run, next(run)[1]) for run in runs]  # every run first asks for f
     outcomes = {}
@@ -593,7 +574,10 @@ def train_lockstep(
             try:
                 asked.append((run, _advance(run, scored)))
             except StopIteration as stop:
-                outcomes[run] = _finished(stop.value, scored, problem)
+                result = stop.value
+                outcomes[run] = TrainedModel(
+                    problem.network, result.x, result.fun, result.iterations, result.converged
+                )
             except Exception as exc:
                 outcomes[run] = exc
                 break
@@ -613,4 +597,4 @@ def train(
 ) -> TrainedModel:
     """Initialize from the seed, minimize the summed energy, report the
     fit: :func:`train_lockstep` of the one seed."""
-    return train_lockstep(problem, (seed,), settings)[0][0]
+    return train_lockstep(problem, (seed,), settings)[0]

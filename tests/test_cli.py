@@ -40,11 +40,15 @@ from hqcnn.pauli import parse_hamiltonian
 from hqcnn.statevector import MAX_QUBITS
 
 
+def _tfim_dir(tmp_path, n_qubits):
+    d = tmp_path / "data"
+    gen_synthetic(d, n_qubits, [0.5, 1.0, 1.5, 2.0])
+    return d
+
+
 @pytest.fixture
 def tfim2_dir(tmp_path):
-    d = tmp_path / "data"
-    gen_synthetic(d, 2, [0.5, 1.0, 1.5, 2.0])
-    return d
+    return _tfim_dir(tmp_path, 2)
 
 
 def _fast_config(dataset_dir, output_dir, **overrides):
@@ -315,9 +319,12 @@ class TestScoring:
     def _csv_rows(path):
         return [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
 
-    def test_train_energies_sum_to_final_cost(self, tfim2_dir, tmp_path):
+    @pytest.mark.parametrize("n_qubits, max_iterations", [(2, 30), (5, 4)])
+    def test_train_energies_sum_to_final_cost(self, n_qubits, max_iterations, tmp_path):
+        # Both the dense path (n <= 4) and the tile path (n >= 5).
         out = tmp_path / "out"
-        manifest = run_curve(_fast_config(tfim2_dir, out))
+        settings = OptimizerSettings(max_iterations=max_iterations)
+        manifest = run_curve(_fast_config(_tfim_dir(tmp_path, n_qubits), out, settings=settings))
         rows = self._csv_rows(out / "results.csv")
         for outcome in manifest.sections[0].outcomes:
             predicted = [
@@ -365,13 +372,14 @@ class TestScoring:
 
     @pytest.mark.parametrize(
         "variant, test_bond_lengths, after_training",
-        [("both", (1.0,), [(1.0,)]), ("with_measurements", (), [])],
+        [("both", (1.0,), [(0.5, 1.5), (1.0,)]), ("with_measurements", (), [(0.5, 1.5)])],
     )
-    def test_one_test_pass_per_seed_after_lockstep_training(
+    def test_one_pass_per_split_and_seed_after_lockstep_training(
         self, variant, test_bond_lengths, after_training, tfim2_dir, tmp_path, monkeypatch
     ):
         # The seeds of a variant train together, in one train_lockstep
-        # call, which hands over each seed's final train energies.
+        # call; then each seed in order is scored by one pass on the train
+        # split's bond lengths and one on the test split's.
         events = []
         train_lockstep = cli.train_lockstep
 
@@ -579,17 +587,19 @@ class TestMain:
         values = [float(line) for line in params_file.read_text().split()]
         assert len(values) == 8
 
+    @pytest.mark.parametrize("n_qubits, max_iterations", [(2, 30), (5, 4)])
     @pytest.mark.parametrize("variant", [v.value for v in Variant])
     def test_train_prints_the_start_of_the_curve_manifests_seed_line(
-        self, variant, tfim2_dir, tmp_path, capsys
+        self, variant, n_qubits, max_iterations, tmp_path, capsys
     ):
         # train and curve fit a seed's model with the same code, so the
-        # line that train prints starts the seed's line in the manifest.
+        # line that train prints starts the seed's line in the manifest,
+        # on the dense path (n <= 4) and the tile path (n >= 5) alike.
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
-            f"dataset_dir: {tfim2_dir}\noutput_dir: {tmp_path / 'o'}\n"
+            f"dataset_dir: {_tfim_dir(tmp_path, n_qubits)}\noutput_dir: {tmp_path / 'o'}\n"
             f"variant: {variant}\ntrain_bond_lengths: 0.5 1.5\n"
-            "test_bond_lengths: 1.0\nseeds: 0 3\nmax_iterations: 30\n"
+            f"test_bond_lengths: 1.0\nseeds: 0 3\nmax_iterations: {max_iterations}\n"
         )
         assert main(["curve", "--config", str(cfg)]) == 0
         manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
@@ -969,6 +979,26 @@ class TestMain:
         assert "numerical failure: with_measurements: non-finite mean or std" in result.stderr
         assert "Traceback" not in result.stderr
         assert not list(tmp_path.glob("**/results*.csv"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "curve"])
+    def test_non_finite_gradient_exit_3(self, command, tmp_path):
+        # Every coefficient and the sum of their magnitudes are finite, but
+        # the gradient at the start point is not: train and curve stepped
+        # along it and died on a non-finite rotation angle, with exit 1.
+        gen_synthetic(tmp_path / "d", 2, [8e307, 1e307, 2e307, 3e307])
+        out = tmp_path / "o"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"dataset_dir: {tmp_path / 'd'}\noutput_dir: {out}\n"
+            "variant: with_measurements\ntrain_bond_lengths: 8e307 1e307\n"
+            "test_bond_lengths: 2e307 3e307\nseeds: 0 1\nmax_iterations: 5\n"
+        )
+        result = _cli_subprocess([command, "--config", str(cfg)], module="hqcnn")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "numerical failure: gradient is not finite at the start point" in result.stderr
+        assert "Traceback" not in result.stderr
         assert not out.exists()
 
     def test_diag_without_values_reports_skipped_file_once(self, tmp_path, capsys):

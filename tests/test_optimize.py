@@ -433,6 +433,20 @@ class TestForwardMemo:
         assert len(shapes) == asked[0].count("f") > 5
         assert set(shapes) == {(1, problem.network.n_params)}
 
+    def test_train_runs_no_pass_after_its_last_f_request(self, passes, monkeypatch):
+        # Seed 4's line search fails after 13 iterations, so the run ends
+        # at an iterate whose pass came before later trial points: its
+        # final cost is the f it ended on, not the cost of a new pass.
+        problem = _tfim_problem(2, (0.5,))
+        asked = _steer(monkeypatch, problem)
+        settings = OptimizerSettings(max_iterations=14, gradient_norm_tolerance=1e-12)
+        model = train(problem, 4, settings)
+        assert (model.iterations_used, model.converged) == (13, False)
+        assert len(passes) == asked[4].count("f") == 52
+        fresh = _tfim_problem(2, (0.5,))
+        assert model.final_cost.hex() == cost(model.parameters, fresh).hex()
+        assert model.final_cost.hex() == "-0x1.6a09e667f3bccp+0"
+
 
 class TestEncodedInputs:
     """A problem encodes its bond lengths once, when it is built; every
@@ -603,6 +617,25 @@ class TestBfgs:
                 np.zeros(2),
                 OptimizerSettings(),
             )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_raises(self, bad):
+        target = np.array([1.0, 2.0, 3.0])
+
+        def f(x):
+            return float(((x - target) ** 2).sum())
+
+        with pytest.raises(NumericalError, match="^gradient is not finite at the start point$"):
+            bfgs_minimize(f, lambda x: np.full(3, bad), np.zeros(3), OptimizerSettings())
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return 2.0 * (x - target) if len(calls) == 1 else np.array([0.0, bad, 0.0])
+
+        with pytest.raises(NumericalError, match="^gradient is not finite in line search "):
+            bfgs_minimize(f, g, np.zeros(3), OptimizerSettings())
+        assert len(calls) == 2
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -815,10 +848,9 @@ class TestLockstep:
             for name in ("measured", "second", "cols"):
                 assert getattr(grouped, name)[i].tobytes() == getattr(alone, name).tobytes()
             fresh = TrainingProblem(problem.network, problem.training_set)
-            assert scored[i].point is x
-            assert scored[i].f.hex() == cost(x, fresh).hex()
-            assert scored[i].gradient().tobytes() == gradient(x, fresh).tobytes()
-            assert scored[i].energies().tobytes() == energies(x, fresh).tobytes()
+            f, grad = scored[i]
+            assert f.hex() == cost(x, fresh).hex()
+            assert grad().tobytes() == gradient(x, fresh).tobytes()
 
     @pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
     @pytest.mark.parametrize("n, cap", [(2, 14), (5, 4)])
@@ -833,8 +865,8 @@ class TestLockstep:
         trained = train_lockstep(problem, seeds, settings)
         if n == 2:
             outcomes = [(13, False), (13, True), (14, False), (14, False)][:n_seeds]
-            assert [(m.iterations_used, m.converged) for m, _ in trained] == outcomes
-        for seed, (model, point_energies) in zip(seeds, trained):
+            assert [(m.iterations_used, m.converged) for m in trained] == outcomes
+        for seed, model in zip(seeds, trained):
             alone = bfgs_minimize(
                 lambda v: cost(v, problem),
                 lambda v: gradient(v, problem),
@@ -847,8 +879,7 @@ class TestLockstep:
                 alone.iterations,
                 alone.converged,
             )
-            assert point_energies.tobytes() == energies(alone.x, problem).tobytes()
-            assert float(point_energies.sum()) == model.final_cost
+            assert float(energies(model.parameters, problem).sum()) == model.final_cost
 
     def test_reports_the_first_seeds_error(self, monkeypatch):
         # Seed 1 fails at its start point, in an earlier round than seed 0
