@@ -33,28 +33,28 @@ the points whose cost it has just accepted, so there ``gradient`` runs
 only the backward part. Training has one driver, ``train_lockstep``,
 which advances the BFGS runs of one or many seeds in rounds; ``train``
 is that driver for one seed. At n <= 4 a round is one grouped pass over
-the points that the runs ask f at, which gives f and the gradient at
-each; it is the code of ``cost`` and ``gradient`` along a leading group
-axis, bitwise equal to it per vector. Above 4 qubits each point goes
-through ``cost`` in its turn and ``gradient`` only when asked, on the
-pass that ``cost`` kept. Central differences, the paper's method, stay
-as the independent reference (``finite_difference_gradient``): plain
-central differences of ``cost``, one coordinate at a time.
-``gradient_deviations`` compares the adjoint with them and guards their
-step choice by halving it, from two central-difference gradients;
-``gradient_step_check`` is the latter.
+the points that the runs yield, which gives f and the gradient at each;
+it is the code of ``cost`` and ``gradient`` along a leading group axis,
+bitwise equal to it per vector. Above 4 qubits, or should that pass
+raise, each point goes through ``cost`` when its run calls for f and
+``gradient`` only when it calls for g, on the pass that ``cost`` kept.
+Central differences, the paper's method, stay as the independent
+reference (``finite_difference_gradient``): plain central differences of
+``cost``, one coordinate at a time. ``gradient_deviations`` compares the
+adjoint with them and guards their step choice by halving it, from two
+central-difference gradients; ``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
-It calls no function: ``_bfgs_steps`` is a generator that asks for each
-value it needs, f or g at a point, and takes it by ``send``, so
-``bfgs_minimize`` can answer one run from an objective and a gradient
-function, and ``train_lockstep`` can advance many runs in rounds, with
-the same arithmetic. Each trial point is built once and asked for f and
-then, for its slope, g, as the same array; the accepted one is the next
-iterate. Restarts from steepest descent are counted in the result.
-Defaults: at most 500 iterations, stop when the gradient infinity norm
-drops to 1e-5.
+It knows no objective: ``_bfgs_steps`` is a generator that yields each
+point it needs scored and takes by ``send`` a pair of calls, f and g at
+that point, so ``bfgs_minimize`` can bind an objective and a gradient
+function to each point, and ``train_lockstep`` can advance many runs in
+rounds, with the same arithmetic. Each trial point is built once; its f
+is called, and then, for its slope, its g, on the same array; the
+accepted one is the next iterate. Restarts from steepest descent are
+counted in the result. Defaults: at most 500 iterations, stop when the
+gradient infinity norm drops to 1e-5.
 
 Determinism: cost, gradient and each central-difference evaluation run
 all training points in one batch in a fixed order, the central
@@ -111,8 +111,8 @@ class TrainingProblem:
     ``_last_forward`` holds at most one forward pass over the training
     points and the product H phi of its final columns, keyed by the bytes of
     its parameter vector, for ``cost`` and ``gradient`` to share: in the
-    training rounds above 4 qubits and for direct callers. Each problem has
-    its own.
+    training rounds above 4 qubits, in a round at n <= 4 whose grouped pass
+    raised, and for direct callers. Each problem has its own.
     """
 
     network: NetworkSpec
@@ -376,7 +376,7 @@ def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
 
 def _zoom(x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     """Narrow a bracket [a_lo, a_hi] known to contain a strong-Wolfe point;
-    asks for values as ``_bfgs_steps`` does."""
+    yields its trial points as ``_bfgs_steps`` does."""
     for _ in range(_ZOOM_STEPS):
         lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
         width = hi - lo
@@ -385,11 +385,12 @@ def _zoom(x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
         if a is None or not (lo + 0.1 * width <= a <= hi - 0.1 * width):
             a = 0.5 * (lo + hi)
         x_a = x + a * p
-        f_a = _finite_or_raise((yield "f", x_a), f"in line search at step {a}")
+        f_of, g_of = yield x_a
+        f_a = _finite_or_raise(f_of(), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or f_a >= f_lo:
             a_hi, f_hi, d_hi = a, f_a, None
         else:
-            g_a, d_a = _slope_or_raise((yield "g", x_a), p, a)
+            g_a, d_a = _slope_or_raise(g_of(), p, a)
             if abs(d_a) <= -_WOLFE_C2 * d0:
                 return a, x_a, f_a, g_a
             if d_a * (a_hi - a_lo) >= 0.0:
@@ -400,21 +401,21 @@ def _zoom(x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     return None
 
 
-def _strong_wolfe(x, p, f0, g0):
-    """Find alpha with sufficient decrease and flattened slope, asking for
-    values as ``_bfgs_steps`` does; returns (alpha, x + alpha p, f, g)
-    there, None on failure."""
-    d0 = float(g0 @ p)
+def _strong_wolfe(x, p, f0, d0):
+    """Find alpha with sufficient decrease and flattened slope along p,
+    whose slope at x is d0, yielding trial points as ``_bfgs_steps`` does;
+    returns (alpha, x + alpha p, f, g) there, None on failure."""
     if d0 >= 0.0:
         return None
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
     for i in range(_BRACKET_STEPS):
         x_a = x + a * p
-        f_a = _finite_or_raise((yield "f", x_a), f"in line search at step {a}")
+        f_of, g_of = yield x_a
+        f_a = _finite_or_raise(f_of(), f"in line search at step {a}")
         if f_a > f0 + _WOLFE_C1 * a * d0 or (i > 0 and f_a >= f_prev):
             return (yield from _zoom(x, p, f0, d0, a_prev, f_prev, d_prev, a, f_a, None))
-        g_a, d_a = _slope_or_raise((yield "g", x_a), p, a)
+        g_a, d_a = _slope_or_raise(g_of(), p, a)
         if abs(d_a) <= -_WOLFE_C2 * d0:
             return a, x_a, f_a, g_a
         if d_a >= 0.0:
@@ -426,12 +427,13 @@ def _strong_wolfe(x, p, f0, g0):
 
 def _bfgs_steps(x0, settings: OptimizerSettings):
     """Quasi-Newton minimization with the inverse-Hessian BFGS update, as
-    a generator that asks for the values it needs: it yields ``("f", x)``
-    for the objective at x and ``("g", x)`` for the gradient there, takes
-    each value by ``send``, and returns its :class:`MinimizeResult` as its
-    ``StopIteration`` value. Every g is asked at the point of the f asked
-    just before it, as the same array, so a caller that scores f and g
-    together has g ready.
+    a generator of the points it needs scored: for each point x it yields,
+    it takes by ``send`` a pair of calls (f_of, g_of), for the objective
+    and the gradient at x, and returns its :class:`MinimizeResult` as its
+    ``StopIteration`` value. It calls f_of once, and g_of at most once,
+    after it, only where it needs a slope, before it yields again; so a
+    caller that scores f and g together has g ready, and one that keeps
+    the pass of f (``TrainingProblem``) serves g from it.
 
     Stops when the gradient infinity norm reaches the tolerance or the
     iteration cap is hit. A failed line search returns the best iterate
@@ -440,8 +442,9 @@ def _bfgs_steps(x0, settings: OptimizerSettings):
     """
     x = np.array(x0, dtype=np.float64).reshape(-1).copy()
     k = x.size
-    f = _finite_or_raise((yield "f", x), "at the start point")
-    g = _finite_gradient_or_raise((yield "g", x), "at the start point")
+    f_of, g_of = yield x
+    f = _finite_or_raise(f_of(), "at the start point")
+    g = _finite_gradient_or_raise(g_of(), "at the start point")
     h_inv = np.eye(k)
     first_update = True
     iterations = restarts = 0
@@ -449,13 +452,15 @@ def _bfgs_steps(x0, settings: OptimizerSettings):
         if float(np.abs(g).max()) <= settings.gradient_norm_tolerance:
             return MinimizeResult(x, f, iterations, True, restarts)
         p = -(h_inv @ g)
-        if float(p @ g) >= 0.0:
+        slope = float(p @ g)
+        if slope >= 0.0:
             # Stale curvature produced a non-descent direction: restart.
             h_inv = np.eye(k)
             first_update = True
             p = -g
+            slope = float(p @ g)
             restarts += 1
-        found = yield from _strong_wolfe(x, p, f, g)
+        found = yield from _strong_wolfe(x, p, f, slope)
         if found is None:
             return MinimizeResult(x, f, iterations, False, restarts)
         alpha, x_new, f_new, g_new = found
@@ -479,13 +484,13 @@ def _bfgs_steps(x0, settings: OptimizerSettings):
 
 
 def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> MinimizeResult:
-    """Minimize ``objective`` from x0 by ``_bfgs_steps``, answering each
-    of its requests with ``objective(x)`` or ``gradient_fn(x)``."""
+    """Minimize ``objective`` from x0 by ``_bfgs_steps``, sending it
+    ``objective`` and ``gradient_fn`` bound to each point it yields."""
     steps = _bfgs_steps(x0, settings)
     try:
-        kind, x = next(steps)
+        x = next(steps)
         while True:
-            kind, x = steps.send(objective(x) if kind == "f" else gradient_fn(x))
+            x = steps.send((partial(objective, x), partial(gradient_fn, x)))
     except StopIteration as stop:
         return stop.value
 
@@ -497,54 +502,29 @@ def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> Mi
 
 def _scored_group(points, problem: TrainingProblem):
     """Score parameter vectors by one grouped pass at n <= _TILE_QUBITS:
-    per vector, f and a thunk of its gradient; the code of ``cost`` and
-    ``gradient``, along a leading group axis, so every value is bitwise
-    that of its vector alone."""
+    per vector, the pair of calls (f_of, g_of) that ``_bfgs_steps`` takes,
+    which return its f and a copy of its gradient; the code of ``cost``
+    and ``gradient``, along a leading group axis, so every value is
+    bitwise that of its vector alone."""
     forward_pass = _forward_pass(problem.network, problem.encoded, np.array(points))
     products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
     point_energies = _pass_energies(forward_pass.cols, products)
     grads = _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
-    return [(float(e.sum()), g.copy) for e, g in zip(point_energies, grads)]
+    return [(partial(float, e.sum()), g.copy) for e, g in zip(point_energies, grads)]
 
 
-def _scored_round(points, problem: TrainingProblem):
-    """Yield, for each point of a round in order, its f and gradient thunk,
-    or the exception that scoring it raised. At n <= _TILE_QUBITS one
-    grouped pass scores them all; should it raise, one pass per point does,
-    so that a bad point fails alone. Above, each point is scored in its
-    turn by ``cost``, and by ``gradient`` only when its run asks, on the
-    pass that ``cost`` kept, before the next point replaces it."""
-    dense = problem.network.n_qubits <= _TILE_QUBITS
-    if dense:
+def _round_scorers(points, problem: TrainingProblem):
+    """The pair of calls (f_of, g_of) for each point of a round, in order.
+    At n <= _TILE_QUBITS one grouped pass scores them all. Above, or should
+    that pass raise, each pair binds ``cost`` and ``gradient`` to its point,
+    so a bad point raises only when its own run calls them, and a run that
+    calls both in turn has ``gradient`` read the pass that ``cost`` kept."""
+    if problem.network.n_qubits <= _TILE_QUBITS:
         try:
-            scored = _scored_group(points, problem)
+            return _scored_group(points, problem)
         except Exception:
             pass
-        else:
-            yield from scored
-            return
-    for x in points:
-        try:
-            if dense:
-                outcome = _scored_group([x], problem)[0]
-            else:
-                outcome = cost(x, problem), partial(gradient, x, problem)
-        except Exception as exc:
-            outcome = exc
-        yield outcome
-
-
-def _advance(run, scored) -> np.ndarray:
-    """Send a ``_bfgs_steps`` run the f it asked for, and the gradient as
-    long as it asks (at the same point), and return the point of its next
-    f request."""
-    if isinstance(scored, Exception):
-        raise scored
-    f, grad = scored
-    kind, x = run.send(f)
-    while kind == "g":
-        kind, x = run.send(grad())
-    return x
+    return [(partial(cost, x, problem), partial(gradient, x, problem)) for x in points]
 
 
 def train_lockstep(
@@ -553,41 +533,38 @@ def train_lockstep(
     settings: OptimizerSettings = OptimizerSettings(),
 ) -> list[TrainedModel]:
     """Train each seed from ``init_params`` by ``_bfgs_steps``, all in
-    lockstep: in each round every unfinished run asks for f at one point,
-    the round scores those points (``_scored_round``), and each run in seed
-    order takes its f and, as it asks, its gradient there, until it asks
-    for f again or ends. The rounds are deterministic and single-threaded,
-    and every value is bitwise the one that the seed's run gets in a round
-    of its own, so are the models, returned per seed in order.
+    lockstep: in each round every unfinished run yields one point, the
+    round builds the pair of calls for each (``_round_scorers``), and each
+    run in seed order is sent its pair, makes its calls and yields its next
+    point or ends. The rounds are deterministic and single-threaded, and
+    every value is bitwise the one that the seed's run gets in a round of
+    its own, so are the models, returned per seed in order.
 
     If training some seed raised, raises the exception of the first such
     seed, as training the seeds one after another would; once a seed has
     raised, no later seed is advanced, since only an earlier seed's error
-    could still be reported."""
+    could still be reported, so the last error raised is the one."""
     runs = [_bfgs_steps(init_params(problem.network.n_params, seed), settings) for seed in seeds]
-    asked = [(run, next(run)[1]) for run in runs]  # every run first asks for f
-    outcomes = {}
+    asked = [(run, next(run)) for run in runs]
+    trained = {}
+    error = None
     while asked:
         waiting, asked = asked, []
-        points = [x for _, x in waiting]
-        for (run, _), scored in zip(waiting, _scored_round(points, problem)):
+        pairs = _round_scorers([x for _, x in waiting], problem)
+        for (run, _), pair in zip(waiting, pairs):
             try:
-                asked.append((run, _advance(run, scored)))
+                asked.append((run, run.send(pair)))
             except StopIteration as stop:
                 result = stop.value
-                outcomes[run] = TrainedModel(
+                trained[run] = TrainedModel(
                     problem.network, result.x, result.fun, result.iterations, result.converged
                 )
             except Exception as exc:
-                outcomes[run] = exc
+                error = exc
                 break
-    trained = []
-    for run in runs:  # a run dropped after a failure comes after it
-        outcome = outcomes[run]
-        if isinstance(outcome, Exception):
-            raise outcome
-        trained.append(outcome)
-    return trained
+    if error is not None:
+        raise error
+    return [trained[run] for run in runs]
 
 
 def train(

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from hqcnn import cli, optimize
+
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
 
@@ -54,3 +56,27 @@ def test_layers_file_names_hooks():
 def test_every_hooked_name_exists(module, attr):
     target = importlib.import_module(MODULES[module])
     assert callable(getattr(target, attr, None)), f"{module}.{attr} is gone"
+
+
+def test_compare_at_four_qubits_calls_neither_cost_nor_gradient(tmp_path, monkeypatch):
+    # The compare-tfim4 workload times every call of optimize.cost and
+    # optimize.gradient, and perfbench/run.py reads ops_per_s from wall
+    # time only while it sees none; any call would switch it to its
+    # fast-call model. So a 4-qubit compare must train and score without
+    # calling either: each round's grouped pass answers its points.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize.cost or optimize.gradient was called")
+
+    monkeypatch.setattr(optimize, "cost", forbidden)
+    monkeypatch.setattr(optimize, "gradient", forbidden)
+    data = tmp_path / "data"
+    cli.gen_synthetic(data, 4, cli.DEFAULT_TRAIN_GRID + cli.DEFAULT_TEST_GRID)
+    config = cli.ExperimentConfig(
+        dataset_dir=data,
+        output_dir=tmp_path / "out",
+        variant="both",
+        seeds=(0, 1),
+        settings=optimize.OptimizerSettings(max_iterations=5),
+    )
+    cli.run_compare(config)
+    assert (tmp_path / "out" / "compare.txt").is_file()

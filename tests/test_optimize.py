@@ -1,3 +1,5 @@
+import itertools
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -413,8 +415,8 @@ class TestForwardMemo:
         assert len(passes) == 2
 
     def test_train_runs_one_grouped_pass_per_f_request(self, monkeypatch):
-        # Up to 4 qubits training answers each f request, and the g
-        # requests at its point, from one grouped pass, never through cost
+        # Up to 4 qubits training answers each f call, and the g call at
+        # its point, from one grouped pass, never through cost
         # or gradient.
         problem = self._problem()
         for name in ("cost", "gradient"):
@@ -726,8 +728,8 @@ class TestEvaluate:
 
 
 class TestAskTell:
-    """``_bfgs_steps`` is BFGS as a generator of ("f", x) and ("g", x)
-    requests; ``bfgs_minimize`` and the lockstep driver answer them."""
+    """``_bfgs_steps`` is BFGS as a generator of points, each sent the
+    calls that score it; ``bfgs_minimize`` and the lockstep driver send them."""
 
     @staticmethod
     def _rosenbrock(x):
@@ -744,12 +746,15 @@ class TestAskTell:
         want = bfgs_minimize(f, g, np.array([-1.2, 1.0]), OptimizerSettings())
         steps = optimize._bfgs_steps(np.array([-1.2, 1.0]), OptimizerSettings())
         kinds = []
-        request = next(steps)
+
+        def call(kind, fn, x):
+            kinds.append(kind)
+            return fn(x)
+
+        x = next(steps)
         with pytest.raises(StopIteration) as stop:
             while True:
-                kind, x = request
-                kinds.append(kind)
-                request = steps.send(f(x) if kind == "f" else g(x))
+                x = steps.send((partial(call, "f", f, x), partial(call, "g", g, x)))
         got = stop.value.value
         assert got.x.tobytes() == want.x.tobytes() and got.fun == want.fun
         assert (got.iterations, got.converged, got.restarts) == (39, True, 0)
@@ -788,12 +793,12 @@ class TestAskTell:
 
 
 def _steer(monkeypatch, problem, actions=None):
-    """Wrap ``_bfgs_steps`` so that every run records the kinds it asks
-    for, under the seed whose ``init_params`` it starts from; ``actions``
-    maps a seed to (i, action): at its i-th f request (from 1), "inf"
-    answers f with inf, "nan" asks for f at a vector of nan instead.
-    Returns the seed -> kinds record of the runs started since; a later
-    call replaces this wrapper, so this record stays as it is."""
+    """Wrap ``_bfgs_steps`` so that every run records the calls it makes,
+    "f" or "g", under the seed whose ``init_params`` it starts from;
+    ``actions`` maps a seed to (i, action): at its i-th point (from 1),
+    "nan" yields a vector of nan in its place, "inf" answers its f call
+    with inf. Returns the seed -> calls record of the runs started since;
+    a later call replaces this wrapper, so this record stays as it is."""
     seed_of = {
         init_params(problem.network.n_params, seed).tobytes(): seed for seed in range(16)
     }
@@ -804,18 +809,25 @@ def _steer(monkeypatch, problem, actions=None):
     def steered(x0, settings):
         seed = seed_of[np.asarray(x0).tobytes()]
         at, action = actions.get(seed, (0, None))
-        kinds = asked[seed] = []
+        calls = asked[seed] = []
         run = steps(x0, settings)
-        request = next(run)
-        while True:
-            kinds.append(request[0])
-            if request[0] == "f" and kinds.count("f") == at and action == "nan":
-                request = ("f", np.full_like(request[1], np.nan))
-            value = yield request
-            if request[0] == "f" and kinds.count("f") == at and action == "inf":
-                value = np.inf
+        x = next(run)
+        for i in itertools.count(1):
+            if i == at and action == "nan":
+                x = np.full_like(x, np.nan)
+            f_of, g_of = yield x
+
+            def f_call(f_of=f_of, inf=i == at and action == "inf"):
+                calls.append("f")
+                value = f_of()
+                return np.inf if inf else value
+
+            def g_call(g_of=g_of):
+                calls.append("g")
+                return g_of()
+
             try:
-                request = run.send(value)
+                x = run.send((f_call, g_call))
             except StopIteration as stop:
                 return stop.value
 
@@ -848,9 +860,9 @@ class TestLockstep:
             for name in ("measured", "second", "cols"):
                 assert getattr(grouped, name)[i].tobytes() == getattr(alone, name).tobytes()
             fresh = TrainingProblem(problem.network, problem.training_set)
-            f, grad = scored[i]
-            assert f.hex() == cost(x, fresh).hex()
-            assert grad().tobytes() == gradient(x, fresh).tobytes()
+            f_of, g_of = scored[i]
+            assert f_of().hex() == cost(x, fresh).hex()
+            assert g_of().tobytes() == gradient(x, fresh).tobytes()
 
     @pytest.mark.parametrize("n_seeds", [1, 2, 3, 4])
     @pytest.mark.parametrize("n, cap", [(2, 14), (5, 4)])
@@ -883,7 +895,7 @@ class TestLockstep:
 
     def test_reports_the_first_seeds_error(self, monkeypatch):
         # Seed 1 fails at its start point, in an earlier round than seed 0
-        # in its 9th f request: the run reports seed 0's error, as training
+        # in its 9th f call: the run reports seed 0's error, as training
         # seed 0 alone does, with its message.
         problem = _tfim_problem(2, (0.6, 1.4))
         actions = {0: (9, "inf"), 1: (1, "inf")}
@@ -896,24 +908,24 @@ class TestLockstep:
         assert str(lockstep.value) == str(alone.value)
         assert str(lockstep.value).startswith("objective returned inf in line search")
         assert asked[1].count("f") < asked[0].count("f") == 9
-        assert asked[2] == ["f"]
+        assert asked[2] == []
 
     def test_no_later_seed_advances_after_a_failure(self, monkeypatch):
-        # Seed 0 fails at its first f request: only its error can be
-        # reported, so seeds 1 and 2 ask for nothing after round 1.
+        # Seed 0 fails at its first f call: only its error can be
+        # reported, so seeds 1 and 2 are never sent their start point's calls.
         problem = _tfim_problem(2, (0.6, 1.4))
         asked = _steer(monkeypatch, problem, {0: (1, "inf")})
         with pytest.raises(NumericalError, match="at the start point"):
             train_lockstep(problem, (0, 1, 2))
-        assert asked == {0: ["f"], 1: ["f"], 2: ["f"]}
+        assert asked == {0: ["f"], 1: [], 2: []}
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_bad_point_fails_its_seed_alone(self, n, monkeypatch):
-        # Seed 1 asks for f at a vector of nan in the second round: the
-        # grouped pass raises, the points of that round are scored one by
-        # one, and only seed 1 fails, with the error of training it alone;
-        # seed 0 goes on to ask for all that it asks for alone, and seed 2,
-        # whose error could not be reported, asks for nothing more.
+        # Seed 1 yields a vector of nan in the second round: the grouped
+        # pass raises, each point of that round is bound to cost and
+        # gradient, and only seed 1 fails, with the error of training it
+        # alone; seed 0 goes on to make every call it makes alone, and
+        # seed 2, whose error could not be reported, makes no more.
         problem = _tfim_problem(n, (0.5,))
         settings = OptimizerSettings(max_iterations=8)
         alone = _steer(monkeypatch, problem, {1: (2, "nan")})
@@ -926,15 +938,15 @@ class TestLockstep:
             train_lockstep(problem, (0, 1, 2), settings)
         assert str(got.value) == str(expected.value) == "rotation angle must be finite"
         assert (asked[0], asked[1]) == (alone[0], alone[1])
-        assert asked[2] == alone[2][:3] == ["f", "g", "f"]
+        assert asked[2] == alone[2][:2] == ["f", "g"]
         assert alone[1].count("f") == 2 < min(alone[0].count("f"), alone[2].count("f"))
 
 
 class TestRequestsAboveTheDenseCap:
-    """From 5 qubits on, training answers each request with one call of
+    """From 5 qubits on, training answers each f or g call with one call of
     ``optimize.cost`` or ``optimize.gradient``, through the module's
     names (which the benchmark wraps to count gradients), and runs one
-    adjoint sweep per gradient request and no other."""
+    adjoint sweep per g call and no other."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
