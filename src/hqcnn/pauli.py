@@ -69,6 +69,11 @@ class PauliAxis(enum.Enum):
     Y = "Y"
     Z = "Z"
 
+    # Members are singletons and compare by identity, so the C-level
+    # identity hash agrees with equality; Enum's own hash is a Python
+    # function, paid per axis on every cache lookup keyed by axis strings.
+    __hash__ = object.__hash__
+
 
 _AXIS_BY_CHAR = {axis.value: axis for axis in PauliAxis}
 
@@ -423,8 +428,12 @@ def _apply_hamiltonian_rows(hamiltonians: CompiledHamiltonian, cols: np.ndarray)
         return out.reshape(cols.shape)
     out = np.zeros(blocks.shape, dtype=cols.dtype)
     for flip, weights in (hamiltonians.real if real else hamiltonians).groups:
-        partner = blocks if flip is None else blocks.take(flip, axis=-3)
-        out += partner * weights
+        if flip is None:
+            out += blocks * weights
+        else:
+            partner = blocks.take(flip, axis=-3)
+            partner *= weights
+            out += partner
     return out.reshape(cols.shape)
 
 

@@ -224,12 +224,17 @@ def _tile_rows(cols: np.ndarray, tiles) -> np.ndarray:
     (..., 2**n, points) columns: tile t, on the qubits from
     ``_TILE_QUBITS * t`` on, is one matmul on the (-1, 2**k, rest) view
     whose axis 1 is its bits, one BLAS product across all columns. The
-    tiles are real, so the columns keep their dtype."""
-    for t, tile in enumerate(tiles):
+    tiles are real, so the columns keep their dtype. Each product's
+    output is C-ordered, so the next tile's view of it is a reshape that
+    copies nothing, and the columns take their shape back once, at the
+    end."""
+    shape = cols.shape
+    rest = shape[-2] * shape[-1]
+    for tile in tiles:
         size = tile.shape[-1]
-        rest = (cols.shape[-2] >> (_TILE_QUBITS * t)) // size * cols.shape[-1]
-        cols = np.matmul(tile, cols.reshape(-1, size, rest)).reshape(cols.shape)
-    return cols
+        rest //= size
+        cols = np.matmul(tile, cols.reshape(-1, size, rest))
+    return cols.reshape(shape)
 
 
 def _cnot_permutation(n_qubits: int, pairs) -> np.ndarray:
@@ -274,7 +279,12 @@ def _expect_z_rows(cols: np.ndarray, n_qubits: int) -> np.ndarray:
     return _probabilities(cols).mT @ _z_signs(n_qubits)
 
 
-@lru_cache(maxsize=_TILE_QUBITS)
+# Product states gather the factors of at most this many qubits at once:
+# the gathered table holds k * 2**k entries per column, 2048 at k = 8.
+_PRODUCT_GATHER_QUBITS = 8
+
+
+@lru_cache(maxsize=_PRODUCT_GATHER_QUBITS)
 def _product_index(k: int) -> np.ndarray:
     """(k, 2**k) array: row m lists 2m + bit m of each amplitude index, bit
     0 the most significant, a row of the (2k, points) factor table."""
@@ -289,11 +299,11 @@ def _product_rows(factors: np.ndarray) -> np.ndarray:
     ``factors`` is a C-ordered (..., n, 2, points) array, the amplitudes of
     |0> and |1> of each qubit; returns the fresh (..., 2**n, points)
     columns of their tensor products, multiplied in qubit order: the first
-    ``_TILE_QUBITS`` by one gather and one product, each later qubit by
-    one broadcast product.
+    ``_PRODUCT_GATHER_QUBITS`` by one gather and one product, each later
+    qubit by one broadcast product.
     """
     *outer, n, _, points = factors.shape
-    k = min(n, _TILE_QUBITS)
+    k = min(n, _PRODUCT_GATHER_QUBITS)
     lead = factors[..., :k, :, :].reshape(*outer, 2 * k, points)
     cols = np.multiply.reduce(lead.take(_product_index(k), axis=-2), axis=-3)
     for q in range(k, n):

@@ -25,6 +25,7 @@ from hqcnn.cli import (
     load_dataset,
     run_compare,
     run_curve,
+    transverse_field_ising,
 )
 from hqcnn.network import NetworkSpec, Variant, entangler_pattern, forward
 from hqcnn.optimize import (
@@ -252,6 +253,30 @@ def test_default_compare_matches_golden_file(ablation):
             f"golden {section.variant.value}: final costs within 1e-9, means within 1e-6; "
             f"iterations {iterations} (golden {want['iterations']})"
         )
+
+
+GOLDEN_TRAIN = Path(__file__).resolve().parent / "golden_train.json"
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n", [5, 8])
+def test_tile_path_training_matches_golden_file(n, variant):
+    """From n = 5 on the network runs on Ry tiles and the adjoint sweep:
+    training on the default train grid must end within 1e-10 of the
+    golden file's final cost. Iteration counts are only printed."""
+    golden = json.loads(GOLDEN_TRAIN.read_text(encoding="utf-8"))
+    want = golden[str(n)][variant.value]
+    problem = TrainingProblem(
+        NetworkSpec(n, variant),
+        tuple((a, transverse_field_ising(n, a)) for a in DEFAULT_TRAIN_GRID),
+    )
+    settings = OptimizerSettings(max_iterations=golden["max_iterations"])
+    model = train(problem, golden["seed"], settings)
+    assert abs(model.final_cost - want["final_cost"]) <= 1e-10, model
+    print(
+        f"golden n={n} {variant.value}: final cost within 1e-10; "
+        f"iterations {model.iterations_used} (golden {want['iterations']})"
+    )
 
 
 def test_criterion_09_byte_identical_reruns(tmp_path, monkeypatch):

@@ -289,13 +289,19 @@ class TestAdjointGradient:
         # undoes each of them after reading its derivatives, except layer
         # 0, whose input is the encoded bond lengths: 2n - 1 undos per
         # gradient. Up to 4 qubits the gradient reads every layer from the
-        # kept dense prefix products and undoes none.
+        # kept dense prefix products and undoes none. Each CNOT ladder is
+        # one call of the gather kernel under its hooked name: 2n in the
+        # forward pass that cost runs, 2n - 1 in the sweep that reuses it.
         problem = _tfim_problem(n, (0.4, 1.0, 1.6), variant)
         params = init_params(problem.network.n_params, 0)
-        cost(params, problem)
-        with mock.patch.object(network, "_undo_tiles", wraps=network._undo_tiles) as undo:
-            g = gradient(params, problem)
+        with mock.patch.object(network, "_cnot_rows", wraps=network._cnot_rows) as cnot:
+            cost(params, problem)
+            forward_calls = cnot.call_count
+            with mock.patch.object(network, "_undo_tiles", wraps=network._undo_tiles) as undo:
+                g = gradient(params, problem)
         assert undo.call_count == (0 if n <= 4 else 2 * n - 1)
+        assert forward_calls == (0 if n <= 4 else 2 * n)
+        assert cnot.call_count - forward_calls == (0 if n <= 4 else 2 * n - 1)
         assert np.max(np.abs(g - finite_difference_gradient(params, problem))) < 1e-7
 
     @pytest.mark.parametrize("n", range(1, 10))

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import weakref
 from unittest import mock
 
@@ -34,6 +35,23 @@ def _ham(terms, n, bond=None):
     return PauliHamiltonian(
         n, tuple(PauliTerm.from_string(c, a) for c, a in terms), bond
     )
+
+
+class TestAxis:
+    def test_members_hash_key_dicts_and_round_trip_through_pickle(self):
+        members = list(PauliAxis)
+        table = {axis: axis.value for axis in members}
+        for axis in members:
+            copy = pickle.loads(pickle.dumps(axis))
+            assert copy is axis and hash(copy) == hash(axis)
+            assert table[copy] == axis.value
+
+    def test_unpickled_strings_hit_the_mask_cache(self):
+        strings = (PauliTerm.from_string(1.0, "XYZI").axes,)
+        first = pauli._string_masks(strings)
+        hits = pauli._string_masks.cache_info().hits
+        assert pauli._string_masks(pickle.loads(pickle.dumps(strings))) is first
+        assert pauli._string_masks.cache_info().hits == hits + 1
 
 
 class TestParsing:
@@ -413,6 +431,45 @@ class TestCompiled:
                 assert alive() is None
             finally:
                 gc.enable()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        complex_cols=st.booleans(),
+        odd_y=st.booleans(),
+        lead=st.sampled_from([(), (2,)]),
+        rows_per=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matvec_is_bitwise_one_product_per_group(
+        self, data, complex_cols, odd_y, lead, rows_per, seed
+    ):
+        # The formula the in-place products replaced: out += partner *
+        # weights per group, on the full weights for complex columns and on
+        # Re(H) for real ones, which take the groups above _TILE_QUBITS.
+        n = data.draw(st.integers(1, 6) if complex_cols else st.integers(5, 6))
+        even = st.text("IXYZ", min_size=n, max_size=n).filter(lambda a: a.count("Y") % 2 == 0)
+        coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+        count = data.draw(st.integers(1, 3))
+        sums = [
+            data.draw(pauli_sums(n) if odd_y else st.lists(st.tuples(coeffs, even), max_size=8))
+            for _ in range(count)
+        ]
+        compiled = compile_hamiltonians(_ham(terms, n) for terms in sums)
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((*lead, 1 << n, count * rows_per))
+        if complex_cols:
+            cols = cols + 1j * rng.standard_normal(cols.shape)
+        blocks = cols.reshape(*cols.shape[:-1], count, -1)
+        want = np.zeros(blocks.shape, dtype=cols.dtype)
+        for flip, weights in (compiled if complex_cols else compiled.real).groups:
+            partner = blocks if flip is None else blocks.take(flip, axis=-3)
+            want += partner * weights
+        before = cols.copy()
+        got = _apply_hamiltonian_rows(compiled, cols)
+        assert got.shape == cols.shape and got.dtype == cols.dtype
+        assert got.tobytes() == want.reshape(cols.shape).tobytes()
+        assert cols.tobytes() == before.tobytes()
 
 
 class TestRealDense:

@@ -6,13 +6,18 @@ from hypothesis import strategies as st
 import dense_ref as ref
 from hqcnn.statevector import (
     MAX_QUBITS,
+    _PRODUCT_GATHER_QUBITS,
+    _TILE_QUBITS,
     StateVector,
     _angle_factors,
     _cnot_permutation,
     _cnot_rows,
     _h_rows,
+    _product_index,
     _product_rows,
     _ry_rows,
+    _ry_tiles,
+    _tile_rows,
     apply_cnot,
     apply_h,
     apply_ry,
@@ -181,19 +186,61 @@ def test_ry_kernel_rounds_as_the_two_by_two_formula(rng):
             assert np.array_equal(got, want.reshape(cols.shape))
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 9), points=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_product_rows_multiply_in_qubit_order(n, points, seed):
+def _tile_rows_one_reshape_per_tile(cols, tiles):
+    # The formula _tile_rows replaced: each tile reshapes the columns to
+    # its (-1, 2**k, rest) view and its product back to their shape.
+    for t, tile in enumerate(tiles):
+        size = tile.shape[-1]
+        rest = (cols.shape[-2] >> (_TILE_QUBITS * t)) // size * cols.shape[-1]
+        cols = np.matmul(tile, cols.reshape(-1, size, rest)).reshape(cols.shape)
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(5, 10),
+    lead=st.sampled_from([(), (2,)]),
+    points=st.integers(1, 8),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tile_rows_are_bitwise_one_reshape_per_tile(n, lead, points, transposed, seed):
+    # One running view per tile layer gives the same products on the same
+    # views, remainder tiles (n % 4 != 0) and the sweep's transposed tiles
+    # included, and leaves its input alone.
+    rng = np.random.default_rng(seed)
+    (tiles,) = _ry_tiles(*_angle_factors(rng.normal(0, 1.5, n)), n)
+    if transposed:
+        tiles = [tile.T for tile in tiles]
+    cols = rng.normal(size=(*lead, 1 << n, points))
+    before = cols.copy()
+    got = _tile_rows(cols, tiles)
+    want = _tile_rows_one_reshape_per_tile(cols, tiles)
+    assert got.shape == cols.shape and got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == want.tobytes()
+    assert cols.tobytes() == before.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    lead=st.sampled_from([(), (2,)]),
+    points=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_rows_multiply_in_qubit_order(n, lead, points, seed):
     # Bit for bit the successive Kronecker products of the qubits' pairs,
-    # qubit 0 first: each amplitude is ((f0 f1) f2) ... rounded in order.
-    factors = np.random.default_rng(seed).normal(size=(n, 2, points))
+    # qubit 0 first, each amplitude ((f0 f1) f2) ... rounded in order: one
+    # broadcast product per qubit, the formula the gather replaced.
+    factors = np.random.default_rng(seed).normal(size=(*lead, n, 2, points))
+    want = factors[..., 0, :, :]
+    for q in range(1, n):
+        want = want[..., :, None, :] * factors[..., q, None, :, :]
+        want = want.reshape(*lead, -1, points)
     got = _product_rows(factors)
-    assert got.shape == (1 << n, points) and got.flags["C_CONTIGUOUS"]
-    for b in range(points):
-        want = np.ones(1)
-        for pair in factors[:, :, b]:
-            want = np.kron(want, pair)
-        assert np.array_equal(got[:, b], want)
+    assert got.shape == (*lead, 1 << n, points) and got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == want.tobytes()
+    assert _product_index.cache_info().maxsize >= _PRODUCT_GATHER_QUBITS
 
 
 def _random_gate(rng, n):
