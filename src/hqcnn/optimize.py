@@ -35,9 +35,10 @@ which advances the BFGS runs of one or many seeds in rounds; ``train``
 is that driver for one seed. At n <= 4 a round is one grouped pass over
 the points that the runs yield, which gives f and the gradient at each;
 it is the code of ``cost`` and ``gradient`` along a leading group axis,
-bitwise equal to it per vector. Above 4 qubits, or should that pass
-raise, each point goes through ``cost`` when its run calls for f and
-``gradient`` only when it calls for g, on the pass that ``cost`` kept.
+bitwise equal to it per vector. Should that pass raise, as on a
+non-finite angle, training ends with its error. Above 4 qubits each
+point goes through ``cost`` when its run calls for f and ``gradient``
+only when it calls for g, on the pass that ``cost`` kept.
 Central differences, the paper's method, stay as the independent
 reference (``finite_difference_gradient``): plain central differences of
 ``cost``, one coordinate at a time. ``gradient_deviations`` compares the
@@ -111,8 +112,8 @@ class TrainingProblem:
     ``_last_forward`` holds at most one forward pass over the training
     points and the product H phi of its final columns, keyed by the bytes of
     its parameter vector, for ``cost`` and ``gradient`` to share: in the
-    training rounds above 4 qubits, in a round at n <= 4 whose grouped pass
-    raised, and for direct callers. Each problem has its own.
+    training rounds above 4 qubits, and for direct callers. Each problem
+    has its own.
     """
 
     network: NetworkSpec
@@ -515,15 +516,13 @@ def _scored_group(points, problem: TrainingProblem):
 
 def _round_scorers(points, problem: TrainingProblem):
     """The pair of calls (f_of, g_of) for each point of a round, in order.
-    At n <= _TILE_QUBITS one grouped pass scores them all. Above, or should
-    that pass raise, each pair binds ``cost`` and ``gradient`` to its point,
-    so a bad point raises only when its own run calls them, and a run that
-    calls both in turn has ``gradient`` read the pass that ``cost`` kept."""
+    At n <= _TILE_QUBITS one grouped pass scores them all, and an error in
+    it is raised here. Above, each pair binds ``cost`` and ``gradient`` to
+    its point, so a bad point raises only when its own run calls them, and
+    a run that calls both in turn has ``gradient`` read the pass that
+    ``cost`` kept."""
     if problem.network.n_qubits <= _TILE_QUBITS:
-        try:
-            return _scored_group(points, problem)
-        except Exception:
-            pass
+        return _scored_group(points, problem)
     return [(partial(cost, x, problem), partial(gradient, x, problem)) for x in points]
 
 
@@ -543,7 +542,9 @@ def train_lockstep(
     If training some seed raised, raises the exception of the first such
     seed, as training the seeds one after another would; once a seed has
     raised, no later seed is advanced, since only an earlier seed's error
-    could still be reported, so the last error raised is the one."""
+    could still be reported, so the last error raised is the one. The
+    exception is a grouped pass at n <= _TILE_QUBITS that raises: its
+    error ends training at once, whichever seed's point caused it."""
     runs = [_bfgs_steps(init_params(problem.network.n_params, seed), settings) for seed in seeds]
     asked = [(run, next(run)) for run in runs]
     trained = {}

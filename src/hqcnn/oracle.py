@@ -5,8 +5,9 @@ groups of :func:`hqcnn.pauli.compile_hamiltonians`:
 
 * ``ground_energy`` and ``spectrum_bounds`` scatter the groups straight
   into the blocks of H's symmetry sectors, one block at a time. The
-  symmetric eigensolver runs on the first block, and on each later one
-  that a Cholesky certificate (below) does not rule out. Exact up to
+  symmetric eigensolver runs on each block for ``spectrum_bounds``; for
+  ``ground_energy``, on the first block and on each later one that a
+  Cholesky certificate (below) does not rule out. Exact up to
   LAPACK rounding, limited to ``DENSE_MAX_QUBITS``. The blocks are real
   for real symmetric H (every string has an even number of Y factors, as
   in the TFIM and molecular Jordan-Wigner Hamiltonians), so LAPACK's real
@@ -55,23 +56,23 @@ Lanczos route above it.
 route; the dense ``ground_energy`` is its minimum, bit for bit.
 
 Cholesky certificates: one ``eigvalsh`` per block would keep the whole
-spectrum of every block and use only its ends. So only the first block is
-solved outright. A later block B is skipped if ``np.linalg.cholesky``
-factors B - (lowest + margin) I, and for ``spectrum_bounds`` also
-(highest - margin) I - B, with the lowest and highest eigenvalues found
-so far. A completed factorization shows the shifted matrix positive
-definite up to its backward error (Sylvester's law of inertia; Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2002, section 10.1), so
-B has no eigenvalue beyond the ends found. The margin, 8 (m + 1)**2 u
-sum|c_i| for an m-row block (u the unit roundoff; sum|c_i| bounds the
-norm of B), covers that backward error, the rounding of the shift and
-``eigvalsh``'s own error (see ``_certified``). Hence the value
-``eigvalsh`` would have returned for a skipped block lies strictly beyond
-the result, and the result is bit for bit that of solving every block. A
-failed factorization, the one ``LinAlgError`` caught, sends B to the
-eigensolver. At n = 10 the TFIM's first block, 272 rows, holds the
-ground state and the other three are certified, each factorization
-about a quarter of the cost of an eigensolve.
+spectrum of every block and use only its lowest value. So
+``ground_energy`` solves only the first block outright. A later block B
+is skipped if ``np.linalg.cholesky`` factors B - (lowest + margin) I,
+with the lowest eigenvalue found so far. A completed factorization shows
+the shifted matrix positive definite up to its backward error
+(Sylvester's law of inertia; Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, section 10.1), so B has no eigenvalue below
+the lowest found. The margin, 8 (m + 1)**2 u sum|c_i| for an m-row block
+(u the unit roundoff; sum|c_i| bounds the norm of B), covers that
+backward error, the rounding of the shift and ``eigvalsh``'s own error
+(see ``_certified``). Hence the value ``eigvalsh`` would have returned
+for a skipped block lies strictly above the result, and the result is
+bit for bit that of solving every block. A failed factorization, the one
+``LinAlgError`` caught, sends B to the eigensolver. At n = 10 the TFIM's
+first block, 272 rows, holds the ground state and the other three are
+certified, each factorization about a quarter of the cost of an
+eigensolve.
 
 Either route raises :class:`EigensolverError` rather than return a
 non-finite or unconverged eigenvalue.
@@ -277,10 +278,27 @@ def _sector_blocks(h: PauliHamiltonian) -> Iterator[np.ndarray]:
 
 def ground_energy(h: PauliHamiltonian) -> float:
     """Smallest eigenvalue of H: dense symmetric diagonalization by symmetry
-    sector up to ``DENSE_MAX_QUBITS`` qubits, Lanczos above."""
+    sector up to ``DENSE_MAX_QUBITS`` qubits, Lanczos above.
+
+    The dense route runs ``eigvalsh`` on the first block, and on each later
+    one unless ``_certified`` shows that it holds no eigenvalue below the
+    lowest found so far. A block so skipped would not have moved the
+    result, so it is that of all the blocks bit for bit."""
     if h.n_qubits > DENSE_MAX_QUBITS:
         return ground_energy_iterative(h)
-    return _dense_ends(h, upper=False)[0]
+    total = sum(abs(term.coefficient) for term in h.terms)
+    # Both ends of each solved block: a block whose top end overflows is
+    # refused too, and no certificate is tried past it.
+    ends: list[tuple[float, float]] = []
+    with _solver_errors("dense diagonalization"):
+        for block in _sector_blocks(h):
+            if ends and _certified(block, total, ends):
+                continue
+            values = np.linalg.eigvalsh(block)
+            ends.append((float(values[0]), float(values[-1])))
+    found = np.array(ends)
+    _check_finite(found, "dense diagonalization")
+    return float(found[:, 0].min())
 
 
 def ground_state(h: PauliHamiltonian) -> tuple[float, StateVector]:
@@ -293,41 +311,24 @@ def ground_state(h: PauliHamiltonian) -> tuple[float, StateVector]:
 
 
 def spectrum_bounds(h: PauliHamiltonian) -> tuple[float, float]:
-    """(lowest, highest) eigenvalue of H, over its symmetry blocks."""
-    return _dense_ends(h, upper=True)
-
-
-def _dense_ends(h: PauliHamiltonian, upper: bool) -> tuple[float, float]:
-    """(lowest, highest) eigenvalue over the blocks that ``eigvalsh``
-    solves: the first block, and each later one unless ``_certified``
-    shows that it holds no eigenvalue below the lowest found so far (nor,
-    if ``upper``, above the highest). A block so skipped would not have
-    moved the result, so the lowest is that of all the blocks bit for bit,
-    and so is the highest if ``upper``."""
-    total = sum(abs(term.coefficient) for term in h.terms)
-    ends: list[tuple[float, float]] = []
+    """(lowest, highest) eigenvalue of H, by ``eigvalsh`` on each of its
+    symmetry blocks."""
     with _solver_errors("dense diagonalization"):
-        for block in _sector_blocks(h):
-            if ends and _certified(block, total, ends, upper):
-                continue
-            values = np.linalg.eigvalsh(block)
-            ends.append((float(values[0]), float(values[-1])))
-    found = np.array(ends)
-    _check_finite(found, "dense diagonalization")
-    return float(found[:, 0].min()), float(found[:, 1].max())
+        ends = np.array([(v[0], v[-1]) for v in map(np.linalg.eigvalsh, _sector_blocks(h))])
+    _check_finite(ends, "dense diagonalization")
+    return float(ends[:, 0].min()), float(ends[:, 1].max())
 
 
-def _certified(block: np.ndarray, total: float, ends, upper: bool) -> bool:
-    """Whether B - (lowest + margin) I, and if ``upper`` also
-    (highest - margin) I - B, has a Cholesky factor, for the block B, H's
-    coefficients' absolute sum ``total`` and the (lowest, highest) pairs
-    ``ends`` of the blocks solved so far.
+def _certified(block: np.ndarray, total: float, ends) -> bool:
+    """Whether B - (lowest + margin) I has a Cholesky factor, for the block
+    B, H's coefficients' absolute sum ``total`` and the (lowest, highest)
+    pairs ``ends`` of the blocks solved so far.
 
     If so, every eigenvalue that ``eigvalsh`` would return for B lies
-    strictly above the lowest (below the highest). The m-row block's
-    margin, 8 (m + 1)**2 u total with u the unit roundoff, covers the
-    sum of these errors, as ||B||_2 <= total and the shift is at most
-    total plus the margin:
+    strictly above the lowest. The m-row block's margin,
+    8 (m + 1)**2 u total with u the unit roundoff, covers the sum of these
+    errors, as ||B||_2 <= total and the shift is at most total plus the
+    margin:
 
     * Cholesky's backward error. A factor L that LAPACK completes is
       exact for A + dA with |dA| <= gamma_(m+1) |L| |L^H| (Higham,
@@ -343,32 +344,24 @@ def _certified(block: np.ndarray, total: float, ends, upper: bool) -> bool:
 
     Nothing is certified where the shifted block could overflow (the
     sum or an end not finite, or near the float range's end), nor where
-    the margin is below the normal range, as for H = 0. Both tests read
+    the margin is below the normal range, as for H = 0. The test reads
     B itself, as ``eigvalsh`` does its lower triangle: the diagonal is
-    shifted (and B negated, for the upper end) in place, then restored
-    exactly, so a test adds only the factor to memory.
+    shifted in place, then restored exactly, so a test adds only the
+    factor to memory.
     """
     margin = 8.0 * (len(block) + 1) ** 2 * _EPS * total
     reach = 2.0 * (total + sum(abs(end) for pair in ends for end in pair))
     if not (math.isfinite(reach) and margin >= sys.float_info.min):
         return False
-    shifts = [(1.0, min(lo for lo, _ in ends) + margin)]
-    if upper:
-        shifts.append((-1.0, margin - max(hi for _, hi in ends)))
     diagonal = np.einsum("ii->i", block)  # a writable view of B's diagonal
     saved = diagonal.copy()
-    for sign, shift in shifts:
-        if sign < 0:
-            np.negative(block, out=block)
-        diagonal -= shift
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
-        finally:
-            if sign < 0:
-                np.negative(block, out=block)
-            diagonal[:] = saved
+    diagonal -= min(lo for lo, _ in ends) + margin
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        diagonal[:] = saved
     return True
 
 

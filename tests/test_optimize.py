@@ -925,10 +925,36 @@ class TestLockstep:
             train_lockstep(problem, (0, 1, 2))
         assert asked == {0: ["f"], 1: [], 2: []}
 
-    @pytest.mark.parametrize("n", [2, 5])
+    def test_bad_point_in_a_grouped_pass_ends_training(self, monkeypatch):
+        # Seed 1 yields a vector of nan in the second round: up to 4
+        # qubits the round's grouped pass raises the error of training
+        # seed 1 alone, no seed is sent that round's calls, and no point
+        # goes through cost or gradient.
+        problem = _tfim_problem(2, (0.5,))
+        settings = OptimizerSettings(max_iterations=8)
+        called = []
+        for name in ("cost", "gradient"):
+            fn = getattr(optimize, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                called.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(optimize, name, counted)
+        _steer(monkeypatch, problem, {1: (2, "nan")})
+        with pytest.raises(ValueError) as expected:
+            train(problem, 1, settings)
+        asked = _steer(monkeypatch, problem, {1: (2, "nan")})
+        with pytest.raises(ValueError) as got:
+            train_lockstep(problem, (0, 1, 2), settings)
+        assert str(got.value) == str(expected.value) == "rotation angle must be finite"
+        assert asked == {0: ["f", "g"], 1: ["f", "g"], 2: ["f", "g"]}
+        assert called == []
+
+    @pytest.mark.parametrize("n", [5])
     def test_bad_point_fails_its_seed_alone(self, n, monkeypatch):
-        # Seed 1 yields a vector of nan in the second round: the grouped
-        # pass raises, each point of that round is bound to cost and
+        # Seed 1 yields a vector of nan in the second round: above the
+        # dense cap each point of that round is bound to cost and
         # gradient, and only seed 1 fails, with the error of training it
         # alone; seed 0 goes on to make every call it makes alone, and
         # seed 2, whose error could not be reported, makes no more.

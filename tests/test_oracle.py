@@ -345,12 +345,22 @@ def test_one_ulp_off_the_mirror_leaves_two_half_blocks(monkeypatch):
     pairs = [(t.coefficient, t.axis_string) for t in terms]
     full = np.linalg.eigvalsh(ref.hamiltonian_matrix(pairs, 10))
     calls = _solver_calls(monkeypatch)
+    ground_energy(h)
+    # The ground state lies in the first block: the second is certified
+    # above the lowest eigenvalue.
+    assert calls == [("eigvalsh", 512), ("cholesky", 512)]
+    calls.clear()
     lo, hi = spectrum_bounds(h)
-    # Both ends of the spectrum lie in the first block: the second is
-    # certified below the lowest and above the highest.
-    assert calls == [("eigvalsh", 512), ("cholesky", 512), ("cholesky", 512)]
+    assert calls == [("eigvalsh", 512)] * 2
     assert lo == pytest.approx(float(full[0]), abs=1e-11)
     assert hi == pytest.approx(float(full[-1]), abs=1e-11)
+
+
+def test_spectrum_bounds_solve_every_block(monkeypatch):
+    h = transverse_field_ising(10, 0.7)
+    calls = _solver_calls(monkeypatch)
+    spectrum_bounds(h)
+    assert calls == [("eigvalsh", m) for m in (272, 256, 240, 256)]
 
 
 def test_twelve_qubit_tfim_at_the_dense_cap(monkeypatch):
