@@ -45,8 +45,8 @@ sum exactly (numpy's sum, in point order) to the final cost.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error,
 3 numerical failure (a non-finite objective, gradient, gradient-check
-deviation or error mean or std, or an eigensolver failure), 4 out of
-memory.
+deviation or error mean or std, a central-difference step lost to
+rounding, or an eigensolver failure), 4 out of memory.
 """
 
 from __future__ import annotations

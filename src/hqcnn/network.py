@@ -20,15 +20,15 @@ Parameter vectors are plain 1-D float arrays (radians); layer j reads
 angles ``params[i + n*j]`` for qubit i. ``NetworkSpec.blocks()``
 describes the same network as blocks; no pass reads them.
 
-All public functions are pure. ``forward`` runs one input; it and the
-training workload run through ``_forward_pass`` (kept for the gradient)
-or ``_forward_rows``. Every array of a pass is a C-ordered
-(2**n, points) array of float64 amplitude-major columns, one per input
-(H, Ry and CNOT are real gates): the encodings, built in closed form as
-product states; the output of each half, and in the measured variant the
-readout of all qubits, one BLAS product; and the final columns. A caller
-that runs many passes on the same inputs builds the first encoding once
-(``_input_rows``) and passes it in.
+All public functions are pure. ``forward`` runs one input through
+``_forward_rows``; training and its central differences run through
+``_forward_pass``, whose pass the gradient reads. Every array of a pass
+is a C-ordered (2**n, points) array of float64 amplitude-major columns,
+one per input (H, Ry and CNOT are real gates): the encodings, built in
+closed form as product states; the output of each half, and in the
+measured variant the readout of all qubits, one BLAS product; and the
+final columns. A caller that runs many passes on the same inputs builds
+the first encoding once (``_input_rows``) and passes it in.
 
 ``_forward_pass`` is the one place that picks the form of the layers,
 split at ``_TILE_QUBITS``, the largest register that one Ry tile spans;
@@ -68,11 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# _h_rows and _ry_rows are not called here: the encoding is built in
-# closed form and the Ry layers run as tiles. They are imported so that
-# all gate kernels stay reachable through this module, where
-# perfbench/layers.py hooks them by name.
-from .statevector import (  # noqa: F401
+from .statevector import (
     MAX_QUBITS,
     _TILE_QUBITS,
     StateVector,
@@ -81,16 +77,19 @@ from .statevector import (  # noqa: F401
     _cnot_rows,
     _expect_z_rows,
     _gather_tiles,
-    _h_rows,
     _half_angles,
     _product_rows,
     _ry_factors,
-    _ry_rows,
     _ry_tiles,
     _tile_entries,
     _tile_rows,
     _z_signs,
 )
+
+# Not called here: the encoding is built in closed form and the Ry layers
+# run as tiles. Imported so that perfbench/layers.py can hook every gate
+# kernel by name in this module.
+from .statevector import _h_rows, _ry_rows  # noqa: F401
 
 
 # The re-encoding's scale, which maps readout values from [-1, 1] onto

@@ -30,32 +30,43 @@ forward passes for k angles. ``gradient`` reuses the forward pass of
 forward pass and the product H phi of its final columns, keyed by the
 bytes of the parameter vector, and BFGS asks for the gradient exactly at
 the points whose cost it has just accepted, so there ``gradient`` runs
-only the backward part. Training has one driver, ``train_lockstep``,
-which advances the BFGS runs of one or many seeds in rounds; ``train``
-is that driver for one seed. At n <= 4 a round is one grouped pass over
-the points that the runs yield, which gives f and the gradient at each;
-it is the code of ``cost`` and ``gradient`` along a leading group axis,
-bitwise equal to it per vector. Should that pass raise, as on a
-non-finite angle, training ends with its error. Above 4 qubits each
-point goes through ``cost`` when its run calls for f and ``gradient``
-only when it calls for g, on the pass that ``cost`` kept.
+only the backward part. Every forward pass over the training points,
+with H applied to its final columns, is one ``_scored_pass`` from the
+problem's encoded columns: that of ``cost``, of a training round, and
+of each central-difference value.
+
+BFGS runs have one driver, ``_lockstep``, which advances a list of runs
+in rounds: ``bfgs_minimize`` is that driver on one run, and
+``train_lockstep`` on one run per seed; ``train`` is ``train_lockstep``
+of one seed. At n <= 4 a training round is one grouped pass over the
+points that the runs yield, which gives f and the gradient at each; it
+is the ``_scored_pass`` of the stacked points, followed by the code of
+``gradient``, along a leading group axis, bitwise equal to them per
+vector. Above 4 qubits each point goes through ``cost`` when its run
+calls for f and ``gradient`` only when it calls for g, on the pass that
+``cost`` kept. At every n the first error raised, by a grouped pass or
+by a run's own f or g call, as on a non-finite angle, ends training
+with that error.
+
 Central differences, the paper's method, stay as the independent
-reference (``finite_difference_gradient``): plain central differences of
-``cost``, one coordinate at a time. ``gradient_deviations`` compares the
-adjoint with them and guards their step choice by halving it, from two
-central-difference gradients; ``gradient_step_check`` is the latter.
+reference (``finite_difference_gradient``): plain central differences
+of ``cost``, one coordinate at a time; a step that rounding erases at
+some angle raises. ``gradient_deviations`` compares the adjoint with them and
+guards their step choice by halving it, from two central-difference
+gradients; ``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
 It knows no objective: ``_bfgs_steps`` is a generator that yields each
 point it needs scored and takes by ``send`` a pair of calls, f and g at
 that point, so ``bfgs_minimize`` can bind an objective and a gradient
-function to each point, and ``train_lockstep`` can advance many runs in
-rounds, with the same arithmetic. Each trial point is built once; its f
-is called, and then, for its slope, its g, on the same array; the
-accepted one is the next iterate. Restarts from steepest descent are
-counted in the result. Defaults: at most 500 iterations, stop when the
-gradient infinity norm drops to 1e-5.
+function to each point, and ``train_lockstep`` can score the points of
+many runs together, through the same ``_lockstep`` rounds and with the
+same arithmetic. Each trial point is built once; its f is called, and
+then, for its slope, its g, on the same array; the accepted one is the
+next iterate. Restarts from steepest descent are counted in the result.
+Defaults: at most 500 iterations, stop when the gradient infinity norm
+drops to 1e-5.
 
 Determinism: cost, gradient and each central-difference evaluation run
 all training points in one batch in a fixed order, the central
@@ -73,33 +84,25 @@ from functools import partial
 
 import numpy as np
 
-# forward and expectation are not called here: trained models are scored
-# with energies. They are imported so that perfbench/layers.py, which
-# hooks them by name in this module, still finds them.
-from .network import (  # noqa: F401
-    NetworkSpec,
-    _adjoint_gradient,
-    _forward_pass,
-    _ForwardPass,
-    _forward_rows,
-    _input_rows,
-    forward,
-)
-from .pauli import (  # noqa: F401
+from .network import NetworkSpec, _adjoint_gradient, _forward_pass, _ForwardPass, _input_rows
+from .pauli import (
     CompiledHamiltonian,
     PauliHamiltonian,
     _apply_hamiltonian_rows,
-    _expectation_rows,
     compile_hamiltonians,
-    expectation,
 )
 from .statevector import _TILE_QUBITS
+
+# Not called here: imported so that perfbench/layers.py can hook them by name.
+from .network import _forward_rows, forward  # noqa: F401
+from .pauli import _expectation_rows, expectation  # noqa: F401
 
 _FD_STEP = 1e-6  # the default step h of every central difference
 
 
 class NumericalError(RuntimeError):
-    """Objective or gradient produced a non-finite value."""
+    """Objective or gradient produced a non-finite value, or a
+    central-difference step was lost to rounding."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class TrainingProblem:
         object.__setattr__(
             self, "hamiltonians", compile_hamiltonians(h for _, h in pairs)
         )
-        encoded = _input_rows(self.network, _bond_lengths(self))
+        encoded = _input_rows(self.network, [a for a, _ in pairs])
         encoded.setflags(write=False)
         object.__setattr__(self, "encoded", encoded)
 
@@ -193,25 +196,28 @@ def _check_params(params, problem: TrainingProblem) -> np.ndarray:
     return vec
 
 
-def _bond_lengths(problem: TrainingProblem) -> np.ndarray:
-    return np.array([a for a, _ in problem.training_set], dtype=np.float64)
+def _scored_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.ndarray]:
+    """The forward pass of ``params`` over the training points, one column
+    per point, from the problem's encoded columns, and H applied to its
+    final columns (read-only). ``params`` is one vector, or at n <=
+    _TILE_QUBITS a (G, k) stack of them, whose pass and products then have
+    a leading group axis and are bitwise those of each vector alone."""
+    forward_pass = _forward_pass(problem.network, problem.encoded, params)
+    products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
+    products.setflags(write=False)
+    return forward_pass, products
 
 
 def _training_pass(params, problem: TrainingProblem) -> tuple[_ForwardPass, np.ndarray]:
-    """The forward pass of ``params`` over the training points, one column
-    per point, and H applied to its final columns (read-only): the problem's
-    kept pair when it was run on the same bytes, else a new one, which
-    replaces it."""
+    """The ``_scored_pass`` of ``params``: the problem's kept pair when it
+    was run on the same bytes, else a new one, which replaces it."""
     vec = _check_params(params, problem)
     key = vec.tobytes()
     memo = problem._last_forward
     found = memo.get(key)
     if found is None:
         memo.clear()
-        forward_pass = _forward_pass(problem.network, problem.encoded, vec)
-        products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
-        products.setflags(write=False)
-        found = memo[key] = (forward_pass, products)
+        found = memo[key] = _scored_pass(vec, problem)
     return found
 
 
@@ -248,23 +254,30 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Central-difference gradient, (f(w + h e_i) - f(w - h e_i)) / 2h,
     one coordinate at a time. Each f is the value :func:`cost` returns,
-    computed afresh on all training points at once, so the problem's kept
-    forward pass is neither read nor replaced."""
+    computed afresh by a ``_scored_pass`` from the problem's encoded
+    columns, so the problem's kept forward pass is neither read nor
+    replaced. A step that rounding erases at some angle, where
+    w_i + h == w_i or w_i - h == w_i, raises :class:`NumericalError`."""
     if not (step > 0):
         raise ValueError("step must be positive")
     vec = _check_params(params, problem)
-    inputs = _bond_lengths(problem)
+    plus, minus = vec + step, vec - step
+    erased = np.flatnonzero((plus == vec) | (minus == vec))
+    if erased.size:
+        raise NumericalError(
+            f"central-difference step {step!r} is lost to rounding at parameter {erased[0]}"
+        )
 
     def f(w: np.ndarray) -> float:
-        cols = _forward_rows(problem.network, inputs, w)
-        return float(np.sum(_expectation_rows(problem.hamiltonians, cols)))
+        forward_pass, products = _scored_pass(w, problem)
+        return float(_pass_energies(forward_pass.cols, products).sum())
 
     grad = np.empty(vec.size)
     shifted = vec.copy()
     for i in range(vec.size):
-        shifted[i] = vec[i] + step
+        shifted[i] = plus[i]
         up = f(shifted)
-        shifted[i] = vec[i] - step
+        shifted[i] = minus[i]
         down = f(shifted)
         shifted[i] = vec[i]
         grad[i] = (up - down) / (2.0 * step)
@@ -484,16 +497,33 @@ def _bfgs_steps(x0, settings: OptimizerSettings):
     return MinimizeResult(x, f, iterations, converged, restarts)
 
 
+def _lockstep(runs, scorers) -> list[MinimizeResult]:
+    """Advance ``_bfgs_steps`` runs in rounds: in each round every
+    unfinished run yields one point, ``scorers`` builds the pair of calls
+    (f_of, g_of) for each, in order, and each run in turn is sent its
+    pair, makes its calls and yields its next point or ends. Returns each
+    run's :class:`MinimizeResult`, in order. The first exception raised,
+    by ``scorers`` or by a run's own calls, ends every run at once."""
+    asked = [(run, next(run)) for run in runs]
+    results = {}
+    while asked:
+        waiting, asked = asked, []
+        pairs = scorers([x for _, x in waiting])
+        for (run, _), pair in zip(waiting, pairs):
+            try:
+                asked.append((run, run.send(pair)))
+            except StopIteration as stop:
+                results[run] = stop.value
+    return [results[run] for run in runs]
+
+
 def bfgs_minimize(objective, gradient_fn, x0, settings: OptimizerSettings) -> MinimizeResult:
-    """Minimize ``objective`` from x0 by ``_bfgs_steps``, sending it
-    ``objective`` and ``gradient_fn`` bound to each point it yields."""
-    steps = _bfgs_steps(x0, settings)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send((partial(objective, x), partial(gradient_fn, x)))
-    except StopIteration as stop:
-        return stop.value
+    """Minimize ``objective`` from x0 by one ``_bfgs_steps`` run, sending
+    it ``objective`` and ``gradient_fn`` bound to each point it yields."""
+    return _lockstep(
+        [_bfgs_steps(x0, settings)],
+        lambda points: [(partial(objective, x), partial(gradient_fn, x)) for x in points],
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +537,7 @@ def _scored_group(points, problem: TrainingProblem):
     which return its f and a copy of its gradient; the code of ``cost``
     and ``gradient``, along a leading group axis, so every value is
     bitwise that of its vector alone."""
-    forward_pass = _forward_pass(problem.network, problem.encoded, np.array(points))
-    products = _apply_hamiltonian_rows(problem.hamiltonians, forward_pass.cols)
+    forward_pass, products = _scored_pass(np.array(points), problem)
     point_energies = _pass_energies(forward_pass.cols, products)
     grads = _adjoint_gradient(problem.network, forward_pass, 2.0 * products)
     return [(partial(float, e.sum()), g.copy) for e, g in zip(point_energies, grads)]
@@ -516,11 +545,10 @@ def _scored_group(points, problem: TrainingProblem):
 
 def _round_scorers(points, problem: TrainingProblem):
     """The pair of calls (f_of, g_of) for each point of a round, in order.
-    At n <= _TILE_QUBITS one grouped pass scores them all, and an error in
-    it is raised here. Above, each pair binds ``cost`` and ``gradient`` to
-    its point, so a bad point raises only when its own run calls them, and
-    a run that calls both in turn has ``gradient`` read the pass that
-    ``cost`` kept."""
+    At n <= _TILE_QUBITS one grouped pass, run here, scores them all.
+    Above, each pair binds ``cost`` and ``gradient`` to its point, so a
+    run that calls both in turn has ``gradient`` read the pass that
+    ``cost`` kept. Either way an error is not caught: it ends training."""
     if problem.network.n_qubits <= _TILE_QUBITS:
         return _scored_group(points, problem)
     return [(partial(cost, x, problem), partial(gradient, x, problem)) for x in points]
@@ -532,40 +560,17 @@ def train_lockstep(
     settings: OptimizerSettings = OptimizerSettings(),
 ) -> list[TrainedModel]:
     """Train each seed from ``init_params`` by ``_bfgs_steps``, all in
-    lockstep: in each round every unfinished run yields one point, the
-    round builds the pair of calls for each (``_round_scorers``), and each
-    run in seed order is sent its pair, makes its calls and yields its next
-    point or ends. The rounds are deterministic and single-threaded, and
-    every value is bitwise the one that the seed's run gets in a round of
-    its own, so are the models, returned per seed in order.
-
-    If training some seed raised, raises the exception of the first such
-    seed, as training the seeds one after another would; once a seed has
-    raised, no later seed is advanced, since only an earlier seed's error
-    could still be reported, so the last error raised is the one. The
-    exception is a grouped pass at n <= _TILE_QUBITS that raises: its
-    error ends training at once, whichever seed's point caused it."""
+    lockstep (``_lockstep``), each round's calls built by
+    ``_round_scorers``. The rounds are deterministic and single-threaded,
+    and every value is bitwise the one that the seed's run gets in a round
+    of its own, so are the models, returned per seed in order. The first
+    error raised, whichever seed's point or call caused it, ends training
+    at once with that error."""
     runs = [_bfgs_steps(init_params(problem.network.n_params, seed), settings) for seed in seeds]
-    asked = [(run, next(run)) for run in runs]
-    trained = {}
-    error = None
-    while asked:
-        waiting, asked = asked, []
-        pairs = _round_scorers([x for _, x in waiting], problem)
-        for (run, _), pair in zip(waiting, pairs):
-            try:
-                asked.append((run, run.send(pair)))
-            except StopIteration as stop:
-                result = stop.value
-                trained[run] = TrainedModel(
-                    problem.network, result.x, result.fun, result.iterations, result.converged
-                )
-            except Exception as exc:
-                error = exc
-                break
-    if error is not None:
-        raise error
-    return [trained[run] for run in runs]
+    return [
+        TrainedModel(problem.network, result.x, result.fun, result.iterations, result.converged)
+        for result in _lockstep(runs, partial(_round_scorers, problem=problem))
+    ]
 
 
 def train(

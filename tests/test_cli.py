@@ -960,6 +960,23 @@ class TestMain:
         assert "numerical failure: gradient check gave non-finite deviations" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_gradcheck_step_lost_to_rounding_exit_3(self, tfim2_dir, tmp_path):
+        # At h = 1e-320, w + h == w for every initial angle: the central
+        # differences were all 0 and the step check printed 0.0 with exit 0.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"dataset_dir: {tfim2_dir}\noutput_dir: {tmp_path / 'o'}\n"
+            "train_bond_lengths: 0.5 1.5\ntest_bond_lengths: 1.0\nseeds: 0\n"
+            "finite_difference_step: 1e-320\n"
+        )
+        result = _cli_subprocess(["gradcheck", "--config", str(cfg)], module="hqcnn")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "numerical failure: central-difference step 1e-320 is lost to rounding "
+            "at parameter 0\n"
+        )
+
     @pytest.mark.parametrize("variant", ["both", "with_measurements"])
     def test_non_finite_error_statistics_exit_3(self, variant, tmp_path):
         # Every energy is finite, but the spread of the summed errors

@@ -182,6 +182,21 @@ class TestGradient:
         with pytest.raises(ValueError):
             finite_difference_gradient(np.zeros(8), problem, step=0.0)
 
+    def test_rejects_a_step_lost_to_rounding(self):
+        problem = _tfim_problem(2, (1.0,))
+        params = np.zeros(8)
+        params[1:] = 0.5
+        params[3:] = 1.0
+        # 1e-320 is lost to every angle but 0; 1.1e-16 is lost to 1 + h
+        # alone, since below 1 the floats are twice as dense.
+        assert 1.0 + 1.1e-16 == 1.0 != 1.0 - 1.1e-16
+        for step, first in ((1e-320, 1), (1.1e-16, 3)):
+            with pytest.raises(NumericalError) as lost:
+                finite_difference_gradient(params, problem, step)
+            assert str(lost.value) == (
+                f"central-difference step {step!r} is lost to rounding at parameter {first}"
+            )
+
 
 class TestStackedBatches:
     """At n = 7 (k = 98 angles, 5 training points) the central differences
@@ -213,18 +228,28 @@ class TestStackedBatches:
         with pytest.raises(ValueError):
             gradient(params, problem)
 
-    def test_nan_bond_length_raises(self):
+    def test_central_differences_read_the_encoded_columns(self):
         # TrainingProblem rejects NaN bond lengths, so put one past it, in
-        # the last training point. cost and gradient run on the bond
-        # lengths the problem encoded when it was built; every FD
-        # evaluation encodes them afresh.
+        # the last training point. cost, gradient and every FD evaluation
+        # run on the columns the problem encoded when it was built, so the
+        # NaN is never read: each FD entry is, bit for bit, the central
+        # difference of cost, and FD leaves the kept pass as it was.
         problem = _tfim_problem(7, DEFAULT_TRAIN_GRID)
         pairs = list(problem.training_set)
         pairs[4] = (float("nan"), pairs[4][1])
         object.__setattr__(problem, "training_set", tuple(pairs))
         params = init_params(problem.network.n_params, 0)
-        with pytest.raises(ValueError):
-            finite_difference_gradient(params, problem)
+        step = 1e-6
+        cost(params, problem)
+        kept = dict(problem._last_forward)
+        got = finite_difference_gradient(params, problem, step)
+        assert problem._last_forward.keys() == kept.keys()
+        assert all(problem._last_forward[key] is kept[key] for key in kept)
+        for i in range(params.size):
+            e = np.zeros_like(params)
+            e[i] = step
+            want = (cost(params + e, problem) - cost(params - e, problem)) / (2 * step)
+            assert got[i].hex() == want.hex(), i
 
 
 class TestAdjointGradient:
@@ -899,22 +924,21 @@ class TestLockstep:
             )
             assert float(energies(model.parameters, problem).sum()) == model.final_cost
 
-    def test_reports_the_first_seeds_error(self, monkeypatch):
+    def test_the_first_error_ends_training(self, monkeypatch):
         # Seed 1 fails at its start point, in an earlier round than seed 0
-        # in its 9th f call: the run reports seed 0's error, as training
-        # seed 0 alone does, with its message.
+        # would in its 9th f call: seed 1's error, as training it alone
+        # raises it, ends training at once, and seed 2 is never sent a call.
         problem = _tfim_problem(2, (0.6, 1.4))
         actions = {0: (9, "inf"), 1: (1, "inf")}
         _steer(monkeypatch, problem, actions)
         with pytest.raises(NumericalError) as alone:
-            train(problem, 0)
+            train(problem, 1)
         asked = _steer(monkeypatch, problem, actions)
         with pytest.raises(NumericalError) as lockstep:
             train_lockstep(problem, (0, 1, 2))
         assert str(lockstep.value) == str(alone.value)
-        assert str(lockstep.value).startswith("objective returned inf in line search")
-        assert asked[1].count("f") < asked[0].count("f") == 9
-        assert asked[2] == []
+        assert str(lockstep.value) == "objective returned inf at the start point"
+        assert asked == {0: ["f", "g"], 1: ["f"], 2: []}
 
     def test_no_later_seed_advances_after_a_failure(self, monkeypatch):
         # Seed 0 fails at its first f call: only its error can be
@@ -952,12 +976,12 @@ class TestLockstep:
         assert called == []
 
     @pytest.mark.parametrize("n", [5])
-    def test_bad_point_fails_its_seed_alone(self, n, monkeypatch):
+    def test_bad_point_ends_training_above_the_dense_cap(self, n, monkeypatch):
         # Seed 1 yields a vector of nan in the second round: above the
         # dense cap each point of that round is bound to cost and
-        # gradient, and only seed 1 fails, with the error of training it
-        # alone; seed 0 goes on to make every call it makes alone, and
-        # seed 2, whose error could not be reported, makes no more.
+        # gradient, and seed 1's f call raises the error of training it
+        # alone, which ends training at once. Each seed's calls are a
+        # prefix of those it makes alone, and seed 2 makes none that round.
         problem = _tfim_problem(n, (0.5,))
         settings = OptimizerSettings(max_iterations=8)
         alone = _steer(monkeypatch, problem, {1: (2, "nan")})
@@ -969,9 +993,9 @@ class TestLockstep:
         with pytest.raises(ValueError) as got:
             train_lockstep(problem, (0, 1, 2), settings)
         assert str(got.value) == str(expected.value) == "rotation angle must be finite"
-        assert (asked[0], asked[1]) == (alone[0], alone[1])
-        assert asked[2] == alone[2][:2] == ["f", "g"]
-        assert alone[1].count("f") == 2 < min(alone[0].count("f"), alone[2].count("f"))
+        assert asked == {0: ["f", "g", "f"], 1: ["f", "g", "f"], 2: ["f", "g"]}
+        for seed, calls in asked.items():
+            assert alone[seed][: len(calls)] == calls
 
 
 class TestRequestsAboveTheDenseCap:
