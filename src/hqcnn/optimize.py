@@ -56,17 +56,26 @@ guards their step choice by halving it, from two central-difference
 gradients; ``gradient_step_check`` is the latter.
 
 The minimizer is a self-contained BFGS with a strong-Wolfe line search
-(c1 = 1e-4, c2 = 0.9, cubic interpolation with bisection safeguards).
-It knows no objective: ``_bfgs_steps`` is a generator that yields each
-point it needs scored and takes by ``send`` a pair of calls, f and g at
-that point, so ``bfgs_minimize`` can bind an objective and a gradient
-function to each point, and ``train_lockstep`` can score the points of
-many runs together, through the same ``_lockstep`` rounds and with the
-same arithmetic. Each trial point is built once; its f is called, and
-then, for its slope, its g, on the same array; the accepted one is the
-next iterate. Restarts from steepest descent are counted in the result.
-Defaults: at most 500 iterations, stop when the gradient infinity norm
-drops to 1e-5.
+(c1 = 1e-4, c2 = 0.9). The line search is one loop over one bracket, as
+in Moré & Thuente (ACM TOMS 20(3), 1994), with the trial steps and tests
+of Nocedal & Wright's Algorithms 3.5 and 3.6. While the bracket is open,
+each trial doubles the step, at most 25 times. Once a trial has closed
+it, each trial is the minimizer of the cubic that matches both ends, or
+of the quadratic where one end has no slope; it is bisection where that
+falls outside the bracket or within a tenth of its width from an edge.
+At most 30 such trials run, and the search stops after the first one
+drawn from a bracket narrower than 1e-14.
+
+The minimizer knows no objective: ``_bfgs_steps`` is a generator that
+yields each point it needs scored and takes by ``send`` a pair of calls,
+f and g at that point, so ``bfgs_minimize`` can bind an objective and a
+gradient function to each point, and ``train_lockstep`` can score the
+points of many runs together, through the same ``_lockstep`` rounds and
+with the same arithmetic. Each trial point is built once; its f is
+called, and then, for its slope, its g, on the same array; the accepted
+one is the next iterate. Restarts from steepest descent are counted in
+the result. Defaults: at most 500 iterations, stop when the gradient
+infinity norm drops to 1e-5.
 
 Determinism: cost, gradient and each central-difference evaluation run
 all training points in one batch in a fixed order, the central
@@ -338,7 +347,8 @@ def init_params(k: int, seed: int) -> np.ndarray:
 
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
-# The most trial steps of the line search's bracketing and zoom phases.
+# The most trial steps of the line search while its bracket is open, and
+# after a trial has closed it.
 _BRACKET_STEPS = 25
 _ZOOM_STEPS = 30
 
@@ -355,17 +365,6 @@ def _finite_gradient_or_raise(value, where: str) -> np.ndarray:
     if not np.isfinite(g).all():
         raise NumericalError(f"gradient is not finite {where}")
     return g
-
-
-def _slope_or_raise(value, p, a: float) -> tuple[np.ndarray, float]:
-    """The gradient received at the trial step a along p, and its slope
-    g @ p there. A non-finite entry of g makes the slope non-finite, so g
-    is checked entry by entry only then."""
-    g = np.asarray(value, dtype=np.float64)
-    slope = float(g @ p)
-    if not math.isfinite(slope):
-        _finite_gradient_or_raise(g, f"in line search at step {a}")
-    return g, slope
 
 
 def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
@@ -388,54 +387,53 @@ def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
     return a_hi - (a_hi - a_lo) * (d_hi + d2 - d1) / denom
 
 
-def _zoom(x, p, f0, d0, a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
-    """Narrow a bracket [a_lo, a_hi] known to contain a strong-Wolfe point;
-    yields its trial points as ``_bfgs_steps`` does."""
-    for _ in range(_ZOOM_STEPS):
-        lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-        width = hi - lo
-        a = _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi)
-        # Reject steps outside or hugging the bracket edge.
-        if a is None or not (lo + 0.1 * width <= a <= hi - 0.1 * width):
-            a = 0.5 * (lo + hi)
-        x_a = x + a * p
-        f_of, g_of = yield x_a
-        f_a = _finite_or_raise(f_of(), f"in line search at step {a}")
-        if f_a > f0 + _WOLFE_C1 * a * d0 or f_a >= f_lo:
-            a_hi, f_hi, d_hi = a, f_a, None
-        else:
-            g_a, d_a = _slope_or_raise(g_of(), p, a)
-            if abs(d_a) <= -_WOLFE_C2 * d0:
-                return a, x_a, f_a, g_a
-            if d_a * (a_hi - a_lo) >= 0.0:
-                a_hi, f_hi, d_hi = a_lo, f_lo, d_lo
-            a_lo, f_lo, d_lo = a, f_a, d_a
-        if width < 1e-14:
-            break
-    return None
-
-
 def _strong_wolfe(x, p, f0, d0):
     """Find alpha with sufficient decrease and flattened slope along p,
     whose slope at x is d0, yielding trial points as ``_bfgs_steps`` does;
-    returns (alpha, x + alpha p, f, g) there, None on failure."""
+    returns (alpha, x + alpha p, f, g) there, None on failure.
+
+    ``lo`` = (step, f, slope) is the trial with the least f that passed
+    the decrease test, the start point at first, and ``hi`` the
+    bracket's other end, whose slope is None where its decrease failed;
+    ``hi`` is None while the bracket is open. Each trial is scored and
+    tested once: its g is asked for only where its decrease passed, and
+    checked entry by entry only where its slope is not finite."""
     if d0 >= 0.0:
         return None
-    a_prev, f_prev, d_prev = 0.0, f0, d0
-    a = 1.0
-    for i in range(_BRACKET_STEPS):
+    lo, hi = (0.0, f0, d0), None
+    trials_left, narrow = _BRACKET_STEPS, False
+    while trials_left and not narrow:
+        trials_left -= 1
+        is_open = hi is None
+        if is_open:
+            a = 2.0 * lo[0] or 1.0  # 1, then twice the last trial
+        else:
+            left, right = sorted((lo[0], hi[0]))
+            width = right - left
+            narrow = width < 1e-14
+            a = _cubic_step(*lo, *hi)
+            # Reject steps outside or hugging the bracket edge.
+            if a is None or not (left + 0.1 * width <= a <= right - 0.1 * width):
+                a = 0.5 * (left + right)
         x_a = x + a * p
         f_of, g_of = yield x_a
-        f_a = _finite_or_raise(f_of(), f"in line search at step {a}")
-        if f_a > f0 + _WOLFE_C1 * a * d0 or (i > 0 and f_a >= f_prev):
-            return (yield from _zoom(x, p, f0, d0, a_prev, f_prev, d_prev, a, f_a, None))
-        g_a, d_a = _slope_or_raise(g_of(), p, a)
-        if abs(d_a) <= -_WOLFE_C2 * d0:
-            return a, x_a, f_a, g_a
-        if d_a >= 0.0:
-            return (yield from _zoom(x, p, f0, d0, a, f_a, d_a, a_prev, f_prev, d_prev))
-        a_prev, f_prev, d_prev = a, f_a, d_a
-        a *= 2.0
+        where = f"in line search at step {a}"
+        f_a = _finite_or_raise(f_of(), where)
+        # The first trial is tested against f0 by sufficient decrease only.
+        if f_a > f0 + _WOLFE_C1 * a * d0 or (f_a >= lo[1] and (lo[0] > 0.0 or not is_open)):
+            hi = (a, f_a, None)
+        else:
+            g_a = np.asarray(g_of(), dtype=np.float64)
+            d_a = float(g_a @ p)
+            if not math.isfinite(d_a):
+                _finite_gradient_or_raise(g_a, where)
+            if abs(d_a) <= -_WOLFE_C2 * d0:
+                return a, x_a, f_a, g_a
+            if (d_a >= 0.0) if is_open else (d_a * (hi[0] - lo[0]) >= 0.0):
+                hi = lo
+            lo = (a, f_a, d_a)
+        if is_open and hi is not None:
+            trials_left = _ZOOM_STEPS
     return None
 
 

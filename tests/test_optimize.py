@@ -679,6 +679,130 @@ class TestBfgs:
             OptimizerSettings(finite_difference_step=-1e-6)
 
 
+def _line_search(phi, dphi, d0=None):
+    """Drive ``_strong_wolfe`` along the 1-D objective phi from x = 0 with
+    p = 1, so each trial point is its step; returns the trial steps and
+    the result, with the point and the gradient as floats."""
+    d0 = dphi(0.0) if d0 is None else d0
+    run = optimize._strong_wolfe(np.zeros(1), np.ones(1), phi(0.0), d0)
+    steps = []
+    try:
+        point = next(run)
+        while True:
+            a = float(point[0])
+            steps.append(a)
+            point = run.send((partial(phi, a), lambda a=a: np.array([dphi(a)])))
+    except StopIteration as stop:
+        found = stop.value
+    if found is not None:
+        alpha, x, f, g = found
+        found = alpha, float(x[0]), f, float(g[0])
+    return steps, found
+
+
+class TestLineSearchExits:
+    # Each exit of the strong-Wolfe line search, on objectives built from
+    # correctly rounded operations only, so the trial steps are exact.
+    # Every exit is reached by a 1-D objective.
+
+    def test_curvature_met_on_the_first_trial(self):
+        steps, found = _line_search(lambda a: (a - 1) * (a - 1), lambda a: 2 * (a - 1))
+        assert steps == [1.0]
+        assert found == (1.0, 1.0, 0.0, 0.0)
+
+    def test_failed_decrease_then_interpolation(self):
+        steps, found = _line_search(lambda a: (a - 0.1) * (a - 0.1), lambda a: 2 * (a - 0.1))
+        assert steps == [1.0, 0.1]
+        assert found == (0.1, 0.1, 0.0, 0.0)
+
+    def test_rising_decrease_closes_the_bracket_with_swapped_ends(self):
+        # At a = 1 the value has decreased but the slope is +2.2: the
+        # bracket's far end is the start point.
+        steps, found = _line_search(
+            lambda a: -a + 0.8 * a * a * a * a, lambda a: -1 + 3.2 * a * a * a
+        )
+        assert steps == [1.0, 0.6525793245704418]
+        assert found == (
+            0.6525793245704418,
+            0.6525793245704418,
+            -0.5074940862975648,
+            -0.11069669043910368,
+        )
+
+    def test_no_bracket_after_25_doublings(self):
+        steps, found = _line_search(lambda a: -a, lambda a: -1.0)
+        assert steps == [2.0**k for k in range(25)]
+        assert found is None
+
+    def test_interpolation_cap(self, monkeypatch):
+        def phi(a):
+            return np.sqrt(abs(a - 0.3))
+
+        def dphi(a):
+            return np.copysign(0.5 / np.sqrt(abs(a - 0.3)), a - 0.3)
+
+        steps, found = _line_search(phi, dphi)
+        assert steps == [
+            1.0, 0.3797905433758588, 0.29509090278929034, 0.31318987422241634,
+            0.30181053699219673, 0.30016103149707324, 0.2990123953480609,
+            0.2997548626138794, 0.29998970963186583, 0.30002621261462686,
+            0.30000337047035713, 0.3000001518758671, 0.2999975791647329,
+            0.29999920134874886, 0.2999998155831536, 0.2999999979057292,
+            0.3000000361056562, 0.300000012099853, 0.3000000029241339,
+            0.30000000008461936, 0.2999999996012486, 0.29999999991320114,
+            0.29999999999997956, 0.30000000002676747, 0.3000000000126911,
+            0.3000000000058815, 0.3000000000026368, 0.30000000000112564,
+            0.30000000000044585, 0.300000000000156, 0.3000000000000422,
+        ]  # fmt: skip
+        assert found is None
+        # The 30 interpolations, not the width, ended it: one more allowed
+        # gives one more trial.
+        monkeypatch.setattr(optimize, "_ZOOM_STEPS", 31)
+        assert len(_line_search(phi, dphi)[0]) == 32
+
+    def test_width_stop(self, monkeypatch):
+        def phi(a):
+            return abs(a - 1 / 3)
+
+        def dphi(a):
+            return np.copysign(1.0, a - 1 / 3)
+
+        steps, found = _line_search(phi, dphi)
+        assert steps == [
+            1.0, 0.37499999999999994, 0.31113677962135466, 0.3306680112933952,
+            0.33752881393963324, 0.3334728516303965, 0.33304672890529574,
+            0.3333144620879786, 0.3333418675268007, 0.3333343420438128,
+            0.3333313164663574, 0.3333332073483857, 0.33333340055836924,
+            0.3333333414012008, 0.3333333206529098, 0.3333333329138743,
+            0.33333333420257455, 0.3333333333915174, 0.3333333333084317,
+            0.33333333333049886, 0.3333333333397155, 0.33333333333382636,
+            0.33333333333321546, 0.33333333333333914, 0.33333333333332044,
+            0.33333333333333237, 0.3333333333333336,
+        ]  # fmt: skip
+        assert found is None
+        # The bracket narrower than 1e-14 ended it after 26 interpolations.
+        monkeypatch.setattr(optimize, "_ZOOM_STEPS", 31)
+        assert _line_search(phi, dphi)[0] == steps
+
+    def test_no_descent_yields_nothing(self):
+        assert _line_search(lambda a: a, lambda a: 1.0) == ([], None)
+        assert _line_search(lambda a: -a, lambda a: -1.0, d0=0.0) == ([], None)
+
+    def test_first_trial_is_not_compared_with_the_start_value(self):
+        # c1·|d0| is lost in rounding f0, so f(1) = f0 passes the decrease
+        # test; only later trials must be below the bracket's low end.
+        steps, found = _line_search(
+            lambda a: 1e8 + 1e-12 * (a - 1) * (a - 1), lambda a: 2e-12 * (a - 1)
+        )
+        assert steps == [1.0]
+        assert found == (1.0, 1.0, 1e8, 0.0)
+
+    def test_non_finite_trial_value_raises(self):
+        message = r"^objective returned nan in line search at step 1\.0$"
+        with pytest.raises(NumericalError, match=message):
+            _line_search(lambda a: np.nan if a else 0.0, lambda a: -1.0)
+
+
 class TestTrain:
     def test_identity_problem_converges_immediately(self):
         problem, c = _identity_problem()

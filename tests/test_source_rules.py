@@ -70,3 +70,30 @@ def test_every_unread_import_is_a_hooked_shim(path):
     assert unread <= hooked, f"{path.name}: unread imports not hooked: {sorted(unread - hooked)}"
     marked = {name for name, lineno in imported.items() if "noqa: F401" in lines[lineno - 1]}
     assert marked == unread, f"{path.name}: noqa marks {sorted(marked)}, not {sorted(unread)}"
+
+
+def test_every_private_function_is_read():
+    # A module-level function whose name starts with `_` serves only the
+    # package, so the package must read it: by a name or as an attribute,
+    # outside its own definition. An import alone is no use, and a helper
+    # that a rewrite left behind fails here.
+    defined = []
+    read = set()
+    for path in MODULES:
+        for stmt in _tree(path).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = stmt.name
+                if own.startswith("_"):
+                    defined.append((own, f"{path.name}:{stmt.lineno} {own}"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    unread = [where for name, where in defined if name not in read]
+    assert unread == [], f"private functions the package never reads: {unread}"
